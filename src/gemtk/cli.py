@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 from .census import enumerate_types
@@ -109,8 +110,7 @@ def cmd_verify(args) -> int:
     checks: dict[str, object] = {}
     if graph.color_count == 3:
         if connected:
-            surface = check_surface(graph)
-            checks["surface"] = str(surface)
+            checks["surface"] = check_surface(graph)
     elif graph.color_count == 4:
         report = check_3manifold(graph)
         checks["criterion_3manifold"] = report.holds
@@ -143,7 +143,9 @@ def cmd_verify(args) -> int:
                 "p": graph.vertex_count,
                 "connected": connected,
                 "orientable": bipartite,
-                "checks": {k: str(v) for k, v in checks.items()},
+                "checks": {
+                    k: asdict(v) if is_dataclass(v) else v for k, v in checks.items()
+                },
                 "g_counts": g_counts,
                 "embeddings": [
                     {

@@ -1,21 +1,26 @@
 """Backtracking search for colored graphs with a prescribed face-size sequence.
 
-The search fixes color 0 to the pairing (0,1)(2,3)... (every isomorphism
-class has such a representative) and assigns the remaining colors in order,
-one edge at a time, always extending the least unpaired vertex.  While a
-color c is being built, the bi-colored paths of the class {c-1, c} (and of
-{d, 0} when c is the last color) are tracked incrementally: closing a cycle
-of the wrong length, or growing a path beyond the target length, prunes the
-branch.  Only consecutive color pairs are constrained; the remaining classes
-are free.  Expensive filters (residue criteria, connectivity) run on complete
-candidates only, and every emitted solution is re-verified through the public
-validation, face-tracing and filter code paths rather than search state.
+The search fixes the whole {0,1}-residue before backtracking: color 0 is
+(0,1)(2,3)... and, in each block of q0 = seq[0] consecutive vertices, color 1
+is (1,2)(3,4)...(q0-1,0).  Every isomorphism class has such a representative:
+in a graph of the target type the {0,1}-residue is p/q0 disjoint alternating
+q0-cycles, and numbering each cycle's vertices along the cycle, starting
+with a color-0 edge, relabels it to exactly one such block.  The remaining
+colors are assigned in order, one edge at a time, always extending the least
+unpaired vertex.  While a color c is being built, the bi-colored paths of
+the class {c-1, c} (and of {d, 0} when c is the last color) are tracked
+incrementally: closing a cycle of the wrong length, or growing a path beyond
+the target length, prunes the branch.  Only consecutive color pairs are
+constrained; the remaining classes are free.  Expensive filters (residue
+criteria, connectivity) run on complete candidates only, and every emitted
+solution is re-verified through the public validation, face-tracing and
+filter code paths rather than search state.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .complexes import check_3manifold, check_residues_sphere
 from .embeddings import semi_equivelar_type
@@ -127,10 +132,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     solutions: list[ColoredGraph] = []
     seen_codes: set[str] = set()
 
-    inv = [[-1] * p for _ in range(n)]
-    for v in range(0, p, 2):
-        inv[0][v] = v + 1
-        inv[0][v + 1] = v
+    inv = _fixed_residue(seq[0], p) + [[-1] * p for _ in range(n - 2)]
 
     # union-find with parity for incremental bipartiteness
     bip = spec.require_bipartite
@@ -170,8 +172,9 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
                 rank_[rb] -= 1
 
     if bip:
-        for v in range(0, p, 2):
-            union(v, v + 1)
+        for c in (0, 1):
+            for v, u in _pairs_of(inv[c]):
+                union(v, u)
 
     deadline = (
         time.monotonic() + spec.budget_seconds if spec.budget_seconds else None
@@ -311,7 +314,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     start = time.monotonic()
     exhausted = True
     try:
-        assign_color(1)
+        assign_color(2)
     except _Stop:
         exhausted = False
     except _Budget:
@@ -320,6 +323,22 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     stats.exhausted = exhausted
     stats.prunes = {k: v for k, v in prunes.items() if v}
     return SearchOutcome(spec, solutions, stats)
+
+
+def _fixed_residue(q0: int, p: int) -> list[list[int]]:
+    """Involutions of colors 0 and 1 forming p/q0 standard alternating q0-cycles.
+
+    Sound because every {0,1}-residue of the target type is p/q0 disjoint
+    alternating q0-cycles, and all such 2-colored graphs are isomorphic.
+    """
+    inv0 = [v ^ 1 for v in range(p)]
+    inv1 = [0] * p
+    for base in range(0, p, q0):
+        for i in range(1, q0, 2):
+            v, u = base + i, base + (i + 1) % q0
+            inv1[v] = u
+            inv1[u] = v
+    return [inv0, inv1]
 
 
 def _pairs_of(involution):
@@ -332,17 +351,7 @@ def count_nonisomorphic(spec: SearchSpec) -> int:
     Raises :class:`SearchBudgetExceeded` when the budget stopped the run, so
     an aborted count is never mistaken for zero.
     """
-    full = SearchSpec(
-        seq=spec.seq,
-        vertex_count=spec.vertex_count,
-        require_bipartite=spec.require_bipartite,
-        require_3manifold=spec.require_3manifold,
-        require_residues_sphere=spec.require_residues_sphere,
-        require_connected=spec.require_connected,
-        max_solutions=None,
-        budget_seconds=spec.budget_seconds,
-        dedup=True,
-    )
+    full = replace(spec, max_solutions=None, dedup=True)
     outcome = search_gems(full)
     if not outcome.stats.exhausted:
         raise SearchBudgetExceeded(

@@ -1,6 +1,6 @@
 import json
 
-from gemtk import parse_gem, relabel, write_gem
+from gemtk import parse_gem, relabel, validate, write_gem
 from gemtk.cli import main
 
 from helpers import cube_graph, k4_graph, theta_graph
@@ -99,6 +99,16 @@ class TestVerify:
         assert code == 0
         assert record["orientable"] is False
         assert record["g_counts"]["01"] == 1
+        assert record["checks"]["surface"] == {"orientable": False, "genus": 1}
+
+    def test_json_criterion_is_boolean(self, capsys, tmp_path):
+        # the 2-vertex 4-colored dipole encodes the 3-sphere
+        path = tmp_path / "dipole.gem"
+        path.write_text(write_gem(validate(4, 2, [[(0, 1)]] * 4)))
+        code, out, _ = run(capsys, "verify", str(path), "--json")
+        record = json.loads(out)
+        assert code == 0
+        assert record["checks"]["criterion_3manifold"] is True
 
     def test_five_colored_residue_failure(self, capsys, tmp_path):
         # a theta-like 5-colored graph with one color replaced by a matching

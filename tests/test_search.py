@@ -147,9 +147,34 @@ class TestNaiveOracleAgreement:
         got = {canonical_code(g) for g in out.solutions}
         assert got == naive_type_search((4,) * 5, 4)
 
+    @pytest.mark.parametrize(
+        "seq,p,kwargs",
+        [
+            ((8, 4, 8), 8, {}),
+            ((4, 8, 8), 8, {}),
+            ((8, 8, 4), 8, {}),
+            ((4, 4, 4), 8, {"require_bipartite": True}),
+            ((4, 4, 4), 8, {"require_connected": False}),
+            ((4, 4, 4), 8, {"require_bipartite": True, "require_connected": False}),
+            ((6, 6, 6), 6, {"require_bipartite": True}),
+            ((6, 6, 6, 6), 6, {}),
+            ((6, 6, 6, 6), 6, {"require_3manifold": True}),
+            ((4, 4, 4, 4), 4, {}),
+            ((6,) * 5, 6, {}),
+            ((4,) * 5, 4, {}),
+        ],
+    )
+    def test_fixed_residue_reaches_every_class(self, seq, p, kwargs):
+        # the oracle leaves color 1 free, so it checks that fixing the whole
+        # {0,1}-residue in the search loses no isomorphism class
+        out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
+        assert out.stats.exhausted
+        got = {canonical_code(g) for g in out.solutions}
+        assert got == naive_type_search(seq, p, **kwargs)
+
     def test_symmetry_breaking_loses_nothing(self):
-        # oracle ranges over every color-0 matching; fixing color 0 in the
-        # search must reach the same isomorphism classes
+        # oracle ranges over every color-0 matching; fixing colors 0 and 1 in
+        # the search must reach the same isomorphism classes
         for seq, p in [((4, 4, 4), 4), ((6, 6, 6), 6)]:
             free = naive_type_search(seq, p, fix_color0=False)
             out = search_gems(SearchSpec(seq=seq, vertex_count=p))
@@ -191,9 +216,19 @@ class TestLimitsAndCounting:
     def test_decagon_count_exhausts(self):
         spec = SearchSpec(seq=(10, 10, 10), vertex_count=10)
         n = count_nonisomorphic(spec)
-        assert n >= 1
+        assert n == 24
         out = search_gems(spec)
         assert out.stats.exhausted and len(out.solutions) == n
+
+    @pytest.mark.parametrize(
+        "seq,classes",
+        [((4, 6, 4, 6), 4), ((4, 4, 6, 6), 5), ((4, 4, 4, 12), 1)],
+    )
+    def test_twelve_vertex_3manifold_counts_exhaust(self, seq, classes):
+        spec = SearchSpec(
+            seq=seq, vertex_count=12, require_3manifold=True, budget_seconds=60
+        )
+        assert count_nonisomorphic(spec) == classes
 
     def test_keep_filter(self):
         target = sphere_profile(3)

@@ -68,11 +68,10 @@ def _report_json(obj) -> None:
 
 
 def cmd_types(args) -> int:
-    enforce = True if args.require_face_divisibility else not args.no_face_divisibility
     solutions = enumerate_types(
         args.chi,
         colors=args.colors,
-        enforce_divisibility=enforce,
+        enforce_divisibility=not args.no_face_divisibility,
     )
     for sol in solutions:
         if args.json:
@@ -331,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_types = sub.add_parser("types", help="census of semi-equivelar types for one chi")
     p_types.add_argument("--chi", type=int, required=True, help="Euler characteristic (< 0)")
     p_types.add_argument("--colors", type=int, default=None, help="restrict to one color count")
-    p_types.add_argument(
-        "--require-face-divisibility",
-        action="store_true",
-        help="keep the face-size | vertex-count condition (already the default)",
-    )
     p_types.add_argument(
         "--no-face-divisibility",
         action="store_true",

@@ -110,11 +110,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals (the number of invariant factors)."""
-    return len(smith_normal_form(matrix))
-
-
 # ---------------------------------------------------------------------------
 # Cell complex
 # ---------------------------------------------------------------------------
@@ -385,19 +380,35 @@ class ResidueSphereReport:
         return [v for v in self.verdicts if not v.ok]
 
 
+def sphere_verdicts(residue: ColoredGraph, color: int) -> list[ResidueVerdict]:
+    """Verdict per connected component of a 4-colored graph: the 3-manifold
+    criterion plus the integer homology of the 3-sphere.
+
+    ``residue`` is the residue that drops ``color`` from a 5-colored graph,
+    on all of its vertices; the verdicts are filed under ``color``.
+    """
+    if residue.color_count != 4:
+        raise ValueError("sphere verdicts need exactly 4 colors")
+    target = sphere_profile(3)
+    comps = connected_components(residue)
+    verdicts = []
+    for idx, comp in enumerate(comps):
+        sub = residue if len(comps) == 1 else residue_subgraph(residue, range(4), comp)
+        criterion = check_3manifold(sub).holds
+        homology_ok = criterion and graph_homology(sub) == target
+        verdicts.append(
+            ResidueVerdict(color, idx, sub.vertex_count, criterion, homology_ok)
+        )
+    return verdicts
+
+
 def check_residues_sphere(graph: ColoredGraph) -> ResidueSphereReport:
     """Check every 4-colored residue component of a 5-colored graph."""
     if graph.color_count != 5:
         raise ValueError("residue sphere check needs exactly 5 colors")
-    target = sphere_profile(3)
     verdicts = []
     for dropped in range(5):
         kept = [c for c in range(5) if c != dropped]
-        for idx, comp in enumerate(residue_components(graph, kept)):
-            sub = residue_subgraph(graph, kept, comp)
-            criterion = check_3manifold(sub).holds
-            homology_ok = criterion and graph_homology(sub) == target
-            verdicts.append(
-                ResidueVerdict(dropped, idx, sub.vertex_count, criterion, homology_ok)
-            )
+        residue = residue_subgraph(graph, kept, range(graph.vertex_count))
+        verdicts.extend(sphere_verdicts(residue, dropped))
     return ResidueSphereReport(all(v.ok for v in verdicts), tuple(verdicts))

@@ -45,11 +45,19 @@ class GraphDefect:
 
 
 class GemValidationError(ValueError):
-    """Raised by :func:`validate`; carries the complete defect list."""
+    """Raised by :func:`validate`; carries the complete defect list.
+
+    The message names the first ``MESSAGE_DEFECTS`` defects and how many
+    more there are, so that oversized input gives a bounded message.
+    """
+
+    MESSAGE_DEFECTS = 20
 
     def __init__(self, defects: list[GraphDefect]):
         self.defects = list(defects)
-        super().__init__("; ".join(str(d) for d in self.defects))
+        shown = "; ".join(str(d) for d in self.defects[: self.MESSAGE_DEFECTS])
+        rest = len(self.defects) - self.MESSAGE_DEFECTS
+        super().__init__(shown + (f"; ... and {rest} more" if rest > 0 else ""))
 
 
 @dataclass(frozen=True)
@@ -265,8 +273,7 @@ def is_connected(graph: ColoredGraph) -> bool:
 class ResidueStats:
     """Component counts of color-subset residues, keyed by sorted color tuple.
 
-    Holds every subset of size 2 and 3, the full color set, and (when built
-    with ``include_quadruples``) all subsets of size 4.
+    Holds every subset of size 2 and 3 and the full color set.
     """
 
     counts: Mapping[tuple[int, ...], int]
@@ -276,11 +283,9 @@ class ResidueStats:
         return self.counts[key]
 
 
-def residue_stats(graph: ColoredGraph, include_quadruples: bool = False) -> ResidueStats:
+def residue_stats(graph: ColoredGraph) -> ResidueStats:
     """Component counts for all 2- and 3-color residues (plus the full set)."""
     sizes = {2, 3, graph.color_count}
-    if include_quadruples and graph.color_count >= 4:
-        sizes.add(4)
     counts: dict[tuple[int, ...], int] = {}
     for size in sorted(sizes):
         if size > graph.color_count:

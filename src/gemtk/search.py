@@ -11,20 +11,37 @@ unpaired vertex.  While a color c is being built, the bi-colored paths of
 the class {c-1, c} (and of {d, 0} when c is the last color) are tracked
 incrementally: closing a cycle of the wrong length, or growing a path beyond
 the target length, prunes the branch.  Only consecutive color pairs are
-constrained; the remaining classes are free.  Expensive filters (residue
-criteria, connectivity) run on complete candidates only, and every emitted
-solution is re-verified through the public validation, face-tracing and
-filter code paths rather than search state.
+constrained; the remaining classes are free.
+
+The manifold filters are staged: each is also checked at the earliest color
+depth where part of it is already decided, and a failure there cuts the
+whole subtree.  Once colors 0-2 are complete, both filters need every
+{0,1,2}-component to be a 2-sphere; once colors 0-3 are complete, the
+residue-sphere filter needs every {0,1,2,3}-component to pass the 3-manifold
+criterion with the homology of the 3-sphere.  A staged check fails only
+where every complete graph below it fails the full filter, so the depth-first
+order and the solutions are those of the unstaged search.  Connectivity is
+checked on complete candidates, and every emitted solution is re-verified
+through the public validation, face-tracing and filter code paths rather
+than search state.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
-from .complexes import check_3manifold, check_residues_sphere
+from .complexes import check_3manifold, check_residues_sphere, sphere_verdicts
 from .embeddings import semi_equivelar_type
-from .graphs import ColoredGraph, canonical_code, is_bipartite, is_connected, validate
+from .graphs import (
+    ColoredGraph,
+    canonical_code,
+    is_bipartite,
+    is_connected,
+    residue_stats,
+    validate,
+)
 
 
 class InfeasibleSpecError(ValueError):
@@ -71,6 +88,56 @@ class SearchOutcome:
     stats: SearchStats
 
 
+def _surfaces_are_spheres(inv: list[list[int]], p: int) -> bool:
+    """Colors 0-2 complete: is every {0,1,2}-component a 2-sphere?
+
+    A component on q vertices has Euler characteristic g01 + g02 + g12 - q/2,
+    at most 2 and equal to 2 only for the sphere, so the sums below agree
+    exactly when every component is a sphere.  Any other component fails the
+    {0,1,2} triple of the 3-manifold criterion in the graph or 4-colored
+    residue that holds it.
+    """
+    stats = residue_stats(ColoredGraph(3, p, tuple(tuple(row) for row in inv[:3])))
+    pairs = stats.count((0, 1)) + stats.count((0, 2)) + stats.count((1, 2))
+    return pairs == 2 * stats.count((0, 1, 2)) + p // 2
+
+
+def _residues_are_spheres(inv: list[list[int]], p: int) -> bool:
+    """Colors 0-3 complete: does every {0,1,2,3}-component certify as a 3-sphere?"""
+    residue = ColoredGraph(4, p, tuple(tuple(row) for row in inv[:4]))
+    return all(v.ok for v in sphere_verdicts(residue, 4))
+
+
+class _Filter(NamedTuple):
+    """A manifold filter: ``check`` runs on complete candidates, and each
+    ``(depth, predicate)`` stage on the search state once colors
+    0..depth-1 are complete.  Failures count under ``key``."""
+
+    flag: str  # the SearchSpec field that switches it on
+    colors: int
+    key: str
+    check: Callable[[ColoredGraph], bool]
+    stages: tuple[tuple[int, Callable[[list[list[int]], int], bool]], ...]
+
+
+_FILTERS = (
+    _Filter(
+        "require_3manifold",
+        4,
+        "criterion_3manifold",
+        lambda graph: check_3manifold(graph).holds,
+        ((3, _surfaces_are_spheres),),
+    ),
+    _Filter(
+        "require_residues_sphere",
+        5,
+        "criterion_residues",
+        lambda graph: check_residues_sphere(graph).holds,
+        ((3, _surfaces_are_spheres), (4, _residues_are_spheres)),
+    ),
+)
+
+
 def check_spec(spec: SearchSpec) -> None:
     """Reject specs that cannot have solutions, before any search work."""
     problems = []
@@ -89,10 +156,9 @@ def check_spec(spec: SearchSpec) -> None:
             problems.append(
                 f"face size {t} does not divide {p}; its cycles cannot partition the vertices"
             )
-    if spec.require_3manifold and n != 4:
-        problems.append("the 3-manifold filter needs exactly 4 colors")
-    if spec.require_residues_sphere and n != 5:
-        problems.append("the residue sphere filter needs exactly 5 colors")
+    for f in _FILTERS:
+        if getattr(spec, f.flag) and n != f.colors:
+            problems.append(f"{f.flag} needs exactly {f.colors} colors")
     if problems:
         raise InfeasibleSpecError("; ".join(problems))
 
@@ -129,6 +195,11 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         "duplicate": 0,
         "keep_rejected": 0,
     }
+    filters = [f for f in _FILTERS if getattr(spec, f.flag)]
+    stages: dict[int, list] = {}
+    for f in filters:
+        for depth, predicate in f.stages:
+            stages.setdefault(depth, []).append((f.key, predicate))
     solutions: list[ColoredGraph] = []
     seen_codes: set[str] = set()
 
@@ -192,12 +263,10 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             return
         if bip and not is_bipartite(graph):
             raise RuntimeError("bipartite propagation let a non-bipartite graph through")
-        if spec.require_3manifold and not check_3manifold(graph).holds:
-            prunes["criterion_3manifold"] += 1
-            return
-        if spec.require_residues_sphere and not check_residues_sphere(graph).holds:
-            prunes["criterion_residues"] += 1
-            return
+        for f in filters:
+            if not f.check(graph):
+                prunes[f.key] += 1
+                return
         if spec.dedup:
             code = canonical_code(graph)
             if code in seen_codes:
@@ -212,6 +281,10 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             raise _Stop
 
     def assign_color(c: int):
+        for key, predicate in stages.get(c, ()):
+            if not predicate(inv, p):
+                prunes[key] += 1
+                return
         if c == n:
             finalize()
             return

@@ -16,6 +16,7 @@ from gemtk import (
     ColoredGraph,
     canonical_code,
     check_3manifold,
+    check_residues_sphere,
     is_bipartite,
     is_connected,
     semi_equivelar_type,
@@ -99,6 +100,7 @@ def naive_type_search(
     require_bipartite: bool = False,
     require_connected: bool = True,
     require_3manifold: bool = False,
+    require_residues_sphere: bool = False,
     fix_color0: bool = True,
 ) -> set[str]:
     """Canonical codes of all graphs with the given face-size sequence.
@@ -122,6 +124,8 @@ def naive_type_search(
         if require_bipartite and not is_bipartite(graph):
             continue
         if require_3manifold and not check_3manifold(graph).holds:
+            continue
+        if require_residues_sphere and not check_residues_sphere(graph).holds:
             continue
         codes.add(canonical_code(graph))
     return codes

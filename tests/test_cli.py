@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import gemtk
 from gemtk import parse_gem, relabel, validate, write_gem
-from gemtk.cli import main
+from gemtk.cli import CHECK_FAILED, main
 
 from helpers import cube_graph, k4_graph, theta_graph
 
@@ -47,13 +52,6 @@ class TestTypes:
         assert code == code2 == 0
         assert strict < relaxed
 
-    def test_require_flag_is_accepted(self, capsys):
-        code, out, _ = run(
-            capsys, "types", "--chi", "-2", "--require-face-divisibility", "--json"
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 31
-
 
 class TestVerify:
     def test_cube_ok(self, capsys, tmp_path):
@@ -84,6 +82,17 @@ class TestVerify:
         path.write_text("gem 1\ncolors 2\nvertices 2\ncolor 0: 0-0\ncolor 1: 0-1\n")
         code, _, err = run(capsys, "verify", str(path))
         assert code == 1
+
+    def test_oversized_defect_list_gives_bounded_message(self, capsys, tmp_path):
+        # empty color lines under a large vertex count: 60,000 defects
+        path = tmp_path / "empty.gem"
+        path.write_text(
+            "gem 1\ncolors 3\nvertices 20000\ncolor 0:\ncolor 1:\ncolor 2:\n"
+        )
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == CHECK_FAILED
+        assert len(err.encode()) < 4096
+        assert "and 59980 more" in err
 
     def test_syntax_error_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "syntax.gem"
@@ -258,6 +267,17 @@ class TestCanon:
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_runs_as_module(self):
+        src = str(Path(gemtk.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "gemtk", "types", "--chi", "-1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 0
+        assert len(done.stdout.splitlines()) == 15
 
     def test_no_arguments(self, capsys):
         assert main([]) == 2

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from gemtk import (
     SearchSpec,
     canonical_code,
     check_3manifold,
+    check_residues_sphere,
     count_nonisomorphic,
     graph_homology,
     is_bipartite,
@@ -162,11 +164,14 @@ class TestNaiveOracleAgreement:
             ((4, 4, 4, 4), 4, {}),
             ((6,) * 5, 6, {}),
             ((4,) * 5, 4, {}),
+            ((6,) * 5, 6, {"require_residues_sphere": True}),
+            ((4,) * 5, 4, {"require_residues_sphere": True}),
         ],
     )
     def test_fixed_residue_reaches_every_class(self, seq, p, kwargs):
-        # the oracle leaves color 1 free, so it checks that fixing the whole
-        # {0,1}-residue in the search loses no isomorphism class
+        # the oracle leaves color 1 free and filters complete graphs only, so
+        # it checks that fixing the whole {0,1}-residue and the staged
+        # filters in the search lose no isomorphism class
         out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
         assert out.stats.exhausted
         got = {canonical_code(g) for g in out.solutions}
@@ -198,6 +203,66 @@ class TestNaiveOracleAgreement:
             h = relabel(g, perm)
             assert h.pairings[0] == standard
             assert canonical_code(h) == canonical_code(g)
+
+
+def _codes(spec, keep=None):
+    out = search_gems(spec, keep=keep)
+    assert out.stats.exhausted
+    return {canonical_code(g) for g in out.solutions}
+
+
+class TestStagedFilters:
+    """The filters also prune partial colorings; ``keep`` sees complete
+    graphs only, so an unfiltered search with the filter as ``keep`` is an
+    unstaged reference."""
+
+    @pytest.mark.parametrize(
+        "seq,p,kwargs",
+        [
+            ((4, 6, 4, 6), 12, {}),
+            ((4, 4, 6, 6), 12, {}),
+            ((4, 4, 4, 12), 12, {}),
+            ((4, 4, 4, 4), 8, {"require_connected": False}),
+            ((4, 8, 4, 8), 8, {"require_bipartite": True}),
+        ],
+    )
+    def test_3manifold_classes_match_unstaged(self, seq, p, kwargs):
+        spec = SearchSpec(seq=seq, vertex_count=p, **kwargs)
+        staged = _codes(replace(spec, require_3manifold=True))
+        assert staged
+        assert staged == _codes(spec, keep=lambda g: check_3manifold(g).holds)
+
+    def test_residue_classes_match_unstaged(self):
+        spec = SearchSpec(seq=(4,) * 5, vertex_count=8)
+        staged = _codes(replace(spec, require_residues_sphere=True))
+        assert len(staged) == 5
+        assert staged == _codes(spec, keep=lambda g: check_residues_sphere(g).holds)
+
+    def test_first_hit_matches_unstaged(self):
+        # no dedup: the first hit cannot be a duplicate, and canonical codes
+        # of every unstaged candidate would double the run time
+        spec = SearchSpec(
+            seq=(4, 4, 4, 6), vertex_count=24, max_solutions=1, dedup=False
+        )
+        staged = search_gems(replace(spec, require_3manifold=True))
+        unstaged = search_gems(spec, keep=lambda g: check_3manifold(g).holds)
+        assert len(staged.solutions) == len(unstaged.solutions) == 1
+        assert staged.solutions[0].pairings == unstaged.solutions[0].pairings
+        assert staged.stats.nodes < unstaged.stats.nodes
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_3manifold=True,
+                       max_solutions=1),
+            SearchSpec(seq=(6,) * 5, vertex_count=6, require_residues_sphere=True),
+        ],
+    )
+    def test_staged_prunes_use_the_filter_key(self, spec):
+        out = search_gems(spec)
+        key = "criterion_3manifold" if spec.require_3manifold else "criterion_residues"
+        # the full check rejects at most every candidate; the rest are staged
+        assert out.stats.prunes[key] > out.stats.candidates
 
 
 class TestLimitsAndCounting:

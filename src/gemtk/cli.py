@@ -269,7 +269,6 @@ def cmd_search(args) -> int:
         require_residues_sphere=args.require_residues_sphere,
         max_solutions=None if args.all else args.max,
         budget_seconds=args.budget,
-        dedup=True,
     )
     try:
         outcome = search_gems(spec)

@@ -6,12 +6,26 @@ is (1,2)(3,4)...(q0-1,0).  Every isomorphism class has such a representative:
 in a graph of the target type the {0,1}-residue is p/q0 disjoint alternating
 q0-cycles, and numbering each cycle's vertices along the cycle, starting
 with a color-0 edge, relabels it to exactly one such block.  The remaining
-colors are assigned in order, one edge at a time, always extending the least
-unpaired vertex.  While a color c is being built, the bi-colored paths of
-the class {c-1, c} (and of {d, 0} when c is the last color) are tracked
-incrementally: closing a cycle of the wrong length, or growing a path beyond
-the target length, prunes the branch.  Only consecutive color pairs are
-constrained; the remaining classes are free.
+colors are assigned in order, one edge at a time, always pairing the least
+unpaired vertex v of the current color with a greater partner u, in
+increasing order.  The depth-first walk runs on an explicit stack with no
+recursion: each entry is a generator for one node, which places the edge
+v-u, yields the child node and undoes the edge when resumed.
+
+While a color c is being built, the bi-colored paths of the class {c-1, c}
+(and of {d, 0} when c is the last color) are tracked by their ends ``pend``
+and vertex counts ``plen``: closing a cycle of the wrong length, or growing a
+path beyond the target length, prunes the branch.  A path at v that already
+has the target length can only close, so its far end is v's only partner.
+Only consecutive color pairs are constrained; the remaining classes are free.
+
+Bipartite graphs are searched by vertex parity.  Numbering each
+{0,1}-cycle from a vertex on side 0 of the bipartition puts every even
+label on side 0, since the blocks start at multiples of the even q0; so
+every bipartite class has a representative in which each edge joins an even
+and an odd label, and the search tries only partners of the other parity.
+A tracked path then alternates parity and has an even number of vertices,
+so the partner that closes it has the other parity too.
 
 The manifold filters are staged: each is also checked at the earliest color
 depth where part of it is already decided, and a failure there cuts the
@@ -65,7 +79,6 @@ class SearchSpec:
     require_connected: bool = True
     max_solutions: int | None = None
     budget_seconds: float | None = None
-    dedup: bool = True
 
     @property
     def color_count(self) -> int:
@@ -164,11 +177,7 @@ def check_spec(spec: SearchSpec) -> None:
 
 
 class _Stop(Exception):
-    pass
-
-
-class _Budget(Exception):
-    pass
+    """Ends the search early: enough solutions, or the budget ran out."""
 
 
 def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
@@ -188,7 +197,6 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     prunes = {
         "wrong_cycle_length": 0,
         "path_too_long": 0,
-        "odd_cycle": 0,
         "not_connected": 0,
         "criterion_3manifold": 0,
         "criterion_residues": 0,
@@ -204,48 +212,8 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     seen_codes: set[str] = set()
 
     inv = _fixed_residue(seq[0], p) + [[-1] * p for _ in range(n - 2)]
-
-    # union-find with parity for incremental bipartiteness
-    bip = spec.require_bipartite
-    parent = list(range(p))
-    rank_ = [0] * p
-    par = [0] * p  # parity of the edge to the parent
-
-    def find(v: int) -> tuple[int, int]:
-        x = 0
-        while parent[v] != v:
-            x ^= par[v]
-            v = parent[v]
-        return v, x
-
-    def union(a: int, b: int):
-        """Join a,b on opposite sides; returns undo token or None on conflict."""
-        ra, xa = find(a)
-        rb, xb = find(b)
-        if ra == rb:
-            return None if xa == xb else ()
-        if rank_[ra] > rank_[rb]:
-            ra, rb = rb, ra
-            xa, xb = xb, xa
-        parent[ra] = rb
-        par[ra] = xa ^ xb ^ 1
-        bumped = rank_[ra] == rank_[rb]
-        if bumped:
-            rank_[rb] += 1
-        return (ra, rb, bumped)
-
-    def undo_union(token):
-        if token:
-            ra, rb, bumped = token
-            parent[ra] = ra
-            par[ra] = 0
-            if bumped:
-                rank_[rb] -= 1
-
-    if bip:
-        for c in (0, 1):
-            for v, u in _pairs_of(inv[c]):
-                union(v, u)
+    # partners of v in range(v + 1, p, 2) keep every edge even-odd
+    step = 2 if spec.require_bipartite else 1
 
     deadline = (
         time.monotonic() + spec.budget_seconds if spec.budget_seconds else None
@@ -261,139 +229,109 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         if spec.require_connected and not is_connected(graph):
             prunes["not_connected"] += 1
             return
-        if bip and not is_bipartite(graph):
-            raise RuntimeError("bipartite propagation let a non-bipartite graph through")
+        if spec.require_bipartite and not is_bipartite(graph):
+            raise RuntimeError("the parity rule let a non-bipartite graph through")
         for f in filters:
             if not f.check(graph):
                 prunes[f.key] += 1
                 return
-        if spec.dedup:
-            code = canonical_code(graph)
-            if code in seen_codes:
-                prunes["duplicate"] += 1
-                return
-            seen_codes.add(code)
         if keep is not None and not keep(graph):
             prunes["keep_rejected"] += 1
             return
+        code = canonical_code(graph)
+        if code in seen_codes:
+            prunes["duplicate"] += 1
+            return
+        seen_codes.add(code)
         solutions.append(graph)
         if spec.max_solutions is not None and len(solutions) >= spec.max_solutions:
             raise _Stop
 
-    def assign_color(c: int):
+    def descend(c: int, v: int, tracks: list):
+        """The node below an edge of color c: the least unpaired vertex of
+        color c from v on, else vertex 0 of the next color.  None where a
+        staged filter prunes or the graph is complete.  ``tracks`` holds one
+        path tracker ``(pend, plen, target)`` per constrained class of c."""
+        invc = inv[c]
+        while v < p and invc[v] >= 0:
+            v += 1
+        if v < p:
+            return node(c, v, tracks)
+        c += 1
         for key, predicate in stages.get(c, ()):
             if not predicate(inv, p):
                 prunes[key] += 1
-                return
+                return None
         if c == n:
             finalize()
-            return
-        pend1 = list(inv[c - 1])
-        plen1 = [2] * p
-        target1 = seq[c - 1]
+            return None
+        tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
         if c == n - 1:
-            pend2 = list(inv[0])
-            plen2 = [2] * p
-            target2 = seq[n - 1]
-        else:
-            pend2 = plen2 = None
-            target2 = 0
-        place(c, inv[c], pend1, plen1, target1, pend2, plen2, target2, 0)
+            tracks.append((list(inv[0]), [2] * p, seq[c]))
+        return node(c, 0, tracks)
 
-    def place(c, invc, pend1, plen1, target1, pend2, plen2, target2, hint):
-        v = hint
-        while v < p and invc[v] >= 0:
-            v += 1
-        if v == p:
-            assign_color(c + 1)
-            return
+    def node(c: int, v: int, tracks: list):
+        """Pair v with each allowed partner in turn: yield the child node of
+        each edge, and undo the edge when resumed."""
         stats.nodes += 1
         if deadline is not None and (stats.nodes & budget_mask) == 0:
             if time.monotonic() > deadline:
-                raise _Budget
-        last = c == n - 1
-        for u in range(v + 1, p):
+                raise _Stop
+        invc = inv[c]
+        partners = range(v + 1, p, step)
+        for pend, plen, target in tracks:
+            if plen[v] == target:
+                # the path at v is full: its only partner closes it
+                partners = (pend[v],)
+                break
+        for u in partners:
             if invc[u] >= 0:
                 continue
-
-            e1 = pend1[v]
-            if e1 == u:
-                if plen1[v] != target1:
-                    prunes["wrong_cycle_length"] += 1
-                    continue
-                merged1 = None
-            else:
-                length = plen1[v] + plen1[u]
-                if length > target1:
-                    prunes["path_too_long"] += 1
-                    continue
-                merged1 = (e1, pend1[u], length, plen1[v], plen1[u])
-
-            merged2 = None
-            if last:
-                e2 = pend2[v]
-                if e2 == u:
-                    if plen2[v] != target2:
+            for pend, plen, target in tracks:
+                if pend[v] == u:
+                    if plen[v] != target:
                         prunes["wrong_cycle_length"] += 1
-                        continue
-                else:
-                    length2 = plen2[v] + plen2[u]
-                    if length2 > target2:
-                        prunes["path_too_long"] += 1
-                        continue
-                    merged2 = (e2, pend2[u], length2, plen2[v], plen2[u])
-
-            token = None
-            if bip:
-                token = union(v, u)
-                if token is None:
-                    prunes["odd_cycle"] += 1
-                    continue
-
-            invc[v] = u
-            invc[u] = v
-            if merged1 is not None:
-                a, b, length, la, lb = merged1
-                pend1[a] = b
-                pend1[b] = a
-                plen1[a] = length
-                plen1[b] = length
-            if merged2 is not None:
-                a2, b2, length2, la2, lb2 = merged2
-                pend2[a2] = b2
-                pend2[b2] = a2
-                plen2[a2] = length2
-                plen2[b2] = length2
-
-            place(c, invc, pend1, plen1, target1, pend2, plen2, target2, v + 1)
-
-            if merged2 is not None:
-                a2, b2, length2, la2, lb2 = merged2
-                pend2[a2] = v
-                pend2[b2] = u
-                plen2[a2] = la2
-                plen2[b2] = lb2
-            if merged1 is not None:
-                a, b, length, la, lb = merged1
-                pend1[a] = v
-                pend1[b] = u
-                plen1[a] = la
-                plen1[b] = lb
-            invc[v] = -1
-            invc[u] = -1
-            if bip:
-                undo_union(token)
+                        break
+                elif plen[v] + plen[u] > target:
+                    prunes["path_too_long"] += 1
+                    break
+            else:
+                invc[v] = u
+                invc[u] = v
+                # the path ends a, b join; v and u keep their entries
+                for pend, plen, _ in tracks:
+                    a = pend[v]
+                    if a != u:
+                        b = pend[u]
+                        pend[a] = b
+                        pend[b] = a
+                        plen[a] = plen[b] = plen[v] + plen[u]
+                child = descend(c, v + 1, tracks)
+                if child is not None:
+                    yield child
+                for pend, plen, _ in tracks:
+                    a = pend[v]
+                    if a != u:
+                        b = pend[u]
+                        pend[a] = v
+                        pend[b] = u
+                        plen[a] = plen[v]
+                        plen[b] = plen[u]
+                invc[v] = invc[u] = -1
 
     start = time.monotonic()
-    exhausted = True
+    stats.exhausted = True
     try:
-        assign_color(2)
+        stack = [descend(1, p, [])]  # colors 0 and 1 are fixed
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(child)
     except _Stop:
-        exhausted = False
-    except _Budget:
-        exhausted = False
+        stats.exhausted = False
     stats.elapsed_seconds = time.monotonic() - start
-    stats.exhausted = exhausted
     stats.prunes = {k: v for k, v in prunes.items() if v}
     return SearchOutcome(spec, solutions, stats)
 
@@ -424,7 +362,7 @@ def count_nonisomorphic(spec: SearchSpec) -> int:
     Raises :class:`SearchBudgetExceeded` when the budget stopped the run, so
     an aborted count is never mistaken for zero.
     """
-    full = replace(spec, max_solutions=None, dedup=True)
+    full = replace(spec, max_solutions=None)
     outcome = search_gems(full)
     if not outcome.stats.exhausted:
         raise SearchBudgetExceeded(

@@ -239,11 +239,7 @@ class TestStagedFilters:
         assert staged == _codes(spec, keep=lambda g: check_residues_sphere(g).holds)
 
     def test_first_hit_matches_unstaged(self):
-        # no dedup: the first hit cannot be a duplicate, and canonical codes
-        # of every unstaged candidate would double the run time
-        spec = SearchSpec(
-            seq=(4, 4, 4, 6), vertex_count=24, max_solutions=1, dedup=False
-        )
+        spec = SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, max_solutions=1)
         staged = search_gems(replace(spec, require_3manifold=True))
         unstaged = search_gems(spec, keep=lambda g: check_3manifold(g).holds)
         assert len(staged.solutions) == len(unstaged.solutions) == 1
@@ -263,6 +259,45 @@ class TestStagedFilters:
         key = "criterion_3manifold" if spec.require_3manifold else "criterion_residues"
         # the full check rejects at most every candidate; the rest are staged
         assert out.stats.prunes[key] > out.stats.candidates
+
+
+class TestParityRule:
+    """With ``require_bipartite`` the search pairs even labels with odd ones
+    only; ``keep=is_bipartite`` on the unrestricted search is the reference."""
+
+    @pytest.mark.parametrize(
+        "seq,p,kwargs",
+        [
+            ((10, 10, 10), 10, {}),
+            ((4, 4, 8, 8), 8, {}),
+            ((4, 4, 4), 8, {"require_connected": False}),
+            ((4, 8, 4, 8), 8, {"require_3manifold": True}),
+        ],
+    )
+    def test_parity_rule_loses_no_class(self, seq, p, kwargs):
+        spec = SearchSpec(seq=seq, vertex_count=p, **kwargs)
+        parity = _codes(replace(spec, require_bipartite=True))
+        assert parity
+        assert parity == _codes(spec, keep=is_bipartite)
+
+
+class TestSearchOrder:
+    @pytest.mark.parametrize(
+        "spec,nodes,candidates",
+        [
+            (SearchSpec(seq=(10, 10, 10), vertex_count=10), 306, 148),
+            (SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_3manifold=True,
+                        max_solutions=1), 106_142, 26),
+            (SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True),
+             418, 93),
+        ],
+    )
+    def test_node_and_candidate_counts_are_pinned(self, spec, nodes, candidates):
+        # exhaustive counts change when the search prunes differently; the
+        # first hit's counts also change when partners are tried in another
+        # order
+        out = search_gems(spec)
+        assert (out.stats.nodes, out.stats.candidates) == (nodes, candidates)
 
 
 class TestLimitsAndCounting:
@@ -294,6 +329,14 @@ class TestLimitsAndCounting:
             seq=seq, vertex_count=12, require_3manifold=True, budget_seconds=60
         )
         assert count_nonisomorphic(spec) == classes
+
+    def test_deep_search_does_not_recurse(self):
+        # 1200 edges per color: one Python frame per edge would overflow
+        out = search_gems(
+            SearchSpec(seq=(4, 4, 4), vertex_count=2400, max_solutions=1,
+                       budget_seconds=1)
+        )
+        assert out.stats.nodes > 0
 
     def test_keep_filter(self):
         target = sphere_profile(3)

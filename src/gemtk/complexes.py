@@ -5,7 +5,12 @@ the colors; an edge of color j glues the facets opposite the j-labeled
 simplex vertices.  The cells labeled by a color subset B then correspond to
 the connected components of the residue on the complementary colors, and the
 boundary maps follow the label order, so the chain complex is exact integer
-linear algebra.  Homology comes from Smith normal form.
+linear algebra.  Homology comes from Smith normal form, in two stages.
+Every column of a boundary matrix has at most d+1 nonzero entries, all
++-1, so a sparse stage first eliminates +-1 pivots one row and column at a
+time, each giving an invariant factor 1; a dense stage then reduces the
+block that is left, which holds all torsion and is usually empty or a few
+rows.
 """
 
 from __future__ import annotations
@@ -33,10 +38,75 @@ Matrix = list[list[int]]
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Row/column reduction with minimal-absolute-value pivoting; Python integers
-    keep every intermediate value exact regardless of coefficient growth.
+    Two stages.  The sparse stage keeps the nonzero entries of each row in a
+    dict and the rows of each column in a set.  It visits the columns in
+    order of fewest nonzeros and pivots on the shortest row whose entry in
+    the column is +-1, clearing the rest of the column with row operations;
+    the pivot column is then zero outside the pivot row, so column operations
+    clear that row without touching any other, and the pivot row and column
+    drop out with an invariant factor 1.  Passes repeat until no +-1 entry
+    is left.  The leftover block, which holds all torsion and is usually
+    empty or a few rows, goes through a dense reduction with
+    minimal-absolute-value pivoting.  Python integers keep every
+    intermediate value exact.
     """
-    a = [[int(x) for x in row] for row in matrix]
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(matrix):
+        entries = {j: int(v) for j, v in enumerate(row) if v}
+        if entries:
+            rows[i] = entries
+            for j in entries:
+                cols.setdefault(j, set()).add(i)
+
+    units = 0
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for c in sorted(cols, key=lambda j: len(cols[j])):
+            col = cols.get(c)
+            if not col:
+                continue
+            pivot = None
+            for i in col:
+                if rows[i][c] in (1, -1) and (
+                    pivot is None or len(rows[i]) < len(rows[pivot])
+                ):
+                    pivot = i
+            if pivot is None:
+                continue
+            prow = rows.pop(pivot)
+            e = prow[c]
+            for i in [i for i in col if i != pivot]:
+                row = rows[i]
+                f = row[c] * e
+                for j, v in prow.items():
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        if j not in row:
+                            cols[j].add(i)
+                        row[j] = w
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+                if not row:
+                    del rows[i]
+            for j in prow:
+                cols[j].discard(pivot)
+            del cols[c]
+            units += 1
+            pivoted = True
+
+    live = [j for j, members in cols.items() if members]
+    block = [[row.get(j, 0) for j in live] for row in rows.values()]
+    return (1,) * units + _dense_smith_normal_form(block)
+
+
+def _dense_smith_normal_form(a: Matrix) -> tuple[int, ...]:
+    """Invariant factors of a dense matrix, which is reduced in place.
+
+    Row/column reduction with minimal-absolute-value pivoting.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
     factors: list[int] = []

@@ -221,6 +221,8 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     budget_mask = 0x3FF
 
     def finalize():
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Stop
         stats.candidates += 1
         graph = validate(n, p, [_pairs_of(inv[c]) for c in range(n)])
         se = semi_equivelar_type(graph)

@@ -67,6 +67,32 @@ def random_connected_graph(rng: random.Random, p: int, colors: int) -> ColoredGr
             return g
 
 
+def connected_sum(a: ColoredGraph, b: ColoredGraph, v: int, w: int) -> ColoredGraph:
+    """Graph connected sum: delete vertex v of a and vertex w of b, then join,
+    color by color, the two vertices that were paired with them.
+
+    The vertices of a keep their order and come first; those of b follow.
+    """
+    label_a = {x: x - (x > v) for x in range(a.vertex_count) if x != v}
+    offset = a.vertex_count - 1
+    label_b = {y: offset + y - (y > w) for y in range(b.vertex_count) if y != w}
+    pairs = []
+    for inv_a, inv_b in zip(a.pairings, b.pairings):
+        edges = [
+            (label_a[x], label_a[y])
+            for x, y in enumerate(inv_a)
+            if x < y and v not in (x, y)
+        ]
+        edges += [
+            (label_b[x], label_b[y])
+            for x, y in enumerate(inv_b)
+            if x < y and w not in (x, y)
+        ]
+        edges.append((label_a[inv_a[v]], label_b[inv_b[w]]))
+        pairs.append(edges)
+    return validate(a.color_count, len(label_a) + len(label_b), pairs)
+
+
 # ---------------------------------------------------------------------------
 # Matching enumeration and the naive search oracle
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from gemtk.graphs import ColoredGraph
 from gemtk.search import SearchSpec, search_gems
 
 from helpers import (
+    connected_sum,
     cube_graph,
     k4_graph,
     minor_gcd_invariant_factors,
@@ -42,6 +43,15 @@ def _matmul_is_zero(a, b):
             if sum(a[i][k] * b[k][j] for k in range(inner)):
                 return False
     return True
+
+
+def _gem_scale_boundaries():
+    """Boundary matrices of random connected gems with p=48 (4 colors) and
+    p=24 (5 colors), up to 96 x 48."""
+    rng = random.Random(71)
+    graphs = [random_connected_graph(rng, 48, 4) for _ in range(3)]
+    graphs += [random_connected_graph(rng, 24, 5) for _ in range(3)]
+    return [mat for g in graphs for mat in build_complex(g).boundaries[1:]]
 
 
 class TestSmithNormalForm:
@@ -110,15 +120,36 @@ class TestSmithNormalForm:
         rng = random.Random(67)
         graphs = [random_colored_graph(rng, 8, 4) for _ in range(4)]
         graphs += [random_colored_graph(rng, 6, 5) for _ in range(2)]
-        for g in graphs:
-            k = build_complex(g)
-            for mat in k.boundaries[1:]:
-                if not mat or not mat[0]:
-                    continue
-                expected = tuple(
-                    int(f) for f in invariant_factors(sympy.Matrix(mat)) if int(f)
-                )
-                assert smith_normal_form(mat) == expected
+        mats = [mat for g in graphs for mat in build_complex(g).boundaries[1:]]
+        for mat in mats + _gem_scale_boundaries():
+            if not mat or not mat[0]:
+                continue
+            expected = tuple(
+                int(f) for f in invariant_factors(sympy.Matrix(mat)) if int(f)
+            )
+            assert smith_normal_form(mat) == expected
+
+    def test_rank_at_gem_scale(self):
+        for mat in _gem_scale_boundaries():
+            assert len(smith_normal_form(mat)) == rank_over_rationals(mat)
+
+    def test_scrambled_torsion_block(self):
+        # unimodular row and column operations keep the invariant factors;
+        # the unit pivots drop out and leave 2 and 6 to the dense stage
+        rng = random.Random(73)
+        for _ in range(20):
+            a = [[0] * 5 for _ in range(5)]
+            for i, d in enumerate((1, 1, 2, 6, 0)):
+                a[i][i] = d
+            for _ in range(30):
+                i, j = rng.sample(range(5), 2)
+                k = rng.choice((-1, 1))
+                if rng.random() < 0.5:
+                    a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+                else:
+                    for row in a:
+                        row[i] += k * row[j]
+            assert smith_normal_form(a) == (1, 1, 2, 6)
 
 
 class TestBuildComplex:
@@ -180,6 +211,22 @@ class TestHomology:
                            max_solutions=1)
             )
             assert graph_homology(out.solutions[0]) == free_profile(1, 4, 1)
+
+    def test_sum_of_four_projective_spaces(self):
+        rp3 = HomologyProfile(((1, ()), (0, (2,)), (0, ()), (1, ())))
+        out = search_gems(
+            SearchSpec(seq=(4, 4, 6, 6), vertex_count=12, require_3manifold=True,
+                       max_solutions=1),
+            keep=lambda g: graph_homology(g) == rp3,
+        )
+        gem = out.solutions[0]
+        total = gem
+        for k in range(3):
+            total = connected_sum(total, gem, 5 * k + 1, 7)
+        assert total.vertex_count == 42
+        assert graph_homology(total) == HomologyProfile(
+            ((1, ()), (0, (2, 2, 2, 2)), (0, ()), (1, ()))
+        )
 
     def test_euler_poincare(self):
         rng = random.Random(43)

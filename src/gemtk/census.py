@@ -27,17 +27,17 @@ from typing import Iterable, Sequence
 _MAX_COLOR_COUNT = 5
 
 
+def rotations_and_reflections(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every rotation and reflection of a cyclic sequence."""
+    n = len(seq)
+    twice = seq + seq
+    return [s[k : k + n] for s in (twice, twice[::-1]) for k in range(n)]
+
+
 def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically least representative under rotation and reflection."""
     seq = tuple(seq)
-    n = len(seq)
-    best = seq
-    for s in (seq, seq[::-1]):
-        for k in range(n):
-            cand = s[k:] + s[:k]
-            if cand < best:
-                best = cand
-    return best
+    return min(rotations_and_reflections(seq), default=seq)
 
 
 @dataclass(frozen=True, order=True)
@@ -53,12 +53,6 @@ class TypeSequence:
     @property
     def color_count(self) -> int:
         return len(self.faces)
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for q in self.faces:
-            out[q] = out.get(q, 0) + 1
-        return out
 
     def __str__(self) -> str:
         runs = []
@@ -111,7 +105,7 @@ def solve_vertex_count(seq: TypeSequence | Sequence[int], chi: int) -> int | Non
     return p
 
 
-def _distinct_arrangements(multiset: Sequence[int]) -> list[tuple[int, ...]]:
+def distinct_arrangements(multiset: Iterable[int]) -> list[tuple[int, ...]]:
     """All cyclic arrangements of a multiset, one per rotation/reflection class."""
     return sorted({canonical_cycle(perm) for perm in itertools.permutations(multiset)})
 
@@ -176,7 +170,7 @@ def enumerate_types(
                 continue
             if enforce_divisibility and any(p % q for q in multiset):
                 continue
-            for arrangement in _distinct_arrangements(multiset):
+            for arrangement in distinct_arrangements(multiset):
                 solutions.append(
                     TypeSolution(TypeSequence(arrangement), n, p, chi)
                 )

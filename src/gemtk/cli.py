@@ -14,6 +14,7 @@ JSON records with ``--json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -319,6 +320,7 @@ def cmd_canon(args) -> int:
     return 0
 
 
+@functools.cache  # building the tree costs far more than one parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gemtk",

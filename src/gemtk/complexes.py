@@ -5,12 +5,11 @@ the colors; an edge of color j glues the facets opposite the j-labeled
 simplex vertices.  The cells labeled by a color subset B then correspond to
 the connected components of the residue on the complementary colors, and the
 boundary maps follow the label order, so the chain complex is exact integer
-linear algebra.  Homology comes from Smith normal form, in two stages.
+linear algebra.  Homology comes from Smith normal form on sparse rows.
 Every column of a boundary matrix has at most d+1 nonzero entries, all
-+-1, so a sparse stage first eliminates +-1 pivots one row and column at a
-time, each giving an invariant factor 1; a dense stage then reduces the
-block that is left, which holds all torsion and is usually empty or a few
-rows.
++-1, so most pivots are +-1 entries, each eliminated one row and column at a
+time with an invariant factor 1; the few rows left, which hold all torsion,
+go through the same loop with least-absolute-value pivots.
 """
 
 from __future__ import annotations
@@ -38,17 +37,18 @@ Matrix = list[list[int]]
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix.
 
-    Two stages.  The sparse stage keeps the nonzero entries of each row in a
-    dict and the rows of each column in a set.  It visits the columns in
-    order of fewest nonzeros and pivots on the shortest row whose entry in
-    the column is +-1, clearing the rest of the column with row operations;
-    the pivot column is then zero outside the pivot row, so column operations
-    clear that row without touching any other, and the pivot row and column
-    drop out with an invariant factor 1.  Passes repeat until no +-1 entry
-    is left.  The leftover block, which holds all torsion and is usually
-    empty or a few rows, goes through a dense reduction with
-    minimal-absolute-value pivoting.  Python integers keep every
-    intermediate value exact.
+    The nonzero entries of each row sit in a dict and the rows of each
+    column in a set; the argument is not modified.  Sweeps first visit the
+    columns in order of fewest nonzeros and pivot on the shortest row with a
+    +-1 entry there, until no +-1 entry is left.  Then each pivot is an
+    entry d of least absolute value.  Either way, row operations reduce the
+    pivot's column; once it is zero off the pivot row, column operations
+    change only that row and reduce it.  If d divides every entry left, |d|
+    is emitted and the pivot's row and column drop out; if not, a row with
+    an entry that d does not divide is first added to the pivot row.  Each
+    pivot choice thus emits a factor or leaves a nonzero entry smaller than
+    |d|, so the loop ends, and no factor 1 follows a larger one, since d
+    divides every later entry.  Python integers keep all values exact.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -59,16 +59,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
             for j in entries:
                 cols.setdefault(j, set()).add(i)
 
-    units = 0
-    pivoted = True
-    while pivoted:
-        pivoted = False
+    factors: list[int] = []
+    swept = True
+    while swept:
+        swept = False
         for c in sorted(cols, key=lambda j: len(cols[j])):
-            col = cols.get(c)
-            if not col:
-                continue
             pivot = None
-            for i in col:
+            for i in cols[c]:
                 if rows[i][c] in (1, -1) and (
                     pivot is None or len(rows[i]) < len(rows[pivot])
                 ):
@@ -76,108 +73,61 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
             if pivot is None:
                 continue
             prow = rows.pop(pivot)
-            e = prow[c]
-            for i in [i for i in col if i != pivot]:
-                row = rows[i]
-                f = row[c] * e
-                for j, v in prow.items():
-                    w = row.get(j, 0) - f * v
-                    if w:
-                        if j not in row:
-                            cols[j].add(i)
-                        row[j] = w
-                    else:
-                        del row[j]
-                        cols[j].discard(i)
-                if not row:
-                    del rows[i]
+            for i in [i for i in cols[c] if i != pivot]:
+                _add_row(rows, cols, i, prow, -rows[i][c] * prow[c])
             for j in prow:
                 cols[j].discard(pivot)
             del cols[c]
-            units += 1
-            pivoted = True
+            factors.append(1)
+            swept = True
 
-    live = [j for j, members in cols.items() if members]
-    block = [[row.get(j, 0) for j in live] for row in rows.values()]
-    return (1,) * units + _dense_smith_normal_form(block)
-
-
-def _dense_smith_normal_form(a: Matrix) -> tuple[int, ...]:
-    """Invariant factors of a dense matrix, which is reduced in place.
-
-    Row/column reduction with minimal-absolute-value pivoting.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    factors: list[int] = []
-    t = 0
-    while True:
-        # smallest nonzero entry of the trailing submatrix becomes the pivot
-        pivot = None
-        best = 0
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (pivot is None or abs(v) < best):
-                    pivot = (i, j)
-                    best = abs(v)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        if i0 != t:
-            a[t], a[i0] = a[i0], a[t]
-        if j0 != t:
-            for row in a:
-                row[t], row[j0] = row[j0], row[t]
-
-        d = a[t][t]
-        dirty = False
-        for i in range(t + 1, m):
-            v = a[i][t]
-            if v:
-                q = v // d
-                if q:
-                    row_i, row_t = a[i], a[t]
-                    for j in range(t, n):
-                        row_i[j] -= q * row_t[j]
-                if a[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            v = a[t][j]
-            if v:
-                q = v // d
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-
-        # pivot must divide the rest; if not, fold the offending row in and redo
-        offender = None
-        for i in range(t + 1, m):
-            row = a[i]
-            for j in range(t + 1, n):
-                if row[j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_o, row_t = a[offender], a[t]
-            for j in range(t, n):
-                row_t[j] += row_o[j]
-            continue
-
-        factors.append(abs(d))
-        t += 1
+    while rows:
+        _, r, c = min((abs(v), i, j) for i, row in rows.items() for j, v in row.items())
+        prow = rows[r]
+        d = prow[c]
+        for i in [i for i in cols[c] if i != r]:
+            _add_row(rows, cols, i, prow, -(rows[i][c] // d))
+        if len(cols[c]) > 1:
+            continue  # a remainder smaller than |d| is left in the column
+        if not any(v % d for v in prow.values()):
+            offender = next(
+                (row for row in rows.values() if any(v % d for v in row.values())),
+                None,
+            )
+            if offender is None:
+                del rows[r]
+                for j in prow:
+                    cols[j].discard(r)
+                del cols[c]
+                factors.append(abs(d))
+                continue
+            _add_row(rows, cols, r, offender, 1)
+        for j, v in prow.items():
+            if v % d:
+                prow[j] = v % d  # column j minus a multiple of column c
     return tuple(factors)
+
+
+def _add_row(
+    rows: dict[int, dict[int, int]],
+    cols: dict[int, set[int]],
+    i: int,
+    src: dict[int, int],
+    f: int,
+) -> None:
+    """Add f times the row ``src`` to row i, keeping the column index current."""
+    row = rows[i]
+    for j, v in src.items():
+        w = row.get(j, 0) + f * v
+        if w:
+            if j not in row:
+                cols[j].add(i)
+            row[j] = w
+        else:
+            del row[j]
+            cols[j].discard(i)
+    if not row:
+        del rows[i]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ surface; bipartiteness decides orientability.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .census import TypeSequence, normalize
+from .census import TypeSequence, canonical_cycle, distinct_arrangements, normalize
 from .graphs import ColoredGraph, is_bipartite, is_connected
 
 
@@ -33,11 +32,7 @@ class CyclicOrder:
             raise ValueError(f"cyclic order has {n} entries for {color_count} colors")
         if sorted(order) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
-        k = order.index(0)
-        rot = order[k:] + order[:k]
-        if n > 2 and rot[1] > rot[-1]:
-            rot = (0,) + rot[1:][::-1]
-        return cls(rot)
+        return cls(canonical_cycle(order))
 
     @classmethod
     def identity(cls, color_count: int) -> "CyclicOrder":
@@ -92,9 +87,6 @@ class FaceTrace:
     @property
     def face_count(self) -> int:
         return sum(len(c) for c in self.cycles)
-
-    def class_lengths(self, i: int) -> list[int]:
-        return sorted(len(c) for c in self.cycles[i])
 
 
 def trace_faces(graph: ColoredGraph, eps: CyclicOrder | None = None) -> FaceTrace:
@@ -195,15 +187,7 @@ def all_embeddings(graph: ColoredGraph) -> dict[CyclicOrder, EmbeddingReport]:
 
     There are d!/2 classes for d+1 >= 3 colors and a single class for 2.
     """
-    n = graph.color_count
-    reports: dict[CyclicOrder, EmbeddingReport] = {}
-    if n == 2:
-        eps = CyclicOrder.identity(2)
-        reports[eps] = embedding_report(graph, eps)
-        return reports
-    for rest in itertools.permutations(range(1, n)):
-        if rest[0] > rest[-1]:
-            continue
-        eps = CyclicOrder((0,) + rest)
-        reports[eps] = embedding_report(graph, eps)
-    return dict(sorted(reports.items()))
+    return {
+        eps: embedding_report(graph, eps)
+        for eps in map(CyclicOrder, distinct_arrangements(range(graph.color_count)))
+    }

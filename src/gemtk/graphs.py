@@ -15,6 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .census import rotations_and_reflections
+
 PairList = Sequence[tuple[int, int]]
 
 # Defect kinds reported by validation.
@@ -378,14 +380,10 @@ def canonical_code(graph: ColoredGraph, color_classes: bool = False) -> str:
     reflection (the dihedral symmetries of the color cycle).
     """
     if color_classes:
-        n = graph.color_count
-        variants = []
-        for k in range(n):
-            rot = [(c + k) % n for c in range(n)]
-            variants.append(rot)
-            variants.append([(k - c) % n for c in range(n)])
-        code = min(canonical_code(permute_colors(graph, s)) for s in variants)
-        return code
+        return min(
+            canonical_code(permute_colors(graph, s))
+            for s in rotations_and_reflections(tuple(range(graph.color_count)))
+        )
     g = canonical_form(graph)
     body = ";".join(",".join(map(str, inv)) for inv in g.pairings)
     return f"{g.color_count}:{g.vertex_count}:{body}"

@@ -84,6 +84,31 @@ class TestSmithNormalForm:
             n = rng.randrange(1, 7)
             mat = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
             assert smith_normal_form(mat) == minor_gcd_invariant_factors(mat)
+        # without a +-1 entry, every factor comes from a least-|v| pivot
+        for _ in range(200):
+            m = rng.randrange(1, 7)
+            n = rng.randrange(1, 7)
+            mat = [
+                [rng.choice((0, 2, -2, 3, -3, 4, -4, 6, -6)) for _ in range(n)]
+                for _ in range(m)
+            ]
+            assert smith_normal_form(mat) == minor_gcd_invariant_factors(mat)
+
+    def test_argument_is_not_modified(self):
+        # homology passes the lists inside the frozen CellComplex.boundaries
+        rng = random.Random(83)
+        mats = [
+            [[rng.choice((0, 1, -1, 2, -2, 3, 6)) for _ in range(6)] for _ in range(5)]
+            for _ in range(50)
+        ]
+        for mat in mats + _gem_scale_boundaries():
+            before = [list(row) for row in mat]
+            smith_normal_form(mat)
+            assert mat == before
+        complex_ = build_complex(k4_graph())
+        before = [[list(row) for row in mat] for mat in complex_.boundaries]
+        assert homology(complex_).torsion(1) == (2,)
+        assert [[list(row) for row in mat] for mat in complex_.boundaries] == before
 
     def test_known_textbook_case(self):
         mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
@@ -135,7 +160,7 @@ class TestSmithNormalForm:
 
     def test_scrambled_torsion_block(self):
         # unimodular row and column operations keep the invariant factors;
-        # the unit pivots drop out and leave 2 and 6 to the dense stage
+        # the unit pivots drop out and 2 and 6 come from least-|v| pivots
         rng = random.Random(73)
         for _ in range(20):
             a = [[0] * 5 for _ in range(5)]

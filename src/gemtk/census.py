@@ -12,9 +12,9 @@ because the class-i faces partition the vertex set into p_i-cycles), pins
 down finitely many admissible sequences for chi < 0.  This module enumerates
 them with exact rational arithmetic.
 
-Color counts of six or more never appear in the emitted census: the only
-candidates the counting relation leaves there are towers of quadrilaterals
-over four vertices, which the classification this module reproduces excludes.
+The census stops at 5 colors, the scope of the paper.  The counting
+relation does admit sequences with more colors: on chi = -2 it admits
+(4^6);4, whose gems have parallel edges.
 """
 
 from __future__ import annotations

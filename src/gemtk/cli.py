@@ -231,13 +231,10 @@ def cmd_embed(args) -> int:
 
 def cmd_homology(args) -> int:
     graph = _load_graph(args.file)
-    comps = connected_components(graph)
-    if len(comps) == 1:
-        parts = [graph]
-    else:
-        parts = [
-            residue_subgraph(graph, range(graph.color_count), comp) for comp in comps
-        ]
+    parts = [
+        residue_subgraph(graph, graph.colors, comp)
+        for comp in connected_components(graph)
+    ]
     if args.json:
         for index, part in enumerate(parts):
             payload = _homology_payload(part)

@@ -311,64 +311,45 @@ class TripleCheck:
     holds: bool
 
 
+def triple_checks(
+    graph: ColoredGraph, triples: Sequence[tuple[int, int, int]]
+) -> tuple[TripleCheck, ...]:
+    """The identity g_ij + g_ik + g_jk = 2*g_ijk + p/2 per triple, counted
+    over the whole graph (exact, see :class:`ThreeManifoldReport`)."""
+    p = graph.vertex_count
+    pairs = {pair for triple in triples for pair in itertools.combinations(triple, 2)}
+    g = {pair: len(residue_components(graph, pair)) for pair in pairs}
+    checks = []
+    for triple in triples:
+        total = sum(g[pair] for pair in itertools.combinations(triple, 2))
+        expected = 2 * len(residue_components(graph, triple)) + p // 2
+        checks.append(TripleCheck(triple, total, expected, total == expected))
+    return tuple(checks)
+
+
 @dataclass(frozen=True)
 class ThreeManifoldReport:
     """Residue counting criterion for 4-colored graphs, per color triple.
 
     For each triple {i,j,k} the sum g_ij + g_ik + g_jk must equal
     2*g_ijk + p/2; the graph encodes a closed 3-manifold exactly when all
-    four triples comply.  Disconnected input is evaluated per component.
+    four triples comply.  A component of the {i,j,k}-residue on q vertices
+    is a closed surface of Euler characteristic g_ij + g_ik + g_jk - q/2
+    (its own counts), at most 2 and equal to 2 only for the sphere, so the
+    totals over the whole graph agree exactly when every component of the
+    residue is a 2-sphere, whether the graph is connected or not.
     """
 
     holds: bool
-    connected: bool
-    components: tuple["ComponentTriples", ...]
-
-
-@dataclass(frozen=True)
-class ComponentTriples:
-    vertex_count: int
     checks: tuple[TripleCheck, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-
-def _component_triples(graph: ColoredGraph) -> ComponentTriples:
-    p = graph.vertex_count
-    pair_counts = {
-        pair: len(residue_components(graph, pair))
-        for pair in itertools.combinations(range(4), 2)
-    }
-    checks = []
-    for triple in itertools.combinations(range(4), 3):
-        total = sum(
-            pair_counts[pair] for pair in itertools.combinations(triple, 2)
-        )
-        g_triple = len(residue_components(graph, triple))
-        expected = 2 * g_triple + p // 2
-        checks.append(TripleCheck(triple, total, expected, total == expected))
-    return ComponentTriples(p, tuple(checks))
 
 
 def check_3manifold(graph: ColoredGraph) -> ThreeManifoldReport:
     """Evaluate the 3-manifold residue criterion on a 4-colored graph."""
     if graph.color_count != 4:
         raise ValueError("3-manifold check needs exactly 4 colors")
-    comps = connected_components(graph)
-    if len(comps) == 1:
-        parts = (_component_triples(graph),)
-    else:
-        parts = tuple(
-            _component_triples(residue_subgraph(graph, range(4), comp))
-            for comp in comps
-        )
-    return ThreeManifoldReport(
-        holds=all(part.holds for part in parts),
-        connected=len(comps) == 1,
-        components=parts,
-    )
+    checks = triple_checks(graph, tuple(itertools.combinations(range(4), 3)))
+    return ThreeManifoldReport(all(c.holds for c in checks), checks)
 
 
 @dataclass(frozen=True)
@@ -410,10 +391,9 @@ def sphere_verdicts(residue: ColoredGraph, color: int) -> list[ResidueVerdict]:
     if residue.color_count != 4:
         raise ValueError("sphere verdicts need exactly 4 colors")
     target = sphere_profile(3)
-    comps = connected_components(residue)
     verdicts = []
-    for idx, comp in enumerate(comps):
-        sub = residue if len(comps) == 1 else residue_subgraph(residue, range(4), comp)
+    for idx, comp in enumerate(connected_components(residue)):
+        sub = residue_subgraph(residue, range(4), comp)
         criterion = check_3manifold(sub).holds
         homology_ok = criterion and graph_homology(sub) == target
         verdicts.append(

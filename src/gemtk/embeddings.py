@@ -8,6 +8,7 @@ surface; bipartiteness decides orientability.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .census import TypeSequence, canonical_cycle, distinct_arrangements, normalize
@@ -188,6 +189,10 @@ def all_embeddings(graph: ColoredGraph) -> dict[CyclicOrder, EmbeddingReport]:
     There are d!/2 classes for d+1 >= 3 colors and a single class for 2.
     """
     return {
-        eps: embedding_report(graph, eps)
-        for eps in map(CyclicOrder, distinct_arrangements(range(graph.color_count)))
+        eps: embedding_report(graph, eps) for eps in _cyclic_orders(graph.color_count)
     }
+
+
+@functools.cache
+def _cyclic_orders(n: int) -> tuple[CyclicOrder, ...]:
+    return tuple(map(CyclicOrder, distinct_arrangements(range(n))))

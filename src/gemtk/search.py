@@ -30,7 +30,8 @@ so the partner that closes it has the other parity too.
 The manifold filters are staged: each is also checked at the earliest color
 depth where part of it is already decided, and a failure there cuts the
 whole subtree.  Once colors 0-2 are complete, both filters need every
-{0,1,2}-component to be a 2-sphere; once colors 0-3 are complete, the
+{0,1,2}-component to be a 2-sphere, which ``complexes.triple_checks``
+decides on the 3-colored prefix; once colors 0-3 are complete, the
 residue-sphere filter needs every {0,1,2,3}-component to pass the 3-manifold
 criterion with the homology of the 3-sphere.  A staged check fails only
 where every complete graph below it fails the full filter, so the depth-first
@@ -46,14 +47,18 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
-from .complexes import check_3manifold, check_residues_sphere, sphere_verdicts
+from .complexes import (
+    check_3manifold,
+    check_residues_sphere,
+    sphere_verdicts,
+    triple_checks,
+)
 from .embeddings import semi_equivelar_type
 from .graphs import (
     ColoredGraph,
     canonical_code,
     is_bipartite,
     is_connected,
-    residue_stats,
     validate,
 )
 
@@ -104,15 +109,11 @@ class SearchOutcome:
 def _surfaces_are_spheres(inv: list[list[int]], p: int) -> bool:
     """Colors 0-2 complete: is every {0,1,2}-component a 2-sphere?
 
-    A component on q vertices has Euler characteristic g01 + g02 + g12 - q/2,
-    at most 2 and equal to 2 only for the sphere, so the sums below agree
-    exactly when every component is a sphere.  Any other component fails the
-    {0,1,2} triple of the 3-manifold criterion in the graph or 4-colored
-    residue that holds it.
+    Any other component fails the {0,1,2} triple of the 3-manifold criterion
+    in the graph or 4-colored residue that holds it.
     """
-    stats = residue_stats(ColoredGraph(3, p, tuple(tuple(row) for row in inv[:3])))
-    pairs = stats.count((0, 1)) + stats.count((0, 2)) + stats.count((1, 2))
-    return pairs == 2 * stats.count((0, 1, 2)) + p // 2
+    prefix = ColoredGraph(3, p, tuple(tuple(row) for row in inv[:3]))
+    return triple_checks(prefix, ((0, 1, 2),))[0].holds
 
 
 def _residues_are_spheres(inv: list[list[int]], p: int) -> bool:
@@ -215,9 +216,9 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     # partners of v in range(v + 1, p, 2) keep every edge even-odd
     step = 2 if spec.require_bipartite else 1
 
-    deadline = (
-        time.monotonic() + spec.budget_seconds if spec.budget_seconds else None
-    )
+    deadline = None
+    if spec.budget_seconds is not None:
+        deadline = time.monotonic() + spec.budget_seconds
     budget_mask = 0x3FF
 
     def finalize():

@@ -67,6 +67,17 @@ def random_connected_graph(rng: random.Random, p: int, colors: int) -> ColoredGr
             return g
 
 
+def disjoint_union(*graphs: ColoredGraph) -> ColoredGraph:
+    """The graphs side by side: each one's vertices follow the previous ones'."""
+    pairings = [[] for _ in range(graphs[0].color_count)]
+    offset = 0
+    for g in graphs:
+        for row, inv in zip(pairings, g.pairings):
+            row.extend(offset + u for u in inv)
+        offset += g.vertex_count
+    return ColoredGraph.from_involutions(pairings)
+
+
 def connected_sum(a: ColoredGraph, b: ColoredGraph, v: int, w: int) -> ColoredGraph:
     """Graph connected sum: delete vertex v of a and vertex w of b, then join,
     color by color, the two vertices that were paired with them.

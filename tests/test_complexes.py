@@ -8,13 +8,16 @@ from gemtk import (
     check_3manifold,
     check_residues_sphere,
     check_surface,
+    connected_components,
     embedding_report,
     free_profile,
     graph_homology,
     homology,
     is_bipartite,
+    is_connected,
     residue_components,
     residue_stats,
+    residue_subgraph,
     smith_normal_form,
     sphere_profile,
     validate,
@@ -25,6 +28,7 @@ from gemtk.search import SearchSpec, search_gems
 from helpers import (
     connected_sum,
     cube_graph,
+    disjoint_union,
     k4_graph,
     minor_gcd_invariant_factors,
     random_colored_graph,
@@ -308,20 +312,45 @@ class TestCheck3Manifold:
             SearchSpec(seq=(6, 6, 6, 6), vertex_count=6, require_3manifold=True,
                        max_solutions=1)
         )
-        report = check_3manifold(out.solutions[0])
-        assert report.holds and report.connected
-        for check in report.components[0].checks:
+        g = out.solutions[0]
+        report = check_3manifold(g)
+        assert report.holds and is_connected(g)
+        for check in report.checks:
             assert check.pair_total == check.expected
 
-    def test_disconnected_evaluated_per_component(self):
+    def test_disconnected_evaluated_on_whole_graph(self):
+        # two 2-vertex components: each pair residue has one cycle per
+        # component, so every triple totals 3 + 3 against 2*2 + 4/2
         g = validate(4, 4, [[(0, 1), (2, 3)]] * 4)
+        assert not is_connected(g)
         report = check_3manifold(g)
-        assert not report.connected
         assert report.holds
-        for part in report.components:
-            assert part.vertex_count == 2
-            for check in part.checks:
-                assert check.pair_total == 3 and check.expected == 3
+        assert len(report.checks) == 4
+        for check in report.checks:
+            assert check.pair_total == 6 and check.expected == 6
+
+    def test_whole_graph_agrees_with_components(self):
+        # on disjoint unions the whole-graph verdict is the conjunction of
+        # the components' verdicts, and the totals are the sums of theirs
+        rng = random.Random(808)
+        held = 0
+        for _ in range(150):
+            parts = [random_colored_graph(rng, rng.choice([2, 4, 6]), 4)
+                     for _ in range(rng.choice([2, 3]))]
+            g = disjoint_union(*parts)
+            report = check_3manifold(g)
+            comps = [
+                check_3manifold(residue_subgraph(g, range(4), comp))
+                for comp in connected_components(g)
+            ]
+            assert len(comps) >= len(parts)
+            assert report.holds == all(c.holds for c in comps)
+            for i, check in enumerate(report.checks):
+                assert all(c.checks[i].triple == check.triple for c in comps)
+                assert check.pair_total == sum(c.checks[i].pair_total for c in comps)
+                assert check.expected == sum(c.checks[i].expected for c in comps)
+            held += report.holds
+        assert 0 < held < 150
 
     def test_failing_graph(self):
         # colors 0 and 3 repeat a matching while 1, 2 differ; the triple
@@ -331,7 +360,7 @@ class TestCheck3Manifold:
         )
         report = check_3manifold(g)
         assert not report.holds
-        failing = [c for c in report.components[0].checks if not c.holds]
+        failing = [c for c in report.checks if not c.holds]
         assert failing
 
     def test_wrong_arity(self):
@@ -402,6 +431,29 @@ class TestCheckResiduesSphere:
         assert not report.holds
         offenders = {(v.color, v.component_index) for v in report.failures()}
         assert (4, 0) in offenders
+
+    def test_disjoint_union_of_sphere_gems(self):
+        # each residue of the union lists the components of the first gem's
+        # residue, then those of the second, numbered on from there
+        out = search_gems(
+            SearchSpec(seq=(4, 4, 4, 4, 4), vertex_count=8,
+                       require_residues_sphere=True, max_solutions=2)
+        )
+        a, b = out.solutions
+        report = check_residues_sphere(disjoint_union(a, b))
+        assert report.holds
+        assert all(v.ok for v in report.verdicts)
+
+        def sizes(verdicts, color):
+            return [v.vertex_count for v in verdicts if v.color == color]
+
+        for c in range(5):
+            first = sizes(check_residues_sphere(a).verdicts, c)
+            second = sizes(check_residues_sphere(b).verdicts, c)
+            mine = [v for v in report.verdicts if v.color == c]
+            assert [v.vertex_count for v in mine] == first + second
+            assert [v.component_index for v in mine] == list(range(len(mine)))
+            assert len(mine) >= 2
 
     def test_wrong_arity(self):
         with pytest.raises(ValueError):

@@ -316,13 +316,14 @@ class TestLimitsAndCounting:
     def test_budget_is_checked_before_each_candidate(self):
         # the node counter checks the clock only every 1,024 nodes; without
         # a check per candidate this run builds 228 candidates past the
-        # deadline
-        out = search_gems(
-            SearchSpec(seq=(4, 4, 4), vertex_count=24, max_solutions=None,
-                       budget_seconds=1e-9)
-        )
-        assert out.stats.candidates <= 1
-        assert out.stats.exhausted is False
+        # deadline, and a zero budget must not read as no budget
+        for budget in (1e-9, 0):
+            out = search_gems(
+                SearchSpec(seq=(4, 4, 4), vertex_count=24, max_solutions=None,
+                           budget_seconds=budget)
+            )
+            assert out.stats.candidates <= 1
+            assert out.stats.exhausted is False
 
     def test_decagon_count_exhausts(self):
         spec = SearchSpec(seq=(10, 10, 10), vertex_count=10)

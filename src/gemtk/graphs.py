@@ -320,52 +320,91 @@ def is_bipartite(graph: ColoredGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Canonical form
 #
-# Exact canonical labeling by exhaustive base-vertex choice: a breadth-first
-# walk from a base vertex, visiting colors in ascending order, assigns labels
-# in discovery order.  The walk depends only on the colored-graph structure,
-# so isomorphic graphs produce the same set of candidate labelings; the
-# lexicographic minimum of the relabeled involution arrays is therefore a
-# complete invariant.  Intended scale is p <= ~50.
+# A breadth-first walk from a start vertex, visiting colors in ascending
+# order, labels vertices in discovery order.  The walk depends only on the
+# colored-graph structure, so the lexicographic minimum over all starts of
+# the relabeled involution arrays (the key) is a complete invariant.  Three
+# exact mechanisms find that minimum without building every key:
+# 1. Lazy color-0 comparison: entry i of the color-0 block is known once
+#    order[i] is processed, so the walk stops as soon as it exceeds the best
+#    key's entry i; a key with a greater prefix cannot be least.
+# 2. Block-wise comparison: the other colors' blocks are built one at a
+#    time and compared only while tied; equal-length blocks order exactly
+#    like their concatenation.
+# 3. Orbit pruning (McKay & Piperno, J. Symbolic Comput. 60, 2014): a start
+#    that ties the best key gives the automorphism order[i] -> best_order[i];
+#    orbits merge toward the least vertex, and a start whose orbit root is an
+#    earlier vertex is skipped, since starts in one orbit give equal keys.
+# One label array serves all starts and components; a walk resets only the
+# entries it labeled, so many small components cost no O(p) per start.
 # ---------------------------------------------------------------------------
 
 
-def _component_key(pairings, vertices):
-    """Lex-least serialized labeling of one connected component."""
-    n_colors = len(pairings)
-    best = None
+def _orbit_root(orbit, v):
+    while v in orbit:
+        v = orbit[v]
+    return v
+
+
+def _component_key(pairings, vertices, label):
+    """Lex-least labeling of one connected component, one block per color.
+
+    ``vertices`` is sorted; ``label`` is all -1 on entry and on exit.
+    """
+    inv0 = pairings[0]
+    best = best_order = None
+    orbit = {}  # vertex -> a smaller vertex of its orbit (roots are absent)
     for start in vertices:
-        label = {start: 0}
+        if start in orbit:
+            continue
+        label[start] = 0
         order = [start]
-        for v in order:
+        tied = best is not None
+        for i, v in enumerate(order):
             for inv in pairings:
                 u = inv[v]
-                if u not in label:
+                if label[u] < 0:
                     label[u] = len(order)
                     order.append(u)
-        key = tuple(
-            label[pairings[c][order[i]]]
-            for c in range(n_colors)
-            for i in range(len(order))
-        )
-        if best is None or key < best:
-            best = key
+            if tied:
+                entry, least = label[inv0[v]], best[0][i]
+                if entry > least:
+                    break
+                tied = entry == least
+        else:
+            key = []
+            for c, inv in enumerate(pairings):
+                block = [label[inv[v]] for v in order]
+                if tied:
+                    if block > best[c]:
+                        break
+                    tied = block == best[c]
+                key.append(block)
+            else:
+                if tied:  # order[i] -> best_order[i] is an automorphism
+                    for a, b in zip(order, best_order):
+                        a, b = _orbit_root(orbit, a), _orbit_root(orbit, b)
+                        if a != b:
+                            orbit[max(a, b)] = min(a, b)
+                else:
+                    best, best_order = key, order
+        for v in order:
+            label[v] = -1
     return best
 
 
 def canonical_form(graph: ColoredGraph) -> ColoredGraph:
     """A canonical representative of the color-preserving isomorphism class."""
-    comps = connected_components(graph)
+    label = [-1] * graph.vertex_count
     keys = sorted(
-        ((len(c),) + _component_key(graph.pairings, c) for c in comps)
+        (len(c), *_component_key(graph.pairings, c, label))
+        for c in connected_components(graph)
     )
     involutions = [[-1] * graph.vertex_count for _ in graph.colors]
     offset = 0
-    for key in keys:
-        size = key[0]
-        flat = key[1:]
-        for c in graph.colors:
-            for i in range(size):
-                involutions[c][offset + i] = offset + flat[c * size + i]
+    for size, *blocks in keys:
+        for row, block in zip(involutions, blocks):
+            row[offset : offset + size] = [offset + x for x in block]
         offset += size
     return ColoredGraph(
         graph.color_count, graph.vertex_count, tuple(tuple(row) for row in involutions)

@@ -173,6 +173,8 @@ def check_spec(spec: SearchSpec) -> None:
     for f in _FILTERS:
         if getattr(spec, f.flag) and n != f.colors:
             problems.append(f"{f.flag} needs exactly {f.colors} colors")
+    if not (spec.budget_seconds is None or spec.budget_seconds >= 0):
+        problems.append(f"time budget must be >= 0 seconds, got {spec.budget_seconds}")
     if problems:
         raise InfeasibleSpecError("; ".join(problems))
 

@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library's own algorithms: determinants
 via Bareiss, invariant factors via minor gcds, isomorphism via brute-force
-relabeling, and type search via full matching enumeration.
+relabeling, canonical codes via a breadth-first labeling from every vertex, and
+type search via full matching enumeration.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ from gemtk import (
     canonical_code,
     check_3manifold,
     check_residues_sphere,
+    connected_components,
     is_bipartite,
     is_connected,
+    permute_colors,
     semi_equivelar_type,
     validate,
 )
+from gemtk.census import rotations_and_reflections
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +45,22 @@ def cube_graph() -> ColoredGraph:
 
 def k4_graph() -> ColoredGraph:
     return validate(3, 4, [[(0, 1), (2, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]])
+
+
+def dihedral_gem(n: int, reflections: tuple[int, ...]) -> ColoredGraph:
+    """Cayley graph of the dihedral group of order 2n, one color per reflection.
+
+    Vertex 2k + f is the element (k, f): rotation by k, then f flips.  Color c
+    joins g to g times the reflection (reflections[c], 1).  Left multiplication
+    preserves every color, so the graph is vertex-transitive.
+    """
+    def times(v: int, j: int) -> int:
+        k, f = divmod(v, 2)
+        return 2 * ((k - j if f else k + j) % n) + (1 - f)
+
+    return ColoredGraph.from_involutions(
+        [[times(v, j) for v in range(2 * n)] for j in reflections]
+    )
 
 
 def random_matching(rng: random.Random, p: int) -> list[int]:
@@ -254,6 +274,53 @@ def brute_force_isomorphic(g1: ColoredGraph, g2: ColoredGraph) -> bool:
         ):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive canonical code
+# ---------------------------------------------------------------------------
+
+
+def _reference_component_key(pairings, vertices):
+    """Lex-least flat labeling of one component over a BFS from every vertex."""
+    best = None
+    for start in vertices:
+        label = {start: 0}
+        order = [start]
+        for v in order:
+            for inv in pairings:
+                u = inv[v]
+                if u not in label:
+                    label[u] = len(order)
+                    order.append(u)
+        key = tuple(label[inv[v]] for inv in pairings for v in order)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def reference_canonical_code(graph: ColoredGraph, color_classes: bool = False) -> str:
+    """``canonical_code`` by brute force: every start, every key built in full."""
+    if color_classes:
+        return min(
+            reference_canonical_code(permute_colors(graph, s))
+            for s in rotations_and_reflections(tuple(range(graph.color_count)))
+        )
+    p = graph.vertex_count
+    keys = sorted(
+        (len(c),) + _reference_component_key(graph.pairings, c)
+        for c in connected_components(graph)
+    )
+    involutions = [[-1] * p for _ in graph.colors]
+    offset = 0
+    for key in keys:
+        size, flat = key[0], key[1:]
+        for c, row in enumerate(involutions):
+            for i in range(size):
+                row[offset + i] = offset + flat[c * size + i]
+        offset += size
+    body = ";".join(",".join(map(str, row)) for row in involutions)
+    return f"{graph.color_count}:{p}:{body}"
 
 
 def counting_relation_holds(seq: tuple[int, ...], chi: int, p: int) -> bool:

@@ -226,6 +226,15 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--type", "2,2,2", "--vertices", "2")
         assert code == 2
 
+    def test_negative_budget_is_infeasible(self, capsys):
+        code, out, err = run(
+            capsys,
+            "search", "--type", "4,4,4", "--vertices", "24", "--budget", "-5", "--all",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: infeasible search spec")
+
     def test_budget_exceeded_without_solution_fails(self, capsys):
         code, out, _ = run(
             capsys,

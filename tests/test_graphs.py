@@ -1,9 +1,11 @@
 import random
+import timeit
 
 import pytest
 
 from gemtk import (
     GemValidationError,
+    SearchSpec,
     canonical_code,
     connected_components,
     is_bipartite,
@@ -13,6 +15,7 @@ from gemtk import (
     residue_components,
     residue_stats,
     residue_subgraph,
+    search_gems,
     validate,
     validation_defects,
 )
@@ -21,10 +24,26 @@ from gemtk.graphs import COLOR_GAP, LOOP_EDGE, NOT_A_MATCHING, ODD_VERTEX_COUNT
 from helpers import (
     brute_force_isomorphic,
     cube_graph,
+    dihedral_gem,
+    disjoint_union,
     k4_graph,
     random_colored_graph,
+    reference_canonical_code,
     theta_graph,
 )
+
+
+def shuffled(rng, g):
+    perm = list(range(g.vertex_count))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def assert_matches_reference(g):
+    assert canonical_code(g) == reference_canonical_code(g)
+    assert canonical_code(g, color_classes=True) == reference_canonical_code(
+        g, color_classes=True
+    )
 
 
 class TestValidate:
@@ -202,6 +221,59 @@ class TestCanonicalCode:
         assert canonical_code(g, color_classes=True) == canonical_code(
             reflected, color_classes=True
         )
+
+
+class TestCanonicalCodeMatchesExhaustive:
+    """The pruned canonical code equals, byte for byte, the lexicographic
+    minimum over a breadth-first labeling from every vertex."""
+
+    def test_random_graphs(self):
+        rng = random.Random(41)
+        for k in range(3000):
+            p = rng.randrange(2, 25, 2)
+            colors = rng.randint(2, 6)
+            if k % 3 or p < 4:
+                g = random_colored_graph(rng, p, colors)
+            else:
+                # disjoint unions, some of two identical parts
+                q = rng.randrange(2, p - 1, 2)
+                part = random_colored_graph(rng, q, colors)
+                other = part if p == 2 * q else random_colored_graph(rng, p - q, colors)
+                g = disjoint_union(part, other)
+            assert_matches_reference(g)
+
+    @pytest.mark.parametrize(
+        "seq,p,classes",
+        [((10, 10, 10), 10, 24), ((4, 4, 8, 8), 8, 24), ((6, 6, 6), 6, 2), ((8, 8, 8), 16, 61)],
+    )
+    def test_search_solutions(self, seq, p, classes):
+        rng = random.Random(43)
+        solutions = search_gems(SearchSpec(seq=seq, vertex_count=p)).solutions
+        assert len(solutions) == classes
+        for g in solutions:
+            assert_matches_reference(g)
+            assert_matches_reference(shuffled(rng, g))
+
+    def test_symmetric_gems(self):
+        rng = random.Random(47)
+        for g in [theta_graph(), cube_graph(), k4_graph(), dihedral_gem(48, (0, 1, 5))]:
+            assert_matches_reference(g)
+            h = shuffled(rng, g)
+            assert_matches_reference(h)
+            assert canonical_code(h) == canonical_code(g)
+
+    def test_many_tiny_components_stay_linear(self):
+        # one label array serves every start, and a walk resets only what it
+        # labeled: the two codes take about 0.03 s (2-vCPU Xeon), while
+        # resetting all p = 2,000 labels per start takes about 0.3 s
+        g = disjoint_union(*[theta_graph()] * 1000)
+        h = shuffled(random.Random(53), g)
+        theta = ",".join(str(v ^ 1) for v in range(2000))
+        assert canonical_code(g) == canonical_code(h) == "3:2000:" + ";".join([theta] * 3)
+        seconds = timeit.repeat(
+            lambda: (canonical_code(g), canonical_code(h)), number=1, repeat=3
+        )
+        assert min(seconds) < 0.2
 
 
 class TestSubgraph:

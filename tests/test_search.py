@@ -49,6 +49,13 @@ class TestSpecRejection:
                 SearchSpec(seq=(4, 4, 4, 4), vertex_count=8, require_residues_sphere=True)
             )
 
+    @pytest.mark.parametrize("budget", [-5, float("nan")])
+    def test_negative_or_nan_budget(self, budget):
+        # a zero budget is legal and stops at once; a negative one or NaN is
+        # a malformed spec, not a budget that has already run out
+        with pytest.raises(InfeasibleSpecError):
+            search_gems(SearchSpec(seq=(4, 4, 4), vertex_count=24, budget_seconds=budget))
+
 
 class TestCubeRediscovery:
     def test_unique_bipartite_solution_is_the_cube(self):

@@ -27,17 +27,13 @@ from typing import Iterable, Sequence
 _MAX_COLOR_COUNT = 5
 
 
-def rotations_and_reflections(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every rotation and reflection of a cyclic sequence."""
-    n = len(seq)
-    twice = seq + seq
-    return [s[k : k + n] for s in (twice, twice[::-1]) for k in range(n)]
-
-
 def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically least representative under rotation and reflection."""
     seq = tuple(seq)
-    return min(rotations_and_reflections(seq), default=seq)
+    n = len(seq)
+    twice = seq + seq
+    rotations = (s[k : k + n] for s in (twice, twice[::-1]) for k in range(n))
+    return min(rotations, default=seq)
 
 
 @dataclass(frozen=True, order=True)

@@ -21,7 +21,6 @@ from typing import Sequence
 from .embeddings import embedding_report
 from .graphs import (
     ColoredGraph,
-    connected_components,
     residue_components,
     residue_subgraph,
 )
@@ -381,19 +380,21 @@ class ResidueSphereReport:
         return [v for v in self.verdicts if not v.ok]
 
 
-def sphere_verdicts(residue: ColoredGraph, color: int) -> list[ResidueVerdict]:
-    """Verdict per connected component of a 4-colored graph: the 3-manifold
-    criterion plus the integer homology of the 3-sphere.
+def sphere_verdicts(
+    graph: ColoredGraph, colors: Sequence[int], color: int
+) -> list[ResidueVerdict]:
+    """Verdict per component of the residue of four ``colors``: the
+    3-manifold criterion plus the integer homology of the 3-sphere.
 
-    ``residue`` is the residue that drops ``color`` from a 5-colored graph,
-    on all of its vertices; the verdicts are filed under ``color``.
+    The residue is the one that drops ``color`` from a 5-colored graph; the
+    verdicts are filed under ``color``.
     """
-    if residue.color_count != 4:
+    if len(set(colors)) != 4:
         raise ValueError("sphere verdicts need exactly 4 colors")
     target = sphere_profile(3)
     verdicts = []
-    for idx, comp in enumerate(connected_components(residue)):
-        sub = residue_subgraph(residue, range(4), comp)
+    for idx, comp in enumerate(residue_components(graph, colors)):
+        sub = residue_subgraph(graph, colors, comp)
         criterion = check_3manifold(sub).holds
         homology_ok = criterion and graph_homology(sub) == target
         verdicts.append(
@@ -409,6 +410,5 @@ def check_residues_sphere(graph: ColoredGraph) -> ResidueSphereReport:
     verdicts = []
     for dropped in range(5):
         kept = [c for c in range(5) if c != dropped]
-        residue = residue_subgraph(graph, kept, range(graph.vertex_count))
-        verdicts.extend(sphere_verdicts(residue, dropped))
+        verdicts.extend(sphere_verdicts(graph, kept, dropped))
     return ResidueSphereReport(all(v.ok for v in verdicts), tuple(verdicts))

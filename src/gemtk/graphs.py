@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .census import rotations_and_reflections
-
 PairList = Sequence[tuple[int, int]]
 
 # Defect kinds reported by validation.
@@ -232,6 +230,15 @@ def permute_colors(graph: ColoredGraph, sigma: Sequence[int]) -> ColoredGraph:
     return ColoredGraph(n, graph.vertex_count, tuple(new))
 
 
+def _color_subset(graph: ColoredGraph, colors: Iterable[int]) -> list[int]:
+    """``colors`` sorted without repeats; each must be a color of ``graph``."""
+    subset = sorted(set(colors))
+    for c in subset:
+        if not 0 <= c < graph.color_count:
+            raise ValueError(f"color {c} outside 0..{graph.color_count - 1}")
+    return subset
+
+
 def residue_components(
     graph: ColoredGraph, colors: Iterable[int]
 ) -> list[tuple[int, ...]]:
@@ -240,10 +247,7 @@ def residue_components(
     The empty color set yields one singleton class per vertex.  Classes are
     returned as sorted vertex tuples, ordered by least vertex.
     """
-    subset = sorted(set(colors))
-    for c in subset:
-        if not 0 <= c < graph.color_count:
-            raise ValueError(f"color {c} outside 0..{graph.color_count - 1}")
+    subset = _color_subset(graph, colors)
     invs = [graph.pairings[c] for c in subset]
     p = graph.vertex_count
     seen = bytearray(p)
@@ -411,18 +415,8 @@ def canonical_form(graph: ColoredGraph) -> ColoredGraph:
     )
 
 
-def canonical_code(graph: ColoredGraph, color_classes: bool = False) -> str:
-    """Text token identifying the graph up to color-preserving relabeling.
-
-    With ``color_classes`` the code is additionally invariant under color
-    permutations that preserve the cyclic color order up to rotation and
-    reflection (the dihedral symmetries of the color cycle).
-    """
-    if color_classes:
-        return min(
-            canonical_code(permute_colors(graph, s))
-            for s in rotations_and_reflections(tuple(range(graph.color_count)))
-        )
+def canonical_code(graph: ColoredGraph) -> str:
+    """Text token identifying the graph up to color-preserving relabeling."""
     g = canonical_form(graph)
     body = ";".join(",".join(map(str, inv)) for inv in g.pairings)
     return f"{g.color_count}:{g.vertex_count}:{body}"
@@ -439,7 +433,7 @@ def residue_subgraph(
     """
     verts = sorted(set(vertices))
     index = {v: i for i, v in enumerate(verts)}
-    subset = sorted(set(colors))
+    subset = _color_subset(graph, colors)
     involutions = []
     for c in subset:
         inv = graph.pairings[c]

@@ -35,10 +35,11 @@ decides on the 3-colored prefix; once colors 0-3 are complete, the
 residue-sphere filter needs every {0,1,2,3}-component to pass the 3-manifold
 criterion with the homology of the 3-sphere.  A staged check fails only
 where every complete graph below it fails the full filter, so the depth-first
-order and the solutions are those of the unstaged search.  Connectivity is
-checked on complete candidates, and every emitted solution is re-verified
-through the public validation, face-tracing and filter code paths rather
-than search state.
+order and the solutions are those of the unstaged search.  Stages and
+candidates are decided on a graph view of the search state: connectivity,
+the full filters, ``keep`` and the canonical code.  Only emitted solutions
+are re-verified through the public validation, face-tracing and
+bipartiteness code, which the search state already guarantees.
 """
 
 from __future__ import annotations
@@ -106,32 +107,35 @@ class SearchOutcome:
     stats: SearchStats
 
 
-def _surfaces_are_spheres(inv: list[list[int]], p: int) -> bool:
+def _view(inv: list[list[int]], k: int) -> ColoredGraph:
+    """Colors 0..k-1 of the search state as a graph."""
+    return ColoredGraph(k, len(inv[0]), tuple(tuple(row) for row in inv[:k]))
+
+
+def _surfaces_are_spheres(prefix: ColoredGraph) -> bool:
     """Colors 0-2 complete: is every {0,1,2}-component a 2-sphere?
 
     Any other component fails the {0,1,2} triple of the 3-manifold criterion
     in the graph or 4-colored residue that holds it.
     """
-    prefix = ColoredGraph(3, p, tuple(tuple(row) for row in inv[:3]))
     return triple_checks(prefix, ((0, 1, 2),))[0].holds
 
 
-def _residues_are_spheres(inv: list[list[int]], p: int) -> bool:
+def _residues_are_spheres(prefix: ColoredGraph) -> bool:
     """Colors 0-3 complete: does every {0,1,2,3}-component certify as a 3-sphere?"""
-    residue = ColoredGraph(4, p, tuple(tuple(row) for row in inv[:4]))
-    return all(v.ok for v in sphere_verdicts(residue, 4))
+    return all(v.ok for v in sphere_verdicts(prefix, range(4), 4))
 
 
 class _Filter(NamedTuple):
     """A manifold filter: ``check`` runs on complete candidates, and each
-    ``(depth, predicate)`` stage on the search state once colors
-    0..depth-1 are complete.  Failures count under ``key``."""
+    ``(depth, predicate)`` stage on the view of colors 0..depth-1 once
+    they are complete.  Failures count under ``key``."""
 
     flag: str  # the SearchSpec field that switches it on
     colors: int
     key: str
     check: Callable[[ColoredGraph], bool]
-    stages: tuple[tuple[int, Callable[[list[list[int]], int], bool]], ...]
+    stages: tuple[tuple[int, Callable[[ColoredGraph], bool]], ...]
 
 
 _FILTERS = (
@@ -173,6 +177,8 @@ def check_spec(spec: SearchSpec) -> None:
     for f in _FILTERS:
         if getattr(spec, f.flag) and n != f.colors:
             problems.append(f"{f.flag} needs exactly {f.colors} colors")
+    if spec.max_solutions is not None and spec.max_solutions < 1:
+        problems.append(f"solution limit must be >= 1, got {spec.max_solutions}")
     if not (spec.budget_seconds is None or spec.budget_seconds >= 0):
         problems.append(f"time budget must be >= 0 seconds, got {spec.budget_seconds}")
     if problems:
@@ -195,8 +201,6 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     p = spec.vertex_count
     seq = spec.seq
     stats = SearchStats()
-    if spec.max_solutions is not None and spec.max_solutions <= 0:
-        return SearchOutcome(spec, [], stats)
     prunes = {
         "wrong_cycle_length": 0,
         "path_too_long": 0,
@@ -227,15 +231,10 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         if deadline is not None and time.monotonic() > deadline:
             raise _Stop
         stats.candidates += 1
-        graph = validate(n, p, [_pairs_of(inv[c]) for c in range(n)])
-        se = semi_equivelar_type(graph)
-        if se is None or se.raw != seq:
-            raise RuntimeError(f"search produced a non-conforming graph: {graph}")
+        graph = _view(inv, n)
         if spec.require_connected and not is_connected(graph):
             prunes["not_connected"] += 1
             return
-        if spec.require_bipartite and not is_bipartite(graph):
-            raise RuntimeError("the parity rule let a non-bipartite graph through")
         for f in filters:
             if not f.check(graph):
                 prunes[f.key] += 1
@@ -248,6 +247,13 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             prunes["duplicate"] += 1
             return
         seen_codes.add(code)
+        # guaranteed by the search state; re-verified on what leaves it
+        validate(n, p, [graph.pairs(c) for c in range(n)])
+        se = semi_equivelar_type(graph)
+        if se is None or se.raw != seq:
+            raise RuntimeError(f"search produced a non-conforming graph: {graph}")
+        if spec.require_bipartite and not is_bipartite(graph):
+            raise RuntimeError("the parity rule let a non-bipartite graph through")
         solutions.append(graph)
         if spec.max_solutions is not None and len(solutions) >= spec.max_solutions:
             raise _Stop
@@ -263,10 +269,12 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         if v < p:
             return node(c, v, tracks)
         c += 1
-        for key, predicate in stages.get(c, ()):
-            if not predicate(inv, p):
-                prunes[key] += 1
-                return None
+        if c in stages:
+            prefix = _view(inv, c)
+            for key, predicate in stages[c]:
+                if not predicate(prefix):
+                    prunes[key] += 1
+                    return None
         if c == n:
             finalize()
             return None
@@ -355,10 +363,6 @@ def _fixed_residue(q0: int, p: int) -> list[list[int]]:
             inv1[v] = u
             inv1[u] = v
     return [inv0, inv1]
-
-
-def _pairs_of(involution):
-    return [(v, u) for v, u in enumerate(involution) if v <= u]
 
 
 def count_nonisomorphic(spec: SearchSpec) -> int:

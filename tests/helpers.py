@@ -21,11 +21,9 @@ from gemtk import (
     connected_components,
     is_bipartite,
     is_connected,
-    permute_colors,
     semi_equivelar_type,
     validate,
 )
-from gemtk.census import rotations_and_reflections
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +297,8 @@ def _reference_component_key(pairings, vertices):
     return best
 
 
-def reference_canonical_code(graph: ColoredGraph, color_classes: bool = False) -> str:
+def reference_canonical_code(graph: ColoredGraph) -> str:
     """``canonical_code`` by brute force: every start, every key built in full."""
-    if color_classes:
-        return min(
-            reference_canonical_code(permute_colors(graph, s))
-            for s in rotations_and_reflections(tuple(range(graph.color_count)))
-        )
     p = graph.vertex_count
     keys = sorted(
         (len(c),) + _reference_component_key(graph.pairings, c)

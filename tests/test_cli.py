@@ -235,6 +235,15 @@ class TestSearch:
         assert out == ""
         assert err.startswith("error: infeasible search spec")
 
+    def test_solution_limit_below_one_is_infeasible(self, capsys):
+        for limit in ("0", "-3"):
+            code, out, err = run(
+                capsys, "search", "--type", "4,4,4", "--vertices", "8", "--max", limit
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: infeasible search spec")
+
     def test_budget_exceeded_without_solution_fails(self, capsys):
         code, out, _ = run(
             capsys,

@@ -10,7 +10,6 @@ from gemtk import (
     connected_components,
     is_bipartite,
     is_connected,
-    permute_colors,
     relabel,
     residue_components,
     residue_stats,
@@ -41,9 +40,6 @@ def shuffled(rng, g):
 
 def assert_matches_reference(g):
     assert canonical_code(g) == reference_canonical_code(g)
-    assert canonical_code(g, color_classes=True) == reference_canonical_code(
-        g, color_classes=True
-    )
 
 
 class TestValidate:
@@ -211,17 +207,6 @@ class TestCanonicalCode:
                 same_code = canonical_code(g1) == canonical_code(g2)
                 assert same_code == brute_force_isomorphic(g1, g2)
 
-    def test_color_class_mode(self):
-        g = cube_graph()
-        rotated = permute_colors(g, [1, 2, 0])
-        reflected = permute_colors(g, [0, 2, 1])
-        assert canonical_code(g, color_classes=True) == canonical_code(
-            rotated, color_classes=True
-        )
-        assert canonical_code(g, color_classes=True) == canonical_code(
-            reflected, color_classes=True
-        )
-
 
 class TestCanonicalCodeMatchesExhaustive:
     """The pruned canonical code equals, byte for byte, the lexicographic
@@ -284,6 +269,13 @@ class TestSubgraph:
         assert sub.vertex_count == 4
         assert sub.color_count == 2
         assert len(connected_components(sub)) == 1
+
+    def test_color_out_of_range_raises(self):
+        # the same rule as residue_components: -1 must not index color 2
+        g = cube_graph()
+        for colors in ([-1, 0], [0, 3]):
+            with pytest.raises(ValueError, match="outside 0..2"):
+                residue_subgraph(g, colors, range(8))
 
     def test_not_closed_raises(self):
         g = cube_graph()

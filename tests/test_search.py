@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import gemtk.search
 from gemtk import (
     InfeasibleSpecError,
     SearchBudgetExceeded,
@@ -55,6 +56,13 @@ class TestSpecRejection:
         # a malformed spec, not a budget that has already run out
         with pytest.raises(InfeasibleSpecError):
             search_gems(SearchSpec(seq=(4, 4, 4), vertex_count=24, budget_seconds=budget))
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_solution_limit_below_one(self, limit):
+        # a search that may emit nothing is a malformed spec, not an
+        # inconclusive run
+        with pytest.raises(InfeasibleSpecError):
+            search_gems(SearchSpec(seq=(4, 4, 4), vertex_count=8, max_solutions=limit))
 
 
 class TestCubeRediscovery:
@@ -368,3 +376,27 @@ class TestLimitsAndCounting:
         )
         assert len(out.solutions) == 1
         assert graph_homology(out.solutions[0]) == target
+
+
+class TestEmittedSolutionChecks:
+    """Candidates are decided on the search state; the public validation and
+    type re-check run once per emitted solution."""
+
+    def test_checks_run_once_per_class(self, monkeypatch):
+        calls = {"validate": 0, "semi_equivelar_type": 0}
+        for name in calls:
+            original = getattr(gemtk.search, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(gemtk.search, name, counted)
+        out = search_gems(SearchSpec(seq=(10, 10, 10), vertex_count=10))
+        assert (out.stats.candidates, len(out.solutions)) == (148, 24)
+        assert calls == {"validate": 24, "semi_equivelar_type": 24}
+
+    def test_type_recheck_still_fires(self, monkeypatch):
+        monkeypatch.setattr(gemtk.search, "semi_equivelar_type", lambda graph: None)
+        with pytest.raises(RuntimeError, match="non-conforming"):
+            search_gems(SearchSpec(seq=(4, 4, 4), vertex_count=8, max_solutions=1))

@@ -172,6 +172,17 @@ def validation_defects(
                         )
                     else:
                         seen[v] = 1
+        if 2 * len(pairs) != vertex_count:
+            # one defect, not one per unpaired vertex: a short header can
+            # declare far more vertices than the input pairs
+            defects.append(
+                GraphDefect(
+                    NOT_A_MATCHING,
+                    color=c,
+                    detail=f"{len(pairs)} pairs cannot match {vertex_count} vertices",
+                )
+            )
+            continue
         for v in range(vertex_count):
             if v not in seen:
                 defects.append(

@@ -27,23 +27,26 @@ and an odd label, and the search tries only partners of the other parity.
 A tracked path then alternates parity and has an even number of vertices,
 so the partner that closes it has the other parity too.
 
-The manifold filters are staged: each is also checked at the earliest color
-depth where part of it is already decided, and a failure there cuts the
-whole subtree.  Once colors 0-2 are complete, both filters need every
-{0,1,2}-component to be a 2-sphere, which ``complexes.triple_checks``
-decides on the 3-colored prefix; once colors 0-3 are complete, the
-residue-sphere filter needs every {0,1,2,3}-component to pass the 3-manifold
-criterion with the homology of the 3-sphere.  A staged check fails only
-where every complete graph below it fails the full filter, so the depth-first
-order and the solutions are those of the unstaged search.  Stages and
-candidates are decided on a graph view of the search state: connectivity,
-the full filters, ``keep`` and the canonical code.  Only emitted solutions
-are re-verified through the public validation, face-tracing and
-bipartiteness code, which the search state already guarantees.
+Each manifold filter is split into parts by the highest color involved,
+and the part that color k-1 completes is decided once, on the view of colors
+0..k-1, as soon as they are complete: for the 3-manifold filter the triples
+{i, j, k-1} of ``complexes.triple_checks``, for the residue-sphere filter
+the 4-colored residues that contain k-1 (and at k = 3 the (0,1,2) triple,
+which the {0,1,2,3}-residue needs).  Residue counts and components depend
+only on their own colors, so a part has the same verdict on the prefix as
+on every complete graph below it, and over k = 3..d+1 the parts are exactly
+the public check: a failure prunes the whole subtree and nothing passes
+that the check rejects, so the depth-first order and the solutions are those
+of the unsplit search.  The last part runs on the complete candidate, after
+connectivity and before ``keep`` and the canonical code.  Emitted solutions
+alone are re-verified through the public validation, face tracing,
+bipartiteness and the filter's whole check; the search state guarantees
+all of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -112,30 +115,35 @@ def _view(inv: list[list[int]], k: int) -> ColoredGraph:
     return ColoredGraph(k, len(inv[0]), tuple(tuple(row) for row in inv[:k]))
 
 
-def _surfaces_are_spheres(prefix: ColoredGraph) -> bool:
-    """Colors 0-2 complete: is every {0,1,2}-component a 2-sphere?
+def _new_triples(prefix: ColoredGraph) -> bool:
+    """Colors 0..k-1 complete: does every triple {i, j, k-1} satisfy the
+    3-manifold criterion (every such component a 2-sphere)?"""
+    new = prefix.color_count - 1
+    triples = [(i, j, new) for i, j in itertools.combinations(range(new), 2)]
+    return all(t.holds for t in triple_checks(prefix, triples))
 
-    Any other component fails the {0,1,2} triple of the 3-manifold criterion
-    in the graph or 4-colored residue that holds it.
-    """
-    return triple_checks(prefix, ((0, 1, 2),))[0].holds
 
-
-def _residues_are_spheres(prefix: ColoredGraph) -> bool:
-    """Colors 0-3 complete: does every {0,1,2,3}-component certify as a 3-sphere?"""
-    return all(v.ok for v in sphere_verdicts(prefix, range(4), 4))
+def _new_residues(prefix: ColoredGraph) -> bool:
+    """Colors 0..k-1 complete: does every component of each 4-colored
+    residue that contains k-1 certify as a 3-sphere?"""
+    if prefix.color_count == 3:
+        return _new_triples(prefix)
+    new = prefix.color_count - 1
+    residues = [kept + (new,) for kept in itertools.combinations(range(new), 3)]
+    # a residue is filed under the color it drops from 0..4
+    return all(v.ok for r in residues for v in sphere_verdicts(prefix, r, 10 - sum(r)))
 
 
 class _Filter(NamedTuple):
-    """A manifold filter: ``check`` runs on complete candidates, and each
-    ``(depth, predicate)`` stage on the view of colors 0..depth-1 once
-    they are complete.  Failures count under ``key``."""
+    """A manifold filter: ``part`` decides, on the view of colors 0..k-1,
+    the part of ``check`` that color k-1 completes; failures count under
+    ``key``.  ``check`` re-verifies emitted solutions."""
 
     flag: str  # the SearchSpec field that switches it on
     colors: int
     key: str
     check: Callable[[ColoredGraph], bool]
-    stages: tuple[tuple[int, Callable[[ColoredGraph], bool]], ...]
+    part: Callable[[ColoredGraph], bool]
 
 
 _FILTERS = (
@@ -144,14 +152,14 @@ _FILTERS = (
         4,
         "criterion_3manifold",
         lambda graph: check_3manifold(graph).holds,
-        ((3, _surfaces_are_spheres),),
+        _new_triples,
     ),
     _Filter(
         "require_residues_sphere",
         5,
         "criterion_residues",
         lambda graph: check_residues_sphere(graph).holds,
-        ((3, _surfaces_are_spheres), (4, _residues_are_spheres)),
+        _new_residues,
     ),
 )
 
@@ -211,10 +219,6 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         "keep_rejected": 0,
     }
     filters = [f for f in _FILTERS if getattr(spec, f.flag)]
-    stages: dict[int, list] = {}
-    for f in filters:
-        for depth, predicate in f.stages:
-            stages.setdefault(depth, []).append((f.key, predicate))
     solutions: list[ColoredGraph] = []
     seen_codes: set[str] = set()
 
@@ -236,7 +240,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             prunes["not_connected"] += 1
             return
         for f in filters:
-            if not f.check(graph):
+            if not f.part(graph):
                 prunes[f.key] += 1
                 return
         if keep is not None and not keep(graph):
@@ -254,6 +258,9 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             raise RuntimeError(f"search produced a non-conforming graph: {graph}")
         if spec.require_bipartite and not is_bipartite(graph):
             raise RuntimeError("the parity rule let a non-bipartite graph through")
+        for f in filters:
+            if not f.check(graph):
+                raise RuntimeError(f"the parts of {f.key} let a failing graph through")
         solutions.append(graph)
         if spec.max_solutions is not None and len(solutions) >= spec.max_solutions:
             raise _Stop
@@ -261,7 +268,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     def descend(c: int, v: int, tracks: list):
         """The node below an edge of color c: the least unpaired vertex of
         color c from v on, else vertex 0 of the next color.  None where a
-        staged filter prunes or the graph is complete.  ``tracks`` holds one
+        filter part prunes or the graph is complete.  ``tracks`` holds one
         path tracker ``(pend, plen, target)`` per constrained class of c."""
         invc = inv[c]
         while v < p and invc[v] >= 0:
@@ -269,15 +276,13 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         if v < p:
             return node(c, v, tracks)
         c += 1
-        if c in stages:
-            prefix = _view(inv, c)
-            for key, predicate in stages[c]:
-                if not predicate(prefix):
-                    prunes[key] += 1
-                    return None
         if c == n:
             finalize()
             return None
+        for f in filters:
+            if not f.part(_view(inv, c)):
+                prunes[f.key] += 1
+                return None
         tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
         if c == n - 1:
             tracks.append((list(inv[0]), [2] * p, seq[c]))

@@ -84,10 +84,13 @@ class TestVerify:
         assert code == 1
 
     def test_oversized_defect_list_gives_bounded_message(self, capsys, tmp_path):
-        # empty color lines under a large vertex count: 60,000 defects
-        path = tmp_path / "empty.gem"
+        # 19,999 loops per color line, each a defect, and one pair-count
+        # defect per color: 60,000 defects
+        path = tmp_path / "loops.gem"
+        loops = " 0-0" * 19_999
         path.write_text(
-            "gem 1\ncolors 3\nvertices 20000\ncolor 0:\ncolor 1:\ncolor 2:\n"
+            "gem 1\ncolors 3\nvertices 2\n"
+            + "".join(f"color {c}:{loops}\n" for c in range(3))
         )
         code, _, err = run(capsys, "verify", str(path))
         assert code == CHECK_FAILED

@@ -43,6 +43,13 @@ class TestParse:
         with pytest.raises(GemValidationError):
             parse_gem(text)
 
+    def test_large_header_with_empty_colors_gives_one_defect_per_color(self):
+        text = "gem 1\ncolors 3\nvertices 200000\ncolor 0:\ncolor 1:\ncolor 2:\n"
+        with pytest.raises(GemValidationError) as err:
+            parse_gem(text)
+        colors = [d.color for d in err.value.defects]
+        assert sorted(colors) == [0, 1, 2]
+
     def test_malformed_pair(self):
         text = "gem 1\ncolors 2\nvertices 2\ncolor 0: 0-1\ncolor 1: 0~1\n"
         with pytest.raises(GemParseError) as err:

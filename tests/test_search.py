@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import gemtk.complexes
 import gemtk.search
 from gemtk import (
     InfeasibleSpecError,
@@ -272,8 +273,38 @@ class TestStagedFilters:
     def test_staged_prunes_use_the_filter_key(self, spec):
         out = search_gems(spec)
         key = "criterion_3manifold" if spec.require_3manifold else "criterion_residues"
-        # the full check rejects at most every candidate; the rest are staged
+        # the last part, run on complete candidates, rejects at most every
+        # candidate; the rest are pruned by parts decided on prefixes
         assert out.stats.prunes[key] > out.stats.candidates
+
+    @pytest.mark.parametrize(
+        "flag,check",
+        [
+            pytest.param(
+                "require_3manifold", lambda g: check_3manifold(g).holds, id="3manifold"
+            ),
+            pytest.param(
+                "require_residues_sphere",
+                lambda g: check_residues_sphere(g).holds,
+                id="residues",
+            ),
+        ],
+    )
+    def test_parts_partition_the_check(self, flag, check):
+        # the parts that colors 2..n-1 complete, each decided on the view of
+        # the colors up to it, together decide exactly the public check
+        f = next(f for f in gemtk.search._FILTERS if f.flag == flag)
+        rng = random.Random(f.colors)
+        held = 0
+        for _ in range(2000):
+            g = random_colored_graph(rng, 2 * rng.randint(1, 6), f.colors)
+            inv = [list(row) for row in g.pairings]
+            parts = all(
+                f.part(gemtk.search._view(inv, k)) for k in range(3, f.colors + 1)
+            )
+            assert parts == check(g), g
+            held += parts
+        assert 0 < held < 2000
 
 
 class TestParityRule:
@@ -395,6 +426,40 @@ class TestEmittedSolutionChecks:
         out = search_gems(SearchSpec(seq=(10, 10, 10), vertex_count=10))
         assert (out.stats.candidates, len(out.solutions)) == (148, 24)
         assert calls == {"validate": 24, "semi_equivelar_type": 24}
+
+    def test_filter_check_runs_once_per_solution(self, monkeypatch):
+        # every filter part is decided once per prefix; the whole check runs
+        # only on the emitted solutions
+        calls = {"check_residues_sphere": 0, "graph_homology": 0}
+        for module, name in (
+            (gemtk.search, "check_residues_sphere"),
+            (gemtk.complexes, "graph_homology"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        out = search_gems(
+            SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True)
+        )
+        assert (out.stats.candidates, len(out.solutions)) == (93, 5)
+        assert calls["check_residues_sphere"] == 5
+        assert calls["graph_homology"] <= 170
+
+    def test_filter_recheck_still_fires(self, monkeypatch):
+        monkeypatch.setattr(
+            gemtk.search,
+            "_FILTERS",
+            tuple(f._replace(check=lambda graph: False) for f in gemtk.search._FILTERS),
+        )
+        with pytest.raises(RuntimeError, match="criterion_3manifold"):
+            search_gems(
+                SearchSpec(seq=(4, 8, 4, 8), vertex_count=8, require_3manifold=True,
+                           max_solutions=1)
+            )
 
     def test_type_recheck_still_fires(self, monkeypatch):
         monkeypatch.setattr(gemtk.search, "semi_equivelar_type", lambda graph: None)

@@ -92,14 +92,6 @@ def cmd_types(args) -> int:
     return 0
 
 
-def _homology_payload(graph):
-    profile = graph_homology(graph)
-    return {
-        "betti": [profile.betti(k) for k in range(graph.color_count)],
-        "torsion": [list(profile.torsion(k)) for k in range(graph.color_count)],
-    }
-
-
 def cmd_verify(args) -> int:
     graph = _load_graph(args.file)
     comps = connected_components(graph)
@@ -235,20 +227,23 @@ def cmd_homology(args) -> int:
         residue_subgraph(graph, graph.colors, comp)
         for comp in connected_components(graph)
     ]
-    if args.json:
-        for index, part in enumerate(parts):
-            payload = _homology_payload(part)
-            payload["p"] = part.vertex_count
-            payload["colors"] = part.color_count
+    for index, part in enumerate(parts):
+        profile = graph_homology(part)
+        dims = range(part.color_count)
+        if args.json:
+            payload = {
+                "betti": [profile.betti(k) for k in dims],
+                "torsion": [list(profile.torsion(k)) for k in dims],
+                "p": part.vertex_count,
+                "colors": part.color_count,
+            }
             if len(parts) > 1:
                 payload["component"] = index
             _report_json(payload)
-    else:
-        for index, part in enumerate(parts):
+        else:
             if len(parts) > 1:
                 print(f"component {index} ({part.vertex_count} vertices):")
-            profile = graph_homology(part)
-            for k in range(part.color_count):
+            for k in dims:
                 print(f"H_{k} = {profile.group_str(k)}")
     return 0
 

@@ -380,35 +380,19 @@ class ResidueSphereReport:
         return [v for v in self.verdicts if not v.ok]
 
 
-def sphere_verdicts(
-    graph: ColoredGraph, colors: Sequence[int], color: int
-) -> list[ResidueVerdict]:
-    """Verdict per component of the residue of four ``colors``: the
-    3-manifold criterion plus the integer homology of the 3-sphere.
-
-    The residue is the one that drops ``color`` from a 5-colored graph; the
-    verdicts are filed under ``color``.
-    """
-    if len(set(colors)) != 4:
-        raise ValueError("sphere verdicts need exactly 4 colors")
-    target = sphere_profile(3)
-    verdicts = []
-    for idx, comp in enumerate(residue_components(graph, colors)):
-        sub = residue_subgraph(graph, colors, comp)
-        criterion = check_3manifold(sub).holds
-        homology_ok = criterion and graph_homology(sub) == target
-        verdicts.append(
-            ResidueVerdict(color, idx, sub.vertex_count, criterion, homology_ok)
-        )
-    return verdicts
-
-
 def check_residues_sphere(graph: ColoredGraph) -> ResidueSphereReport:
     """Check every 4-colored residue component of a 5-colored graph."""
     if graph.color_count != 5:
         raise ValueError("residue sphere check needs exactly 5 colors")
+    target = sphere_profile(3)
     verdicts = []
     for dropped in range(5):
         kept = [c for c in range(5) if c != dropped]
-        verdicts.extend(sphere_verdicts(graph, kept, dropped))
+        for idx, comp in enumerate(residue_components(graph, kept)):
+            sub = residue_subgraph(graph, kept, comp)
+            criterion = check_3manifold(sub).holds
+            homology_ok = criterion and graph_homology(sub) == target
+            verdicts.append(
+                ResidueVerdict(dropped, idx, sub.vertex_count, criterion, homology_ok)
+            )
     return ResidueSphereReport(all(v.ok for v in verdicts), tuple(verdicts))

@@ -124,15 +124,21 @@ def validation_defects(
         )
 
     if isinstance(pairings, Mapping):
-        given = set(pairings)
-        expected = set(range(color_count))
-        for c in sorted(expected - given):
-            defects.append(GraphDefect(COLOR_GAP, color=c, detail="color has no pairing"))
-        for c in sorted(given - expected):
+        inside = sorted(c for c in pairings if 0 <= c < color_count)
+        # one defect per maximal run first..last of missing colors
+        first = 0
+        for c in inside + [color_count]:
+            if first < c:
+                run = "color has" if first == c - 1 else f"colors {first}..{c - 1} have"
+                defects.append(
+                    GraphDefect(COLOR_GAP, color=first, detail=f"{run} no pairing")
+                )
+            first = c + 1
+        for c in sorted(c for c in pairings if not 0 <= c < color_count):
             defects.append(
                 GraphDefect(COLOR_GAP, color=c, detail="color outside 0..color_count-1")
             )
-        by_color = {c: pairings[c] for c in sorted(given & expected)}
+        by_color = {c: pairings[c] for c in inside}
     else:
         if len(pairings) != color_count:
             defects.append(

@@ -27,21 +27,25 @@ and an odd label, and the search tries only partners of the other parity.
 A tracked path then alternates parity and has an even number of vertices,
 so the partner that closes it has the other parity too.
 
-Each manifold filter is split into parts by the highest color involved,
-and the part that color k-1 completes is decided once, on the view of colors
-0..k-1, as soon as they are complete: for the 3-manifold filter the triples
-{i, j, k-1} of ``complexes.triple_checks``, for the residue-sphere filter
-the 4-colored residues that contain k-1 (and at k = 3 the (0,1,2) triple,
-which the {0,1,2,3}-residue needs).  Residue counts and components depend
-only on their own colors, so a part has the same verdict on the prefix as
-on every complete graph below it, and over k = 3..d+1 the parts are exactly
-the public check: a failure prunes the whole subtree and nothing passes
-that the check rejects, so the depth-first order and the solutions are those
-of the unsplit search.  The last part runs on the complete candidate, after
-connectivity and before ``keep`` and the canonical code.  Emitted solutions
-alone are re-verified through the public validation, face tracing,
-bipartiteness and the filter's whole check; the search state guarantees
-all of them.
+Both manifold filters run one rule, split into parts by the highest color
+involved.  The part that color k-1 completes is decided once, on the view
+of colors 0..k-1, as soon as they are complete: the triples {i, j, k-1} by
+whole-graph counts (``complexes.triple_checks``) and, for the residue-sphere
+filter, the 3-sphere homology of every component of each 4-colored residue
+that contains k-1.  Every {i,j,l}-component lies inside one component of
+each 4-colored residue that contains the triple, so by the Euler argument
+of ``complexes.ThreeManifoldReport`` the whole-graph counts of all triples
+hold exactly when the 3-manifold criterion holds on every residue
+component.  Residue counts and components depend only on their own colors,
+so a part has the same verdict on the prefix as on every complete graph
+below it, and over k = 3..d+1 the parts split the triples and residues by
+their highest color and together are exactly the public check: a failure
+prunes the whole subtree and nothing passes that the check rejects, so the
+depth-first order and the solutions are those of the unsplit search.  The last part runs on the complete
+candidate, after connectivity and before ``keep`` and the canonical code.
+Emitted solutions alone are re-verified through the public validation,
+face tracing, bipartiteness and the filter's whole check; the search state
+guarantees all of them.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ from typing import Callable, NamedTuple
 from .complexes import (
     check_3manifold,
     check_residues_sphere,
-    sphere_verdicts,
+    graph_homology,
+    sphere_profile,
     triple_checks,
 )
 from .embeddings import semi_equivelar_type
@@ -63,6 +68,8 @@ from .graphs import (
     canonical_code,
     is_bipartite,
     is_connected,
+    residue_components,
+    residue_subgraph,
     validate,
 )
 
@@ -115,23 +122,24 @@ def _view(inv: list[list[int]], k: int) -> ColoredGraph:
     return ColoredGraph(k, len(inv[0]), tuple(tuple(row) for row in inv[:k]))
 
 
-def _new_triples(prefix: ColoredGraph) -> bool:
+def _new_part(prefix: ColoredGraph, spheres: bool) -> bool:
     """Colors 0..k-1 complete: does every triple {i, j, k-1} satisfy the
-    3-manifold criterion (every such component a 2-sphere)?"""
+    3-manifold criterion over the whole graph and, with ``spheres``, every
+    component of each 4-colored residue that contains k-1 have the integer
+    homology of the 3-sphere?"""
     new = prefix.color_count - 1
     triples = [(i, j, new) for i, j in itertools.combinations(range(new), 2)]
-    return all(t.holds for t in triple_checks(prefix, triples))
-
-
-def _new_residues(prefix: ColoredGraph) -> bool:
-    """Colors 0..k-1 complete: does every component of each 4-colored
-    residue that contains k-1 certify as a 3-sphere?"""
-    if prefix.color_count == 3:
-        return _new_triples(prefix)
-    new = prefix.color_count - 1
+    if not all(t.holds for t in triple_checks(prefix, triples)):
+        return False
+    if not spheres:
+        return True
     residues = [kept + (new,) for kept in itertools.combinations(range(new), 3)]
-    # a residue is filed under the color it drops from 0..4
-    return all(v.ok for r in residues for v in sphere_verdicts(prefix, r, 10 - sum(r)))
+    target = sphere_profile(3)
+    return all(
+        graph_homology(residue_subgraph(prefix, r, comp)) == target
+        for r in residues
+        for comp in residue_components(prefix, r)
+    )
 
 
 class _Filter(NamedTuple):
@@ -152,14 +160,14 @@ _FILTERS = (
         4,
         "criterion_3manifold",
         lambda graph: check_3manifold(graph).holds,
-        _new_triples,
+        lambda prefix: _new_part(prefix, spheres=False),
     ),
     _Filter(
         "require_residues_sphere",
         5,
         "criterion_residues",
         lambda graph: check_residues_sphere(graph).holds,
-        _new_residues,
+        lambda prefix: _new_part(prefix, spheres=True),
     ),
 )
 

@@ -203,6 +203,19 @@ class TestHomology:
         assert [r["component"] for r in records] == [0, 1]
         assert all(r["betti"] == [1, 0, 1] for r in records)
 
+    def test_disconnected_text_reported_per_component(self, capsys, tmp_path):
+        path = tmp_path / "two.gem"
+        path.write_text(
+            "gem 1\ncolors 3\nvertices 4\n"
+            "color 0: 0-1 2-3\ncolor 1: 0-1 2-3\ncolor 2: 0-1 2-3\n"
+        )
+        code, out, _ = run(capsys, "homology", str(path))
+        assert code == 0
+        block = ["H_0 = Z", "H_1 = 0", "H_2 = Z"]
+        assert out.splitlines() == (
+            ["component 0 (2 vertices):"] + block + ["component 1 (2 vertices):"] + block
+        )
+
 
 class TestSearch:
     def test_emits_gem_file(self, capsys, tmp_path):

@@ -50,6 +50,23 @@ class TestParse:
         colors = [d.color for d in err.value.defects]
         assert sorted(colors) == [0, 1, 2]
 
+    def test_large_color_header_gives_one_defect(self):
+        # the missing colors 0..999999 form one run, reported once
+        with pytest.raises(GemValidationError) as err:
+            parse_gem("gem 1\ncolors 1000000\nvertices 2\n")
+        assert [(d.kind, d.color) for d in err.value.defects] == [("ColorGap", 0)]
+        assert "0..999999" in err.value.defects[0].detail
+
+    def test_missing_colors_reported_as_runs(self):
+        text = "gem 1\ncolors 6\nvertices 2\ncolor 0: 0-1\ncolor 3: 0-1\n"
+        with pytest.raises(GemValidationError) as err:
+            parse_gem(text)
+        gaps = [(d.color, d.detail) for d in err.value.defects]
+        assert gaps == [
+            (1, "colors 1..2 have no pairing"),
+            (4, "colors 4..5 have no pairing"),
+        ]
+
     def test_malformed_pair(self):
         text = "gem 1\ncolors 2\nvertices 2\ncolor 0: 0-1\ncolor 1: 0~1\n"
         with pytest.raises(GemParseError) as err:

@@ -428,13 +428,18 @@ class TestEmittedSolutionChecks:
         assert calls == {"validate": 24, "semi_equivelar_type": 24}
 
     def test_filter_check_runs_once_per_solution(self, monkeypatch):
-        # every filter part is decided once per prefix; the whole check runs
-        # only on the emitted solutions
-        calls = {"check_residues_sphere": 0, "graph_homology": 0}
+        # every filter part is decided once per prefix, by whole-graph counts
+        # and residue homology; the whole check, with its per-residue
+        # 3-manifold criterion, runs only on the emitted solutions
+        calls = {"check_residues_sphere": 0, "graph_homology": 0, "check_3manifold": 0}
         for module, name in (
             (gemtk.search, "check_residues_sphere"),
+            (gemtk.search, "graph_homology"),
             (gemtk.complexes, "graph_homology"),
+            (gemtk.complexes, "check_3manifold"),
         ):
+            if not hasattr(module, name):
+                continue  # not imported there, so no call goes through it
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
@@ -447,7 +452,8 @@ class TestEmittedSolutionChecks:
         )
         assert (out.stats.candidates, len(out.solutions)) == (93, 5)
         assert calls["check_residues_sphere"] == 5
-        assert calls["graph_homology"] <= 170
+        assert calls["graph_homology"] <= 160
+        assert calls["check_3manifold"] == 30  # the 5 whole checks
 
     def test_filter_recheck_still_fires(self, monkeypatch):
         monkeypatch.setattr(

@@ -5,10 +5,10 @@ the colors; an edge of color j glues the facets opposite the j-labeled
 simplex vertices.  The cells labeled by a color subset B then correspond to
 the connected components of the residue on the complementary colors, and the
 boundary maps follow the label order, so the chain complex is exact integer
-linear algebra.  Homology comes from Smith normal form on sparse rows.
-Every column of a boundary matrix has at most d+1 nonzero entries, all
-+-1, so most pivots are +-1 entries, each eliminated one row and column at a
-time with an invariant factor 1; the few rows left, which hold all torsion,
+linear algebra.  Each boundary is a list of sparse rows, one dict of nonzero
+entries per (k-1)-cell, so memory grows with the nonzeros.  Every column has
+at most d+1 of them, all +-1, so Smith normal form mostly pivots on +-1
+entries with invariant factor 1; the few rows left, which hold all torsion,
 go through the same loop with least-absolute-value pivots.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .embeddings import embedding_report
 from .graphs import (
@@ -25,7 +25,7 @@ from .graphs import (
     residue_subgraph,
 )
 
-Matrix = list[list[int]]
+Matrix = list[dict[int, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +33,10 @@ Matrix = list[list[int]]
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_normal_form(matrix: Sequence[Mapping[int, int]]) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of a matrix in {column: entry} rows.
 
-    The nonzero entries of each row sit in a dict and the rows of each
+    Copies of each row's nonzero entries sit in a dict and the rows of each
     column in a set; the argument is not modified.  Sweeps first visit the
     columns in order of fewest nonzeros and pivot on the shortest row with a
     +-1 entry there, until no +-1 entry is left.  Then each pivot is an
@@ -52,7 +52,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(matrix):
-        entries = {j: int(v) for j, v in enumerate(row) if v}
+        entries = {j: int(v) for j, v in row.items() if v}
         if entries:
             rows[i] = entries
             for j in entries:
@@ -154,8 +154,8 @@ class Cell:
 class CellComplex:
     """Chain complex data of the cell complex induced by a colored graph.
 
-    ``boundaries[k]`` maps k-chains to (k-1)-chains as a dense integer matrix
-    (rows index (k-1)-cells); ``boundaries[0]`` is the zero map.
+    ``boundaries[k]`` maps k-chains to (k-1)-chains: one sparse row per
+    (k-1)-cell, ``{k-cell: entry}``; ``boundaries[0]`` is the zero map.
     """
 
     color_count: int
@@ -206,14 +206,14 @@ def build_complex(graph: ColoredGraph) -> CellComplex:
 
     boundaries: list[Matrix] = [[]]  # dimension 0 maps to zero
     for k in range(1, n):
-        rows = len(cells[k - 1])
-        mat: Matrix = [[0] * len(cells[k]) for _ in range(rows)]
+        mat: Matrix = [{} for _ in cells[k - 1]]
         for col, cell in enumerate(cells[k]):
             rep = cell.vertices[0]
             for pos, b in enumerate(cell.labels):
+                # each facet has its own label set, so no entry is set twice
                 sub = tuple(c for c in cell.labels if c != b)
                 row = offsets[sub] + comp_of_vertex[sub][rep]
-                mat[row][col] += (-1) ** pos
+                mat[row][col] = (-1) ** pos
         boundaries.append(mat)
     return CellComplex(n, graph.vertex_count, tuple(cells), tuple(boundaries))
 

@@ -96,6 +96,24 @@ def disjoint_union(*graphs: ColoredGraph) -> ColoredGraph:
     return ColoredGraph.from_involutions(pairings)
 
 
+def rp3_double() -> ColoredGraph:
+    """Two copies of the 12-vertex RP^3 gem, color 4 joining v and v + 12.
+
+    Its 4-residues without color 4 are the two RP^3 copies: they pass every
+    residue count but not the homology of the 3-sphere.
+    """
+    rp3 = [
+        [1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10],
+        [2, 3, 0, 1, 6, 7, 4, 5, 10, 11, 8, 9],
+        [1, 0, 3, 2, 8, 9, 10, 11, 4, 5, 6, 7],
+        [4, 11, 6, 9, 0, 10, 2, 8, 7, 3, 5, 1],
+    ]
+    double = disjoint_union(*[ColoredGraph.from_involutions(rp3)] * 2)
+    return ColoredGraph.from_involutions(
+        [*double.pairings, [(v + 12) % 24 for v in range(24)]]
+    )
+
+
 def connected_sum(a: ColoredGraph, b: ColoredGraph, v: int, w: int) -> ColoredGraph:
     """Graph connected sum: delete vertex v of a and vertex w of b, then join,
     color by color, the two vertices that were paired with them.
@@ -189,6 +207,16 @@ def naive_type_search(
 # ---------------------------------------------------------------------------
 # Exact linear algebra oracles
 # ---------------------------------------------------------------------------
+
+
+def sparse_rows(dense) -> list[dict[int, int]]:
+    """A dense integer matrix as the ``{column: entry}`` rows SNF reads."""
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def dense_rows(rows, ncols: int) -> list[list[int]]:
+    """Sparse ``{column: entry}`` rows as a dense matrix with ncols columns."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
 def det_bareiss(matrix) -> int:

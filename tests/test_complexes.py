@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,12 +29,14 @@ from gemtk.search import SearchSpec, search_gems
 from helpers import (
     connected_sum,
     cube_graph,
+    dense_rows,
     disjoint_union,
     k4_graph,
     minor_gcd_invariant_factors,
     random_colored_graph,
     random_connected_graph,
     rank_over_rationals,
+    sparse_rows,
     theta_graph,
 )
 
@@ -49,26 +52,35 @@ def _matmul_is_zero(a, b):
     return True
 
 
+def _boundaries(graphs):
+    """Each boundary but the zero map, as its sparse rows and a dense copy."""
+    return [
+        (mat, dense_rows(mat, len(k.cells[i])))
+        for k in map(build_complex, graphs)
+        for i, mat in enumerate(k.boundaries[1:], 1)
+    ]
+
+
 def _gem_scale_boundaries():
     """Boundary matrices of random connected gems with p=48 (4 colors) and
     p=24 (5 colors), up to 96 x 48."""
     rng = random.Random(71)
     graphs = [random_connected_graph(rng, 48, 4) for _ in range(3)]
     graphs += [random_connected_graph(rng, 24, 5) for _ in range(3)]
-    return [mat for g in graphs for mat in build_complex(g).boundaries[1:]]
+    return _boundaries(graphs)
 
 
 class TestSmithNormalForm:
     def test_diag_2_3(self):
-        assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
+        assert smith_normal_form(sparse_rows([[2, 0], [0, 3]])) == (1, 6)
 
     def test_zero_matrix(self):
-        assert smith_normal_form([[0, 0], [0, 0]]) == ()
+        assert smith_normal_form(sparse_rows([[0, 0], [0, 0]])) == ()
         assert smith_normal_form([]) == ()
 
     def test_identity(self):
         eye = [[int(i == j) for j in range(3)] for i in range(3)]
-        assert smith_normal_form(eye) == (1, 1, 1)
+        assert smith_normal_form(sparse_rows(eye)) == (1, 1, 1)
 
     def test_divisibility_chain(self):
         rng = random.Random(2)
@@ -76,7 +88,7 @@ class TestSmithNormalForm:
             m = rng.randrange(1, 6)
             n = rng.randrange(1, 6)
             mat = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(m)]
-            factors = smith_normal_form(mat)
+            factors = smith_normal_form(sparse_rows(mat))
             assert all(f > 0 for f in factors)
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
@@ -87,7 +99,8 @@ class TestSmithNormalForm:
             m = rng.randrange(1, 7)
             n = rng.randrange(1, 7)
             mat = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(m)]
-            assert smith_normal_form(mat) == minor_gcd_invariant_factors(mat)
+            expected = minor_gcd_invariant_factors(mat)
+            assert smith_normal_form(sparse_rows(mat)) == expected
         # without a +-1 entry, every factor comes from a least-|v| pivot
         for _ in range(200):
             m = rng.randrange(1, 7)
@@ -96,7 +109,8 @@ class TestSmithNormalForm:
                 [rng.choice((0, 2, -2, 3, -3, 4, -4, 6, -6)) for _ in range(n)]
                 for _ in range(m)
             ]
-            assert smith_normal_form(mat) == minor_gcd_invariant_factors(mat)
+            expected = minor_gcd_invariant_factors(mat)
+            assert smith_normal_form(sparse_rows(mat)) == expected
 
     def test_argument_is_not_modified(self):
         # homology passes the lists inside the frozen CellComplex.boundaries
@@ -105,18 +119,19 @@ class TestSmithNormalForm:
             [[rng.choice((0, 1, -1, 2, -2, 3, 6)) for _ in range(6)] for _ in range(5)]
             for _ in range(50)
         ]
-        for mat in mats + _gem_scale_boundaries():
-            before = [list(row) for row in mat]
+        mats = [sparse_rows(mat) for mat in mats]
+        for mat in mats + [rows for rows, _ in _gem_scale_boundaries()]:
+            before = [dict(row) for row in mat]
             smith_normal_form(mat)
             assert mat == before
         complex_ = build_complex(k4_graph())
-        before = [[list(row) for row in mat] for mat in complex_.boundaries]
+        before = [[dict(row) for row in mat] for mat in complex_.boundaries]
         assert homology(complex_).torsion(1) == (2,)
-        assert [[list(row) for row in mat] for mat in complex_.boundaries] == before
+        assert [[dict(row) for row in mat] for mat in complex_.boundaries] == before
 
     def test_known_textbook_case(self):
         mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        assert smith_normal_form(mat) == (2, 2, 156)
+        assert smith_normal_form(sparse_rows(mat)) == (2, 2, 156)
 
     def test_larger_matrices_rank_and_chain(self):
         # beyond the oracle's minor budget: check rank against exact Gaussian
@@ -128,7 +143,7 @@ class TestSmithNormalForm:
             m = rng.randrange(4, 13)
             n = rng.randrange(4, 13)
             mat = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
-            factors = smith_normal_form(mat)
+            factors = smith_normal_form(sparse_rows(mat))
             assert len(factors) == rank_over_rationals(mat)
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
@@ -137,10 +152,10 @@ class TestSmithNormalForm:
                 assert factors[0] == entries_gcd
 
     def test_rectangular_and_degenerate_shapes(self):
-        assert smith_normal_form([[0, 0, 7]]) == (7,)
-        assert smith_normal_form([[3], [6], [9]]) == (3,)
-        assert smith_normal_form([[4, 6]]) == (2,)
-        assert smith_normal_form([[2, 3], [4, 6]]) == (1,)
+        assert smith_normal_form(sparse_rows([[0, 0, 7]])) == (7,)
+        assert smith_normal_form(sparse_rows([[3], [6], [9]])) == (3,)
+        assert smith_normal_form(sparse_rows([[4, 6]])) == (2,)
+        assert smith_normal_form(sparse_rows([[2, 3], [4, 6]])) == (1,)
 
     def test_against_sympy_on_boundary_matrices(self):
         sympy = pytest.importorskip("sympy")
@@ -149,18 +164,17 @@ class TestSmithNormalForm:
         rng = random.Random(67)
         graphs = [random_colored_graph(rng, 8, 4) for _ in range(4)]
         graphs += [random_colored_graph(rng, 6, 5) for _ in range(2)]
-        mats = [mat for g in graphs for mat in build_complex(g).boundaries[1:]]
-        for mat in mats + _gem_scale_boundaries():
+        for rows, mat in _boundaries(graphs) + _gem_scale_boundaries():
             if not mat or not mat[0]:
                 continue
             expected = tuple(
                 int(f) for f in invariant_factors(sympy.Matrix(mat)) if int(f)
             )
-            assert smith_normal_form(mat) == expected
+            assert smith_normal_form(rows) == expected
 
     def test_rank_at_gem_scale(self):
-        for mat in _gem_scale_boundaries():
-            assert len(smith_normal_form(mat)) == rank_over_rationals(mat)
+        for rows, mat in _gem_scale_boundaries():
+            assert len(smith_normal_form(rows)) == rank_over_rationals(mat)
 
     def test_scrambled_torsion_block(self):
         # unimodular row and column operations keep the invariant factors;
@@ -178,7 +192,7 @@ class TestSmithNormalForm:
                 else:
                     for row in a:
                         row[i] += k * row[j]
-            assert smith_normal_form(a) == (1, 1, 2, 6)
+            assert smith_normal_form(sparse_rows(a)) == (1, 1, 2, 6)
 
 
 class TestBuildComplex:
@@ -218,12 +232,27 @@ class TestBuildComplex:
         graphs += [random_colored_graph(rng, 8, 4) for _ in range(5)]
         graphs += [random_colored_graph(rng, 6, 5) for _ in range(3)]
         for g in graphs:
-            k = build_complex(g)
-            for low, high in zip(k.boundaries[1:], k.boundaries[2:]):
+            mats = [mat for _, mat in _boundaries([g])]
+            for low, high in zip(mats, mats[1:]):
                 assert _matmul_is_zero(low, high)
 
 
 class TestHomology:
+    def test_memory_grows_with_the_nonzeros(self):
+        # a dense boundary 2 of this p = 2000 gem would hold 6M entries, of
+        # which 6k are nonzero: about 49 MB at peak against 3.5 MB sparse
+        g = random_connected_graph(random.Random(5), 2000, 3)
+        tracemalloc.start()
+        try:
+            graph_homology(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        k = build_complex(g)
+        assert all(v for mat in k.boundaries for row in mat for v in row.values())
+        assert sum(map(len, k.boundaries[2])) == 3 * len(k.cells[2])
+
     def test_theta_is_sphere(self):
         assert graph_homology(theta_graph()) == free_profile(1, 0, 1)
 

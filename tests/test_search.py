@@ -16,6 +16,7 @@ from gemtk import (
     graph_homology,
     is_bipartite,
     is_connected,
+    permute_colors,
     relabel,
     search_gems,
     semi_equivelar_type,
@@ -23,7 +24,7 @@ from gemtk import (
     validate,
 )
 
-from helpers import cube_graph, naive_type_search, random_colored_graph
+from helpers import cube_graph, naive_type_search, random_colored_graph, rp3_double
 
 
 class TestSpecRejection:
@@ -278,33 +279,48 @@ class TestStagedFilters:
         assert out.stats.prunes[key] > out.stats.candidates
 
     @pytest.mark.parametrize(
-        "flag,check",
+        "flag,check,fixed",
         [
             pytest.param(
-                "require_3manifold", lambda g: check_3manifold(g).holds, id="3manifold"
+                "require_3manifold",
+                lambda g: check_3manifold(g).holds,
+                [],
+                id="3manifold",
             ),
             pytest.param(
                 "require_residues_sphere",
                 lambda g: check_residues_sphere(g).holds,
+                # every residue count holds, but the two RP^3 residues fail
+                # homology, in the part of color 3 or 4 as sigma places them
+                [
+                    permute_colors(rp3_double(), sigma)
+                    for sigma in [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (4, 0, 1, 2, 3)]
+                ],
                 id="residues",
             ),
         ],
     )
-    def test_parts_partition_the_check(self, flag, check):
+    def test_parts_partition_the_check(self, flag, check, fixed):
         # the parts that colors 2..n-1 complete, each decided on the view of
         # the colors up to it, together decide exactly the public check
         f = next(f for f in gemtk.search._FILTERS if f.flag == flag)
         rng = random.Random(f.colors)
+
+        def parts(g):
+            inv = [list(row) for row in g.pairings]
+            return all(
+                f.part(gemtk.search._view(inv, k)) for k in range(3, f.colors + 1)
+            )
+
         held = 0
         for _ in range(2000):
             g = random_colored_graph(rng, 2 * rng.randint(1, 6), f.colors)
-            inv = [list(row) for row in g.pairings]
-            parts = all(
-                f.part(gemtk.search._view(inv, k)) for k in range(3, f.colors + 1)
-            )
-            assert parts == check(g), g
-            held += parts
+            holds = parts(g)
+            assert holds == check(g), g
+            held += holds
         assert 0 < held < 2000
+        for g in fixed:
+            assert (parts(g), check(g)) == (False, False), g
 
 
 class TestParityRule:

@@ -27,6 +27,17 @@ and an odd label, and the search tries only partners of the other parity.
 A tracked path then alternates parity and has an even number of vertices,
 so the partner that closes it has the other parity too.
 
+While color 2 is placed, v tries one partner in the fresh blocks (past v's
+block, with no color-2 edge): the first reached.  This is exact.  Fresh
+blocks permute freely, and a block's rotations by 2 and its reflection
+x -> 1-x (mod q0) preserve colors 0 and 1; under the parity rule the
+rotations alone are transitive on each parity class.  So an automorphism g
+of everything placed fixes v and maps any fresh partner u to the chosen one,
+and g maps the completions under v-u onto those under v-g(u).  Trackers,
+filters, connectivity, ``keep`` and canonical codes are invariant under g.
+The far end of a full path at v is never in a fresh block, and no block is
+fresh once color 2 is complete.
+
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
 of colors 0..k-1, as soon as they are complete: the triples {i, j, k-1} by
@@ -208,6 +219,8 @@ class _Stop(Exception):
 def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     """Run the search; ``keep`` optionally post-filters complete solutions.
 
+    ``keep`` must give isomorphic graphs the same verdict, since the search
+    skips graphs isomorphic to ones it tries and keeps one per class.
     ``max_solutions`` counts solutions that survive every filter (and
     ``keep``); the run is flagged exhausted only when the whole space was
     explored.
@@ -230,9 +243,11 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     solutions: list[ColoredGraph] = []
     seen_codes: set[str] = set()
 
-    inv = _fixed_residue(seq[0], p) + [[-1] * p for _ in range(n - 2)]
+    q0 = seq[0]
+    inv = _fixed_residue(q0, p) + [[-1] * p for _ in range(n - 2)]
     # partners of v in range(v + 1, p, 2) keep every edge even-odd
     step = 2 if spec.require_bipartite else 1
+    touched = [0] * (p // q0)  # color-2 edges per {0,1}-block
 
     deadline = None
     if spec.budget_seconds is not None:
@@ -310,9 +325,17 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
                 # the path at v is full: its only partner closes it
                 partners = (pend[v],)
                 break
+        # color 2 tries only the first partner reached in a fresh block (one
+        # past v's block with no color-2 edge); the rest are its images
+        fresh_from = v - v % q0 + q0 if c == 2 else p
+        fresh_tried = False
         for u in partners:
             if invc[u] >= 0:
                 continue
+            if u >= fresh_from and not touched[u // q0]:
+                if fresh_tried:
+                    continue
+                fresh_tried = True
             for pend, plen, target in tracks:
                 if pend[v] == u:
                     if plen[v] != target:
@@ -324,6 +347,9 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             else:
                 invc[v] = u
                 invc[u] = v
+                if c == 2:
+                    touched[v // q0] += 1
+                    touched[u // q0] += 1
                 # the path ends a, b join; v and u keep their entries
                 for pend, plen, _ in tracks:
                     a = pend[v]
@@ -343,6 +369,9 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
                         pend[b] = u
                         plen[a] = plen[v]
                         plen[b] = plen[u]
+                if c == 2:
+                    touched[v // q0] -= 1
+                    touched[u // q0] -= 1
                 invc[v] = invc[u] = -1
 
     start = time.monotonic()

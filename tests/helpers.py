@@ -167,6 +167,19 @@ def all_matchings(p: int) -> list[list[int]]:
     return out
 
 
+def standard_residue(q: int, p: int) -> tuple[list[int], list[int]]:
+    """Colors 0 and 1 of p/q alternating q-cycles: block k walks its vertices
+    kq, kq+1, ..., kq+q-1 in order, the even steps in color 0 and the odd
+    steps, closing back to kq, in color 1."""
+    color0, color1 = [0] * p, [0] * p
+    for base in range(0, p, q):
+        cycle = list(range(base, base + q))
+        for i, (a, b) in enumerate(zip(cycle, cycle[1:] + cycle[:1])):
+            inv = color1 if i % 2 else color0
+            inv[a], inv[b] = b, a
+    return color0, color1
+
+
 def naive_type_search(
     seq: tuple[int, ...],
     p: int,
@@ -175,19 +188,24 @@ def naive_type_search(
     require_3manifold: bool = False,
     require_residues_sphere: bool = False,
     fix_color0: bool = True,
+    fix_residue: bool = False,
 ) -> set[str]:
     """Canonical codes of all graphs with the given face-size sequence.
 
     Enumerates every combination of perfect matchings (color 0 fixed to the
-    standard pairing unless ``fix_color0`` is false) and filters through the
-    public verification functions only.
+    standard pairing unless ``fix_color0`` is false; colors 0 and 1 fixed to
+    ``standard_residue(seq[0], p)`` with ``fix_residue``) and filters through
+    the public verification functions only.
     """
     n = len(seq)
     matchings = all_matchings(p)
-    standard = [v ^ 1 for v in range(p)]
-    first = [standard] if fix_color0 else matchings
+    if fix_residue:
+        choices = [[color] for color in standard_residue(seq[0], p)]
+    else:
+        choices = [[[v ^ 1 for v in range(p)]] if fix_color0 else matchings]
+    choices += [matchings] * (n - len(choices))
     codes = set()
-    for combo in itertools.product(first, *([matchings] * (n - 1))):
+    for combo in itertools.product(*choices):
         graph = ColoredGraph(n, p, tuple(tuple(m) for m in combo))
         se = semi_equivelar_type(graph)
         if se is None or se.raw != tuple(seq):

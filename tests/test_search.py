@@ -194,6 +194,29 @@ class TestNaiveOracleAgreement:
         got = {canonical_code(g) for g in out.solutions}
         assert got == naive_type_search(seq, p, **kwargs)
 
+    @pytest.mark.parametrize(
+        "seq,p,kwargs,classes",
+        [
+            ((4, 12, 12), 12, {}, 8),
+            ((4, 6, 12), 12, {}, 3),
+            ((4, 6, 12), 12, {"require_connected": False}, 3),
+            ((4, 6, 12), 12, {"require_bipartite": True}, 1),
+            ((4, 4, 6), 12, {"require_bipartite": True}, 1),
+            ((4, 4, 8, 8), 8, {}, 24),
+            ((4, 4, 8, 8), 8, {"require_bipartite": True}, 3),
+            ((4, 8, 4, 8), 8, {}, 19),
+        ],
+    )
+    def test_fresh_block_rule_reaches_every_class(self, seq, p, kwargs, classes):
+        # two or three {0,1}-blocks: the oracle fixes the same residue but
+        # tries every matching for colors 2.., so it checks that one
+        # color-2 partner per fresh block loses no isomorphism class
+        out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
+        assert out.stats.exhausted
+        got = {canonical_code(g) for g in out.solutions}
+        assert got == naive_type_search(seq, p, fix_residue=True, **kwargs)
+        assert len(got) == classes
+
     def test_symmetry_breaking_loses_nothing(self):
         # oracle ranges over every color-0 matching; fixing colors 0 and 1 in
         # the search must reach the same isomorphism classes
@@ -349,9 +372,9 @@ class TestSearchOrder:
         [
             (SearchSpec(seq=(10, 10, 10), vertex_count=10), 306, 148),
             (SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_3manifold=True,
-                        max_solutions=1), 106_142, 26),
+                        max_solutions=1), 20_196, 26),
             (SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True),
-             418, 93),
+             190, 42),
         ],
     )
     def test_node_and_candidate_counts_are_pinned(self, spec, nodes, candidates):
@@ -402,6 +425,19 @@ class TestLimitsAndCounting:
         spec = SearchSpec(
             seq=seq, vertex_count=12, require_3manifold=True, budget_seconds=60
         )
+        assert count_nonisomorphic(spec) == classes
+
+    @pytest.mark.parametrize(
+        "seq,p,kwargs,classes",
+        [
+            ((4, 4, 4, 8), 16, {"require_3manifold": True}, 6),
+            ((8, 8, 8), 16, {}, 61),
+            ((4, 8, 8), 16, {}, 7),
+            ((4, 4, 4), 24, {"require_connected": False}, 4),
+        ],
+    )
+    def test_multi_block_counts_exhaust(self, seq, p, kwargs, classes):
+        spec = SearchSpec(seq=seq, vertex_count=p, budget_seconds=60, **kwargs)
         assert count_nonisomorphic(spec) == classes
 
     def test_deep_search_does_not_recurse(self):
@@ -466,9 +502,9 @@ class TestEmittedSolutionChecks:
         out = search_gems(
             SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True)
         )
-        assert (out.stats.candidates, len(out.solutions)) == (93, 5)
+        assert (out.stats.candidates, len(out.solutions)) == (42, 5)
         assert calls["check_residues_sphere"] == 5
-        assert calls["graph_homology"] <= 160
+        assert calls["graph_homology"] == 100
         assert calls["check_3manifold"] == 30  # the 5 whole checks
 
     def test_filter_recheck_still_fires(self, monkeypatch):

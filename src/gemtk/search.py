@@ -54,6 +54,10 @@ their highest color and together are exactly the public check: a failure
 prunes the whole subtree and nothing passes that the check rejects, so the
 depth-first order and the solutions are those of the unsplit search.  The last part runs on the complete
 candidate, after connectivity and before ``keep`` and the canonical code.
+A residue component is tested only once its four triples hold, so it is a
+connected closed 3-manifold gem, and chi = 0 lets one boundary decide it
+(``complexes.is_homology_3sphere``): H1 = 0 exactly when d2 has p + 1
+invariant factors, all 1, and H1 = 0 forces H2 = 0 and H3 = Z.
 Emitted solutions alone are re-verified through the public validation,
 face tracing, bipartiteness and the filter's whole check; the search state
 guarantees all of them.
@@ -69,8 +73,7 @@ from typing import Callable, NamedTuple
 from .complexes import (
     check_3manifold,
     check_residues_sphere,
-    graph_homology,
-    sphere_profile,
+    is_homology_3sphere,
     triple_checks,
 )
 from .embeddings import semi_equivelar_type
@@ -145,9 +148,8 @@ def _new_part(prefix: ColoredGraph, spheres: bool) -> bool:
     if not spheres:
         return True
     residues = [kept + (new,) for kept in itertools.combinations(range(new), 3)]
-    target = sphere_profile(3)
     return all(
-        graph_homology(residue_subgraph(prefix, r, comp)) == target
+        is_homology_3sphere(residue_subgraph(prefix, r, comp))
         for r in residues
         for comp in residue_components(prefix, r)
     )

@@ -96,8 +96,18 @@ def disjoint_union(*graphs: ColoredGraph) -> ColoredGraph:
     return ColoredGraph.from_involutions(pairings)
 
 
+def color4_double(graph: ColoredGraph) -> ColoredGraph:
+    """Two copies of a 4-colored graph on p vertices, color 4 joining v and
+    v + p: its two residues without color 4 are the copies."""
+    p = graph.vertex_count
+    double = disjoint_union(graph, graph)
+    return ColoredGraph.from_involutions(
+        [*double.pairings, [(v + p) % (2 * p) for v in range(2 * p)]]
+    )
+
+
 def rp3_double() -> ColoredGraph:
-    """Two copies of the 12-vertex RP^3 gem, color 4 joining v and v + 12.
+    """Two copies of the 12-vertex RP^3 gem, joined by color 4.
 
     Its 4-residues without color 4 are the two RP^3 copies: they pass every
     residue count but not the homology of the 3-sphere.
@@ -108,10 +118,7 @@ def rp3_double() -> ColoredGraph:
         [1, 0, 3, 2, 8, 9, 10, 11, 4, 5, 6, 7],
         [4, 11, 6, 9, 0, 10, 2, 8, 7, 3, 5, 1],
     ]
-    double = disjoint_union(*[ColoredGraph.from_involutions(rp3)] * 2)
-    return ColoredGraph.from_involutions(
-        [*double.pairings, [(v + 12) % 24 for v in range(24)]]
-    )
+    return color4_double(ColoredGraph.from_involutions(rp3))
 
 
 def connected_sum(a: ColoredGraph, b: ColoredGraph, v: int, w: int) -> ColoredGraph:

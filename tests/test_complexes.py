@@ -23,10 +23,12 @@ from gemtk import (
     sphere_profile,
     validate,
 )
+from gemtk.complexes import is_homology_3sphere
 from gemtk.graphs import ColoredGraph
 from gemtk.search import SearchSpec, search_gems
 
 from helpers import (
+    color4_double,
     connected_sum,
     cube_graph,
     dense_rows,
@@ -36,6 +38,7 @@ from helpers import (
     random_colored_graph,
     random_connected_graph,
     rank_over_rationals,
+    rp3_double,
     sparse_rows,
     theta_graph,
 )
@@ -437,7 +440,82 @@ class TestCheck3Manifold:
                 assert profile.betti(3) == 1
 
 
+def _gem(involutions: str) -> ColoredGraph:
+    """A gem from its involutions written as '(a,b,...) (c,d,...) ...'."""
+    return ColoredGraph.from_involutions(
+        [[int(x) for x in inv.strip("()").split(",")] for inv in involutions.split()]
+    )
+
+
+# 8-vertex closed 3-manifold gems whose homology is not that of S^3
+S2_X_S1 = _gem(  # (Z, Z, Z, Z)
+    "(2,3,0,1,6,7,4,5) (5,7,3,2,6,0,4,1) (5,4,7,6,1,0,3,2) (6,3,7,1,5,4,0,2)"
+)
+S2_TWISTED_S1 = _gem(  # non-orientable, (Z, Z, Z/2, 0)
+    "(5,3,4,1,2,0,7,6) (4,7,5,6,0,2,3,1) (4,5,3,2,0,1,7,6) (6,3,5,1,7,2,0,4)"
+)
+RP3_8 = _gem(  # (Z, Z/2, 0, Z)
+    "(4,6,3,2,0,7,1,5) (5,2,1,6,7,0,3,4) (2,5,0,4,3,1,7,6) (6,4,7,5,1,3,0,2)"
+)
+
+
+class TestIsHomology3Sphere:
+    """The one-boundary test agrees with the full homology on closed
+    3-manifold gems: H1 = 0 needs both p + 1 invariant factors of the
+    second boundary (S2 x S1 has rank p) and no torsion (RP^3 has Z/2)."""
+
+    def _agrees(self, g):
+        assert is_connected(g) and check_3manifold(g).holds
+        verdict = is_homology_3sphere(g)
+        assert verdict == (graph_homology(g) == sphere_profile(3))
+        return verdict
+
+    def test_two_vertex_sphere(self):
+        assert self._agrees(validate(4, 2, [[(0, 1)]] * 4))
+
+    def test_twelve_vertex_projective_space(self):
+        assert not self._agrees(residue_subgraph(rp3_double(), range(4), range(12)))
+
+    @pytest.mark.parametrize(
+        "g,groups",
+        [
+            (S2_X_S1, "(Z, Z, Z, Z)"),
+            (S2_TWISTED_S1, "(Z, Z, Z/2, 0)"),
+            (RP3_8, "(Z, Z/2, 0, Z)"),
+        ],
+    )
+    def test_eight_vertex_non_spheres(self, g, groups):
+        assert str(graph_homology(g)) == groups
+        assert not self._agrees(g)
+
+    def test_random_closed_3manifolds(self):
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(300):
+            g = random_connected_graph(rng, rng.choice([2, 4, 6, 8, 10]), 4)
+            if check_3manifold(g).holds:
+                self._agrees(g)
+                checked += 1
+        assert checked >= 100
+
+    def test_wrong_arity(self):
+        for g in (cube_graph(), validate(5, 2, [[(0, 1)]] * 5)):
+            with pytest.raises(ValueError):
+                is_homology_3sphere(g)
+
+
 class TestCheckResiduesSphere:
+    def test_non_sphere_residues_fail_on_homology_only(self):
+        # the two residues without color 4 are copies of S2 x S1: they pass
+        # every residue count, but their H1 is Z
+        report = check_residues_sphere(color4_double(S2_X_S1))
+        assert not report.holds
+        free = [v for v in report.verdicts if v.color == 4]
+        assert [(v.vertex_count, v.criterion_holds, v.homology_ok) for v in free] == [
+            (8, True, False),
+            (8, True, False),
+        ]
+
     def test_theta_like_five_colored(self):
         g = validate(5, 2, {c: [(0, 1)] for c in range(5)})
         report = check_residues_sphere(g)

@@ -375,6 +375,8 @@ class TestSearchOrder:
                         max_solutions=1), 20_196, 26),
             (SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True),
              190, 42),
+            (SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12, require_bipartite=True,
+                        require_residues_sphere=True), 1_567, 220),
         ],
     )
     def test_node_and_candidate_counts_are_pinned(self, spec, nodes, candidates):
@@ -434,6 +436,8 @@ class TestLimitsAndCounting:
             ((8, 8, 8), 16, {}, 61),
             ((4, 8, 8), 16, {}, 7),
             ((4, 4, 4), 24, {"require_connected": False}, 4),
+            ((4, 4, 4, 4, 6), 12,
+             {"require_residues_sphere": True, "require_bipartite": True}, 7),
         ],
     )
     def test_multi_block_counts_exhaust(self, seq, p, kwargs, classes):
@@ -481,11 +485,19 @@ class TestEmittedSolutionChecks:
 
     def test_filter_check_runs_once_per_solution(self, monkeypatch):
         # every filter part is decided once per prefix, by whole-graph counts
-        # and residue homology; the whole check, with its per-residue
-        # 3-manifold criterion, runs only on the emitted solutions
-        calls = {"check_residues_sphere": 0, "graph_homology": 0, "check_3manifold": 0}
+        # and one sphere test per residue component; the whole check, with
+        # its per-residue 3-manifold criterion, runs only on the emitted
+        # solutions, and no full homology is computed
+        calls = {
+            "check_residues_sphere": 0,
+            "is_homology_3sphere": 0,
+            "graph_homology": 0,
+            "check_3manifold": 0,
+        }
         for module, name in (
             (gemtk.search, "check_residues_sphere"),
+            (gemtk.search, "is_homology_3sphere"),
+            (gemtk.complexes, "is_homology_3sphere"),
             (gemtk.search, "graph_homology"),
             (gemtk.complexes, "graph_homology"),
             (gemtk.complexes, "check_3manifold"),
@@ -504,7 +516,8 @@ class TestEmittedSolutionChecks:
         )
         assert (out.stats.candidates, len(out.solutions)) == (42, 5)
         assert calls["check_residues_sphere"] == 5
-        assert calls["graph_homology"] == 100
+        assert calls["is_homology_3sphere"] == 100
+        assert calls["graph_homology"] == 0
         assert calls["check_3manifold"] == 30  # the 5 whole checks
 
     def test_filter_recheck_still_fires(self, monkeypatch):

@@ -296,9 +296,12 @@ def cmd_search(args) -> int:
     summary = (
         f"solutions: {len(outcome.solutions)}"
         f" nodes: {stats.nodes}"
+        f" candidates: {stats.candidates}"
         f" exhausted: {'yes' if stats.exhausted else 'no'}"
         f" elapsed: {stats.elapsed_seconds:.2f}s"
     )
+    if stats.prunes:
+        summary += " prunes: " + " ".join(f"{k}={v}" for k, v in stats.prunes.items())
     # with --json, stdout stays one record per solution
     print(summary, file=sys.stderr if args.json else sys.stdout)
     if outcome.solutions:

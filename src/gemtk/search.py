@@ -38,6 +38,24 @@ filters, connectivity, ``keep`` and canonical codes are invariant under g.
 The far end of a full path at v is never in a fresh block, and no block is
 fresh once color 2 is complete.
 
+Once colors 0..c-1 are complete, with 3 <= c < n, and their filter parts
+pass, a prefix isomorphic to one met before is skipped (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Its
+canonical code joins the candidates' codes in one set; a code starts with
+its color count, so the two kinds never collide.  This is exact.  The
+fresh-block rule acts only on color 2, so from color 3 on every matching
+that the trackers and the parity rule allow is enumerated.  Trackers,
+filter parts, connectivity, ``keep`` and canonical codes are invariant
+under color-preserving isomorphism, so the completions of an isomorphic
+prefix are the images of the first prefix's completions, which were all
+met before it.  Under the parity rule the isomorphism must also carry
+even-odd edges to even-odd edges.  A connected prefix has one bipartition,
+so the isomorphism keeps parity everywhere or swaps it everywhere, and
+either way even-odd edges stay even-odd.  On a disconnected prefix it may
+keep parity on one component and swap it on another (two chiral
+components glued with the same or the opposite handedness), so
+disconnected prefixes are never skipped under the parity rule.
+
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
 of colors 0..k-1, as soon as they are complete: the triples {i, j, k-1} by
@@ -117,6 +135,21 @@ class SearchSpec:
 
 @dataclass
 class SearchStats:
+    """Work done by one search.  ``prunes`` counts each cut by its reason,
+    non-zero keys only:
+
+    - ``wrong_cycle_length``, ``path_too_long``: an edge whose bicolored
+      path closes at the wrong length or grows too long; the edge is
+      never placed.
+    - ``criterion_3manifold``, ``criterion_residues``: a failing filter
+      part, on a prefix of complete colors or on a complete candidate.
+    - ``duplicate_prefix``: a prefix of complete colors isomorphic to one
+      met before.
+    - ``not_connected``, ``keep_rejected``, ``duplicate``: a complete
+      candidate that is disconnected, that ``keep`` rejects, or that is
+      isomorphic to an earlier solution.
+    """
+
     nodes: int = 0
     prunes: dict[str, int] = field(default_factory=dict)
     candidates: int = 0  # complete assignments before filtering
@@ -222,7 +255,8 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     """Run the search; ``keep`` optionally post-filters complete solutions.
 
     ``keep`` must give isomorphic graphs the same verdict, since the search
-    skips graphs isomorphic to ones it tries and keeps one per class.
+    skips graphs isomorphic to ones it tries and keeps one per class, and
+    skips every completion of a prefix isomorphic to one it has explored.
     ``max_solutions`` counts solutions that survive every filter (and
     ``keep``); the run is flagged exhausted only when the whole space was
     explored.
@@ -238,6 +272,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         "not_connected": 0,
         "criterion_3manifold": 0,
         "criterion_residues": 0,
+        "duplicate_prefix": 0,
         "duplicate": 0,
         "keep_rejected": 0,
     }
@@ -293,8 +328,9 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     def descend(c: int, v: int, tracks: list):
         """The node below an edge of color c: the least unpaired vertex of
         color c from v on, else vertex 0 of the next color.  None where a
-        filter part prunes or the graph is complete.  ``tracks`` holds one
-        path tracker ``(pend, plen, target)`` per constrained class of c."""
+        filter part prunes, the completed prefix was met before or the
+        graph is complete.  ``tracks`` holds one path tracker
+        ``(pend, plen, target)`` per constrained class of c."""
         invc = inv[c]
         while v < p and invc[v] >= 0:
             v += 1
@@ -304,10 +340,17 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         if c == n:
             finalize()
             return None
+        prefix = _view(inv, c)
         for f in filters:
-            if not f.part(_view(inv, c)):
+            if not f.part(prefix):
                 prunes[f.key] += 1
                 return None
+        if c >= 3 and (not spec.require_bipartite or is_connected(prefix)):
+            code = canonical_code(prefix)
+            if code in seen_codes:
+                prunes["duplicate_prefix"] += 1
+                return None
+            seen_codes.add(code)
         tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
         if c == n - 1:
             tracks.append((list(inv[0]), [2] * p, seq[c]))

@@ -238,6 +238,19 @@ class TestSearch:
         assert code == 0
         assert out.startswith("gem 1")
 
+    def test_summary_reports_candidates_and_prunes(self, capsys):
+        # with --json the summary goes to stderr; zero prune counts are left out
+        code, out, err = run(
+            capsys,
+            "search", "--type", "4,4,4,4,4", "--vertices", "8",
+            "--require-residues-sphere", "--all", "--json",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 5
+        assert "nodes: 142 candidates: 27 exhausted: yes" in err
+        assert " duplicate_prefix=3 duplicate=3" in err
+        assert "keep_rejected" not in err
+
     def test_infeasible_spec(self, capsys):
         code, _, err = run(capsys, "search", "--type", "2,2,2", "--vertices", "2")
         assert code == 2

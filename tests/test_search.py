@@ -195,6 +195,17 @@ class TestNaiveOracleAgreement:
         assert got == naive_type_search(seq, p, **kwargs)
 
     @pytest.mark.parametrize(
+        "seq,p,fires",
+        [((4, 8, 4, 8), 8, 6), ((6,) * 5, 6, 16)],
+    )
+    def test_prefix_rule_fires_on_oracle_specs(self, seq, p, fires):
+        # the oracle tests of a 4- and a 5-colored spec agree with the oracle
+        # while the search skips isomorphic prefixes, not because it never
+        # met one
+        out = search_gems(SearchSpec(seq=seq, vertex_count=p))
+        assert out.stats.prunes["duplicate_prefix"] == fires
+
+    @pytest.mark.parametrize(
         "seq,p,kwargs,classes",
         [
             ((4, 12, 12), 12, {}, 8),
@@ -205,6 +216,7 @@ class TestNaiveOracleAgreement:
             ((4, 4, 8, 8), 8, {}, 24),
             ((4, 4, 8, 8), 8, {"require_bipartite": True}, 3),
             ((4, 8, 4, 8), 8, {}, 19),
+            ((4, 8, 4, 8), 8, {"require_bipartite": True}, 2),
         ],
     )
     def test_fresh_block_rule_reaches_every_class(self, seq, p, kwargs, classes):
@@ -357,6 +369,10 @@ class TestParityRule:
             ((4, 4, 8, 8), 8, {}),
             ((4, 4, 4), 8, {"require_connected": False}),
             ((4, 8, 4, 8), 8, {"require_3manifold": True}),
+            # isomorphic prefixes are skipped under the parity rule
+            ((6, 6, 4, 4), 12, {}),
+            # disconnected prefixes are kept under the parity rule
+            ((4, 4, 4, 4), 16, {"require_connected": False}),
         ],
     )
     def test_parity_rule_loses_no_class(self, seq, p, kwargs):
@@ -368,23 +384,29 @@ class TestParityRule:
 
 class TestSearchOrder:
     @pytest.mark.parametrize(
-        "spec,nodes,candidates",
+        "spec,nodes,candidates,prefixes",
         [
-            (SearchSpec(seq=(10, 10, 10), vertex_count=10), 306, 148),
-            (SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_3manifold=True,
-                        max_solutions=1), 20_196, 26),
-            (SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True),
-             190, 42),
-            (SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12, require_bipartite=True,
-                        require_residues_sphere=True), 1_567, 220),
+            pytest.param(SearchSpec(seq=(10, 10, 10), vertex_count=10), 306, 148, 0,
+                         id="decagons"),
+            pytest.param(SearchSpec(seq=(4, 4, 4, 6), vertex_count=24,
+                                    require_3manifold=True, max_solutions=1),
+                         18_155, 26, 3, id="first-3manifold"),
+            pytest.param(SearchSpec(seq=(4,) * 5, vertex_count=8,
+                                    require_residues_sphere=True),
+                         142, 27, 3, id="residues"),
+            pytest.param(SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12,
+                                    require_bipartite=True, require_residues_sphere=True),
+                         792, 101, 28, id="bipartite-residues"),
         ],
     )
-    def test_node_and_candidate_counts_are_pinned(self, spec, nodes, candidates):
+    def test_node_and_candidate_counts_are_pinned(self, spec, nodes, candidates, prefixes):
         # exhaustive counts change when the search prunes differently; the
         # first hit's counts also change when partners are tried in another
-        # order
+        # order; a 3-colored search never completes a prefix of 3 colors
+        # below the last one, so it skips none
         out = search_gems(spec)
         assert (out.stats.nodes, out.stats.candidates) == (nodes, candidates)
+        assert out.stats.prunes.get("duplicate_prefix", 0) == prefixes
 
 
 class TestLimitsAndCounting:
@@ -514,9 +536,9 @@ class TestEmittedSolutionChecks:
         out = search_gems(
             SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True)
         )
-        assert (out.stats.candidates, len(out.solutions)) == (42, 5)
+        assert (out.stats.candidates, len(out.solutions)) == (27, 5)
         assert calls["check_residues_sphere"] == 5
-        assert calls["is_homology_3sphere"] == 100
+        assert calls["is_homology_3sphere"] == 79
         assert calls["graph_homology"] == 0
         assert calls["check_3manifold"] == 30  # the 5 whole checks
 

@@ -56,6 +56,29 @@ keep parity on one component and swap it on another (two chiral
 components glued with the same or the opposite handedness), so
 disconnected prefixes are never skipped under the parity rule.
 
+The last color n-1 is deduplicated without canonical codes when the prefix
+P of colors 0..n-2 is connected (the orbit test of orderly generation,
+Read, "Every one a winner", Ann. Discrete Math. 2, 1978).  A
+color-preserving automorphism of a connected graph is fixed by the image
+of vertex 0, so Aut(P) has at most p elements, found by one walk per image
+at the prefix's first candidate.  A candidate, the involution M of the last
+color, is rejected as a duplicate when g.M < M lexicographically for some g
+in Aut(P), where (g.M)[g(v)] = g(M[v]).  This is exact.  Two completions of
+one prefix are isomorphic exactly when some g in Aut(P) carries one to the
+other.  Explored connected prefixes are pairwise non-isomorphic: for n >= 4
+by the prefix rule, and for n = 3 a connected {0,1}-residue is one block.
+The set enumerated below a connected P is Aut(P)-invariant.  The trackers
+are invariant; on a connected bipartite P every automorphism keeps parity
+everywhere or swaps it everywhere; and the fresh-block rule never acts on
+the last color here, which for n >= 4 is past color 2, while a single
+block has no fresh block.  On the last color the depth-first order is the lexicographic
+order of M, so the test accepts exactly the first candidate met in each
+class, as the set of candidate codes did.  It runs before the filter's last
+part and ``keep``, both isomorphism-invariant, and connectivity needs no
+check, since P already spans.  A disconnected prefix (say a 3-colored
+residue of several blocks) can have a huge group, so its candidates keep
+the canonical codes, checked after the filter's last part and ``keep``.
+
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
 of colors 0..k-1, as soon as they are complete: the triples {i, j, k-1} by
@@ -70,8 +93,9 @@ so a part has the same verdict on the prefix as on every complete graph
 below it, and over k = 3..d+1 the parts split the triples and residues by
 their highest color and together are exactly the public check: a failure
 prunes the whole subtree and nothing passes that the check rejects, so the
-depth-first order and the solutions are those of the unsplit search.  The last part runs on the complete
-candidate, after connectivity and before ``keep`` and the canonical code.
+depth-first order and the solutions are those of the unsplit search.  The
+last part runs on the complete candidate, after the orbit test or the
+connectivity check and before ``keep`` and any canonical code.
 A residue component is tested only once its four triples hold, so it is a
 connected closed 3-manifold gem, and chi = 0 lets one boundary decide it
 (``complexes.is_homology_3sphere``): H1 = 0 exactly when d2 has p + 1
@@ -86,7 +110,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .complexes import (
     check_3manifold,
@@ -145,9 +169,11 @@ class SearchStats:
       part, on a prefix of complete colors or on a complete candidate.
     - ``duplicate_prefix``: a prefix of complete colors isomorphic to one
       met before.
-    - ``not_connected``, ``keep_rejected``, ``duplicate``: a complete
-      candidate that is disconnected, that ``keep`` rejects, or that is
-      isomorphic to an earlier solution.
+    - ``not_connected``, ``keep_rejected``: a complete candidate that is
+      disconnected or that ``keep`` rejects.
+    - ``duplicate``: a complete candidate isomorphic to an earlier
+      candidate.  On a connected prefix it is counted before the filter's
+      last part and ``keep``; on a disconnected one, after them.
     """
 
     nodes: int = 0
@@ -291,12 +317,24 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         deadline = time.monotonic() + spec.budget_seconds
     budget_mask = 0x3FF
 
+    # Aut of the last color's prefix as (g, g^-1) pairs without the identity,
+    # None if the prefix is disconnected; found at the prefix's first candidate
+    group = pending = object()
+
     def finalize():
+        nonlocal group
         if deadline is not None and time.monotonic() > deadline:
             raise _Stop
         stats.candidates += 1
+        if group is pending:
+            auts = _automorphisms(inv[:-1])
+            group = None if auts is None else auts[1:]
+        if group is not None and not _least_in_orbit(inv[-1], group):
+            prunes["duplicate"] += 1
+            return
         graph = _view(inv, n)
-        if spec.require_connected and not is_connected(graph):
+        # a connected prefix makes every candidate connected
+        if group is None and spec.require_connected and not is_connected(graph):
             prunes["not_connected"] += 1
             return
         for f in filters:
@@ -306,11 +344,12 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         if keep is not None and not keep(graph):
             prunes["keep_rejected"] += 1
             return
-        code = canonical_code(graph)
-        if code in seen_codes:
-            prunes["duplicate"] += 1
-            return
-        seen_codes.add(code)
+        if group is None:
+            code = canonical_code(graph)
+            if code in seen_codes:
+                prunes["duplicate"] += 1
+                return
+            seen_codes.add(code)
         # guaranteed by the search state; re-verified on what leaves it
         validate(n, p, [graph.pairs(c) for c in range(n)])
         se = semi_equivelar_type(graph)
@@ -331,6 +370,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         filter part prunes, the completed prefix was met before or the
         graph is complete.  ``tracks`` holds one path tracker
         ``(pend, plen, target)`` per constrained class of c."""
+        nonlocal group
         invc = inv[c]
         while v < p and invc[v] >= 0:
             v += 1
@@ -354,6 +394,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
         if c == n - 1:
             tracks.append((list(inv[0]), [2] * p, seq[c]))
+            group = pending
         return node(c, 0, tracks)
 
     def node(c: int, v: int, tracks: list):
@@ -434,6 +475,56 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     stats.elapsed_seconds = time.monotonic() - start
     stats.prunes = {k: v for k, v in prunes.items() if v}
     return SearchOutcome(spec, solutions, stats)
+
+
+def _map_from(rows: Sequence[Sequence[int]], t: int):
+    """The color-preserving map g with g(0) = t on the component of 0, with
+    its inverse (-1 off that component), or None if no such map exists."""
+    p = len(rows[0])
+    g, g_inv = [-1] * p, [-1] * p
+    g[0], g_inv[t] = t, 0
+    reached = [0]
+    for v in reached:
+        x = g[v]
+        for row in rows:
+            w, y = row[v], row[x]
+            if g[w] < 0:
+                g[w], g_inv[y] = y, w
+                reached.append(w)
+            elif g[w] != y:
+                return None
+    return g, g_inv
+
+
+def _automorphisms(rows: Sequence[Sequence[int]]):
+    """The color-preserving automorphisms of the graph whose involutions are
+    ``rows``, as (g, g^-1) pairs with the identity first; None if the graph
+    is disconnected.
+
+    On a connected graph g is fixed by g(0): it sends the c-neighbor of v to
+    the c-neighbor of g(v).  So one walk per image t of vertex 0 finds the
+    group, and a walk stops at its first conflict.  A walk without one maps
+    the graph onto a union of its components, that is onto itself, so it
+    is a bijection.
+    """
+    identity = _map_from(rows, 0)
+    if -1 in identity[0]:
+        return None
+    maps = (_map_from(rows, t) for t in range(1, len(rows[0])))
+    return [identity] + [m for m in maps if m is not None]
+
+
+def _least_in_orbit(m: Sequence[int], group) -> bool:
+    """Is no image g.m, with (g.m)[g(v)] = g(m[v]), of the involution m
+    lexicographically smaller than m, for the (g, g^-1) in ``group``?"""
+    for g, g_inv in group:
+        for w, mw in enumerate(m):
+            x = g[m[g_inv[w]]]
+            if x != mw:
+                if x < mw:
+                    return False
+                break
+    return True
 
 
 def _fixed_residue(q0: int, p: int) -> list[list[int]]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -24,7 +25,14 @@ from gemtk import (
     validate,
 )
 
-from helpers import cube_graph, naive_type_search, random_colored_graph, rp3_double
+from helpers import (
+    cube_graph,
+    disjoint_union,
+    naive_type_search,
+    random_colored_graph,
+    random_connected_graph,
+    rp3_double,
+)
 
 
 class TestSpecRejection:
@@ -120,6 +128,14 @@ class TestSoundness:
         assert first.stats.prunes == second.stats.prunes
 
 
+def _class_codes(solutions):
+    """The canonical codes of ``solutions``, which must be pairwise
+    non-isomorphic: a set alone would hide an emitted duplicate."""
+    codes = {canonical_code(g) for g in solutions}
+    assert len(codes) == len(solutions)
+    return codes
+
+
 class TestNaiveOracleAgreement:
     @pytest.mark.parametrize(
         "seq,p",
@@ -129,14 +145,14 @@ class TestNaiveOracleAgreement:
     def test_connected_specs(self, seq, p):
         out = search_gems(SearchSpec(seq=seq, vertex_count=p))
         assert out.stats.exhausted
-        got = {canonical_code(g) for g in out.solutions}
+        got = _class_codes(out.solutions)
         assert got == naive_type_search(seq, p)
 
     def test_disconnected_included_when_allowed(self):
         out = search_gems(
             SearchSpec(seq=(4, 4, 4), vertex_count=8, require_connected=False)
         )
-        got = {canonical_code(g) for g in out.solutions}
+        got = _class_codes(out.solutions)
         assert got == naive_type_search((4, 4, 4), 8, require_connected=False)
         # the cube plus the disjoint double of the 4-vertex coloring
         assert len(got) > 1
@@ -145,25 +161,25 @@ class TestNaiveOracleAgreement:
         out = search_gems(
             SearchSpec(seq=(4, 4, 8), vertex_count=8, require_bipartite=True)
         )
-        got = {canonical_code(g) for g in out.solutions}
+        got = _class_codes(out.solutions)
         assert got == naive_type_search((4, 4, 8), 8, require_bipartite=True)
 
     def test_four_colored_specs(self):
         for seq, p in [((4, 4, 4, 4), 4), ((6, 6, 6, 6), 6)]:
             out = search_gems(SearchSpec(seq=seq, vertex_count=p))
-            got = {canonical_code(g) for g in out.solutions}
+            got = _class_codes(out.solutions)
             assert got == naive_type_search(seq, p)
 
     def test_four_colored_manifold_filter_agrees(self):
         out = search_gems(
             SearchSpec(seq=(6, 6, 6, 6), vertex_count=6, require_3manifold=True)
         )
-        got = {canonical_code(g) for g in out.solutions}
+        got = _class_codes(out.solutions)
         assert got == naive_type_search((6, 6, 6, 6), 6, require_3manifold=True)
 
     def test_five_colored_spec(self):
         out = search_gems(SearchSpec(seq=(4,) * 5, vertex_count=4))
-        got = {canonical_code(g) for g in out.solutions}
+        got = _class_codes(out.solutions)
         assert got == naive_type_search((4,) * 5, 4)
 
     @pytest.mark.parametrize(
@@ -191,7 +207,7 @@ class TestNaiveOracleAgreement:
         # filters in the search lose no isomorphism class
         out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
         assert out.stats.exhausted
-        got = {canonical_code(g) for g in out.solutions}
+        got = _class_codes(out.solutions)
         assert got == naive_type_search(seq, p, **kwargs)
 
     @pytest.mark.parametrize(
@@ -225,7 +241,7 @@ class TestNaiveOracleAgreement:
         # color-2 partner per fresh block loses no isomorphism class
         out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
         assert out.stats.exhausted
-        got = {canonical_code(g) for g in out.solutions}
+        got = _class_codes(out.solutions)
         assert got == naive_type_search(seq, p, fix_residue=True, **kwargs)
         assert len(got) == classes
 
@@ -235,7 +251,7 @@ class TestNaiveOracleAgreement:
         for seq, p in [((4, 4, 4), 4), ((6, 6, 6), 6)]:
             free = naive_type_search(seq, p, fix_color0=False)
             out = search_gems(SearchSpec(seq=seq, vertex_count=p))
-            assert {canonical_code(g) for g in out.solutions} == free
+            assert _class_codes(out.solutions) == free
 
     def test_every_class_has_standard_color0_representative(self):
         # relabeling vertices along the color-0 pairs standardizes color 0
@@ -260,7 +276,7 @@ class TestNaiveOracleAgreement:
 def _codes(spec, keep=None):
     out = search_gems(spec, keep=keep)
     assert out.stats.exhausted
-    return {canonical_code(g) for g in out.solutions}
+    return _class_codes(out.solutions)
 
 
 class TestStagedFilters:
@@ -382,6 +398,51 @@ class TestParityRule:
         assert parity == _codes(spec, keep=is_bipartite)
 
 
+class TestLastColorOrbits:
+    """On a connected prefix the last color is deduplicated by the prefix's
+    automorphisms; no candidate gets a canonical code."""
+
+    def test_automorphisms_match_brute_force(self):
+        rng = random.Random(17)
+        nontrivial = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, 2 * rng.randint(1, 3), rng.randint(2, 4))
+            p = g.vertex_count
+            auts = gemtk.search._automorphisms(g.pairings)
+            assert auts[0][0] == list(range(p))
+            for a, a_inv in auts:
+                assert [a[x] for x in a_inv] == list(range(p))
+            brute = {
+                perm for perm in itertools.permutations(range(p)) if relabel(g, perm) == g
+            }
+            assert len(auts) == len(brute)
+            assert {tuple(a) for a, _ in auts} == brute
+            nontrivial += len(auts) > 1
+        assert 0 < nontrivial < 60
+        cube = cube_graph()
+        auts = gemtk.search._automorphisms(cube.pairings)
+        assert sorted(a for a, _ in auts) == [[v ^ t for v in range(8)] for t in range(8)]
+        assert gemtk.search._automorphisms(disjoint_union(cube, cube).pairings) is None
+
+    @pytest.mark.parametrize(
+        "seq,p,kwargs,classes",
+        [
+            ((12, 12, 12), 12, {}, 125),
+            ((12, 12, 12), 12, {"require_bipartite": True}, 0),
+            ((10, 10, 10), 10, {"require_bipartite": True}, 4),
+        ],
+    )
+    def test_single_block_matches_oracle(self, seq, p, kwargs, classes):
+        # one {0,1}-block: the prefix is connected, so every duplicate among
+        # the last color's matchings is rejected by the orbit test
+        out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
+        assert out.stats.exhausted
+        got = _class_codes(out.solutions)
+        assert got == naive_type_search(seq, p, fix_residue=True, **kwargs)
+        assert len(got) == classes
+        assert (out.stats.prunes.get("duplicate", 0) > 0) == (classes > 0)
+
+
 class TestSearchOrder:
     @pytest.mark.parametrize(
         "spec,nodes,candidates,prefixes",
@@ -492,7 +553,9 @@ class TestEmittedSolutionChecks:
     type re-check run once per emitted solution."""
 
     def test_checks_run_once_per_class(self, monkeypatch):
-        calls = {"validate": 0, "semi_equivelar_type": 0}
+        # the single {0,1}-block is a connected prefix, so its candidates are
+        # deduplicated by its automorphisms, with no canonical code
+        calls = {"validate": 0, "semi_equivelar_type": 0, "canonical_code": 0}
         for name in calls:
             original = getattr(gemtk.search, name)
 
@@ -503,7 +566,7 @@ class TestEmittedSolutionChecks:
             monkeypatch.setattr(gemtk.search, name, counted)
         out = search_gems(SearchSpec(seq=(10, 10, 10), vertex_count=10))
         assert (out.stats.candidates, len(out.solutions)) == (148, 24)
-        assert calls == {"validate": 24, "semi_equivelar_type": 24}
+        assert calls == {"validate": 24, "semi_equivelar_type": 24, "canonical_code": 0}
 
     def test_filter_check_runs_once_per_solution(self, monkeypatch):
         # every filter part is decided once per prefix, by whole-graph counts

@@ -19,6 +19,20 @@ path beyond the target length, prunes the branch.  A path at v that already
 has the target length can only close, so its far end is v's only partner.
 Only consecutive color pairs are constrained; the remaining classes are free.
 
+On the last color each edge grows a path in one or both trackers, and the
+grown paths' ends are checked at once, before any child node (forward
+checking, Haralick & Elliott, Artif. Intell. 14, 1980).  A path that just
+became full can only close by the edge joining its ends a, b, so a-b must
+pass the other tracker: close a path of the target length there, or join
+two paths whose lengths add up to at most the target.  An end whose path in
+the other tracker is full has one partner y, that path's far end; a-y must
+not close the grown path short of its target, nor make it too long.  A
+failure undoes the edge as ``dead_closure``.  This is exact.  Path lengths
+only grow and the ends of a full path can pair only with each other, so a
+failed check fails in every completion, and only subtrees without a
+candidate are cut: the depth-first order, the candidates and the solutions
+are those of the search without the check.
+
 Bipartite graphs are searched by vertex parity.  Numbering each
 {0,1}-cycle from a vertex on side 0 of the bipartition puts every even
 label on side 0, since the blocks start at multiples of the even q0; so
@@ -61,7 +75,7 @@ P of colors 0..n-2 is connected (the orbit test of orderly generation,
 Read, "Every one a winner", Ann. Discrete Math. 2, 1978).  A
 color-preserving automorphism of a connected graph is fixed by the image
 of vertex 0, so Aut(P) has at most p elements, found by one walk per image
-at the prefix's first candidate.  A candidate, the involution M of the last
+at the prefix's second candidate.  A candidate, the involution M of the last
 color, is rejected as a duplicate when g.M < M lexicographically for some g
 in Aut(P), where (g.M)[g(v)] = g(M[v]).  This is exact.  Two completions of
 one prefix are isomorphic exactly when some g in Aut(P) carries one to the
@@ -73,11 +87,14 @@ everywhere or swaps it everywhere; and the fresh-block rule never acts on
 the last color here, which for n >= 4 is past color 2, while a single
 block has no fresh block.  On the last color the depth-first order is the lexicographic
 order of M, so the test accepts exactly the first candidate met in each
-class, as the set of candidate codes did.  It runs before the filter's last
-part and ``keep``, both isomorphism-invariant, and connectivity needs no
-check, since P already spans.  A disconnected prefix (say a 3-colored
-residue of several blocks) can have a huge group, so its candidates keep
-the canonical codes, checked after the filter's last part and ``keep``.
+class, as the set of candidate codes did.  The first candidate below P is
+the least of the whole set, so it passes without the group: there only the
+identity walk runs, to tell whether P is connected.  The test runs before
+the filter's last part and ``keep``, both isomorphism-invariant, and
+connectivity needs no check, since P already spans.  A disconnected prefix
+(say a 3-colored residue of several blocks) can have a huge group, so its
+candidates keep the canonical codes, checked after the filter's last part
+and ``keep``.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -165,6 +182,10 @@ class SearchStats:
     - ``wrong_cycle_length``, ``path_too_long``: an edge whose bicolored
       path closes at the wrong length or grows too long; the edge is
       never placed.
+    - ``dead_closure``: an edge of the last color after which a forced
+      edge, the only partner left to an end of a full path, would close a
+      path at the wrong length or grow one too long; the edge is undone
+      before any child node.
     - ``criterion_3manifold``, ``criterion_residues``: a failing filter
       part, on a prefix of complete colors or on a complete candidate.
     - ``duplicate_prefix``: a prefix of complete colors isomorphic to one
@@ -295,6 +316,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     prunes = {
         "wrong_cycle_length": 0,
         "path_too_long": 0,
+        "dead_closure": 0,
         "not_connected": 0,
         "criterion_3manifold": 0,
         "criterion_residues": 0,
@@ -318,18 +340,23 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     budget_mask = 0x3FF
 
     # Aut of the last color's prefix as (g, g^-1) pairs without the identity,
-    # None if the prefix is disconnected; found at the prefix's first candidate
+    # None if the prefix is disconnected; ``pending`` until the prefix's first
+    # candidate, ``unbuilt`` (connected) until its second
     group = pending = object()
+    unbuilt = object()
 
     def finalize():
         nonlocal group
         if deadline is not None and time.monotonic() > deadline:
             raise _Stop
         stats.candidates += 1
+        if group is unbuilt:
+            group = _automorphisms(inv[:-1])[1:]
         if group is pending:
-            auts = _automorphisms(inv[:-1])
-            group = None if auts is None else auts[1:]
-        if group is not None and not _least_in_orbit(inv[-1], group):
+            # the first candidate is the least in its orbit: only the
+            # identity walk runs, to tell whether the prefix is connected
+            group = None if -1 in _map_from(inv[:-1], 0)[0] else unbuilt
+        elif group is not None and not _least_in_orbit(inv[-1], group):
             prunes["duplicate"] += 1
             return
         graph = _view(inv, n)
@@ -399,7 +426,8 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
 
     def node(c: int, v: int, tracks: list):
         """Pair v with each allowed partner in turn: yield the child node of
-        each edge, and undo the edge when resumed."""
+        each edge, and undo the edge when resumed.  On the last color an
+        edge that fails ``_dead_closure`` is undone at once."""
         stats.nodes += 1
         if deadline is not None and (stats.nodes & budget_mask) == 0:
             if time.monotonic() > deadline:
@@ -415,6 +443,9 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         # past v's block with no color-2 edge); the rest are its images
         fresh_from = v - v % q0 + q0 if c == 2 else p
         fresh_tried = False
+        last = len(tracks) == 2
+        if last:
+            (pend0, plen0, t0), (pend1, plen1, t1) = tracks
         for u in partners:
             if invc[u] >= 0:
                 continue
@@ -444,9 +475,15 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
                         pend[a] = b
                         pend[b] = a
                         plen[a] = plen[b] = plen[v] + plen[u]
-                child = descend(c, v + 1, tracks)
-                if child is not None:
-                    yield child
+                if last and (
+                    _dead_closure(pend0, plen0, t0, pend1, plen1, t1, v, u)
+                    or _dead_closure(pend1, plen1, t1, pend0, plen0, t0, v, u)
+                ):
+                    prunes["dead_closure"] += 1
+                else:
+                    child = descend(c, v + 1, tracks)
+                    if child is not None:
+                        yield child
                 for pend, plen, _ in tracks:
                     a = pend[v]
                     if a != u:
@@ -475,6 +512,38 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     stats.elapsed_seconds = time.monotonic() - start
     stats.prunes = {k: v for k, v in prunes.items() if v}
     return SearchOutcome(spec, solutions, stats)
+
+
+def _dead_closure(pend, plen, target, qend, qlen, qtarget, v, u) -> bool:
+    """On the last color, the edge v-u has just been placed and both
+    trackers updated, v and u keeping their old far ends: if v-u grew a
+    path of the tracker ``(pend, plen, target)`` to the ends a, b, is every
+    completion dead in the other tracker ``(qend, qlen, qtarget)``?
+
+    A full path closes only by a-b, so a-b must pass the other tracker.  An
+    end whose path in the other tracker is full has one partner y, the far
+    end there, which must not close the grown path short or make it too
+    long.  Path lengths only grow, so a failure here fails in every
+    completion.
+    """
+    a = pend[v]
+    if a == u:  # v-u closed a cycle
+        return False
+    b = pend[u]
+    length = plen[a]
+    if length == target:
+        if qend[a] == b:
+            return qlen[a] != qtarget
+        return qlen[a] + qlen[b] > qtarget
+    if qlen[a] == qtarget:
+        y = qend[a]
+        if y == b or length + plen[y] > target:
+            return True
+    if qlen[b] == qtarget:
+        y = qend[b]
+        if y == a or length + plen[y] > target:
+            return True
+    return False
 
 
 def _map_from(rows: Sequence[Sequence[int]], t: int):

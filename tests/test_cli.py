@@ -253,6 +253,17 @@ class TestSearch:
         assert " criterion_residues=36 duplicate_prefix=3 duplicate=6" in err
         assert "keep_rejected" not in err
 
+    def test_first_hit_summary_reports_dead_closures(self, capsys):
+        code, out, err = run(
+            capsys,
+            "search", "--type", "4,4,4,6", "--vertices", "24",
+            "--require-3manifold", "--max", "1", "--json",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1
+        assert "nodes: 511 candidates: 26 exhausted: no" in err
+        assert " dead_closure=972 " in err
+
     def test_infeasible_spec(self, capsys):
         code, _, err = run(capsys, "search", "--type", "2,2,2", "--vertices", "2")
         assert code == 2

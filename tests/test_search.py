@@ -222,6 +222,22 @@ class TestNaiveOracleAgreement:
         assert out.stats.prunes["duplicate_prefix"] == fires
 
     @pytest.mark.parametrize(
+        "seq,p,kwargs,fires",
+        [
+            ((8, 4, 8), 8, {}, 2),
+            ((4, 6, 12), 12, {}, 3),
+            ((4, 6, 12), 12, {"require_bipartite": True}, 2),
+            ((4, 8, 4, 8), 8, {}, 9),
+        ],
+    )
+    def test_dead_closure_fires_on_oracle_specs(self, seq, p, kwargs, fires):
+        # the oracle tests of these specs agree with the oracle while the
+        # last color cuts edges whose forced closing edges fail the other
+        # tracker, not because no such edge ever came up
+        out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
+        assert out.stats.prunes["dead_closure"] == fires
+
+    @pytest.mark.parametrize(
         "seq,p,kwargs,classes",
         [
             ((4, 12, 12), 12, {}, 8),
@@ -442,25 +458,47 @@ class TestLastColorOrbits:
         assert len(got) == classes
         assert (out.stats.prunes.get("duplicate", 0) > 0) == (classes > 0)
 
+    def test_group_waits_for_the_second_candidate(self, monkeypatch):
+        # the first candidate below a prefix is the least in its orbit, so
+        # it needs only the identity walk; the group is built once, at the
+        # second candidate: the identity and one walk per other image of 0
+        walks = 0
+        original = gemtk.search._map_from
+
+        def counted(rows, t):
+            nonlocal walks
+            walks += 1
+            return original(rows, t)
+
+        monkeypatch.setattr(gemtk.search, "_map_from", counted)
+        out = search_gems(SearchSpec(seq=(200,) * 3, vertex_count=200, max_solutions=1))
+        assert (len(out.solutions), out.stats.candidates, walks) == (1, 1, 1)
+        walks = 0
+        out = search_gems(SearchSpec(seq=(12,) * 3, vertex_count=12))
+        assert out.stats.exhausted and len(out.solutions) == 125
+        assert walks == 1 + 12
+
 
 class TestSearchOrder:
     @pytest.mark.parametrize(
-        "spec,nodes,candidates,prefixes",
+        "spec,nodes,candidates,prefixes,closures",
         [
-            pytest.param(SearchSpec(seq=(10, 10, 10), vertex_count=10), 306, 148, 0,
+            pytest.param(SearchSpec(seq=(10, 10, 10), vertex_count=10), 306, 148, 0, 0,
                          id="decagons"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 6), vertex_count=24,
                                     require_3manifold=True, max_solutions=1),
-                         18_155, 26, 3, id="first-3manifold"),
+                         511, 26, 3, 972, id="first-3manifold"),
             pytest.param(SearchSpec(seq=(4,) * 5, vertex_count=8,
                                     require_residues_sphere=True),
-                         142, 27, 3, id="residues"),
+                         142, 27, 3, 0, id="residues"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12,
                                     require_bipartite=True, require_residues_sphere=True),
-                         792, 101, 28, id="bipartite-residues"),
+                         747, 101, 28, 37, id="bipartite-residues"),
         ],
     )
-    def test_node_and_candidate_counts_are_pinned(self, spec, nodes, candidates, prefixes):
+    def test_node_and_candidate_counts_are_pinned(
+        self, spec, nodes, candidates, prefixes, closures
+    ):
         # exhaustive counts change when the search prunes differently; the
         # first hit's counts also change when partners are tried in another
         # order; a 3-colored search never completes a prefix of 3 colors
@@ -468,6 +506,7 @@ class TestSearchOrder:
         out = search_gems(spec)
         assert (out.stats.nodes, out.stats.candidates) == (nodes, candidates)
         assert out.stats.prunes.get("duplicate_prefix", 0) == prefixes
+        assert out.stats.prunes.get("dead_closure", 0) == closures
 
 
 class TestLimitsAndCounting:
@@ -521,6 +560,8 @@ class TestLimitsAndCounting:
             ((4, 4, 4), 24, {"require_connected": False}, 4),
             ((4, 4, 4, 4, 6), 12,
              {"require_residues_sphere": True, "require_bipartite": True}, 7),
+            ((4, 6, 18), 72, {"require_bipartite": True}, 24),
+            ((4, 8, 10), 80, {"require_bipartite": True}, 51),
         ],
     )
     def test_multi_block_counts_exhaust(self, seq, p, kwargs, classes):

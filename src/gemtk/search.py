@@ -70,31 +70,58 @@ keep parity on one component and swap it on another (two chiral
 components glued with the same or the opposite handedness), so
 disconnected prefixes are never skipped under the parity rule.
 
-The last color n-1 is deduplicated without canonical codes when the prefix
-P of colors 0..n-2 is connected (the orbit test of orderly generation,
-Read, "Every one a winner", Ann. Discrete Math. 2, 1978).  A
-color-preserving automorphism of a connected graph is fixed by the image
-of vertex 0, so Aut(P) has at most p elements, found by one walk per image
-at the prefix's second candidate.  A candidate, the involution M of the last
+The last color n-1 is deduplicated by the orbit test of orderly
+generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978) below
+the prefix P of colors 0..n-2.  A candidate, the involution M of the last
 color, is rejected as a duplicate when g.M < M lexicographically for some g
-in Aut(P), where (g.M)[g(v)] = g(M[v]).  This is exact.  Two completions of
-one prefix are isomorphic exactly when some g in Aut(P) carries one to the
-other.  Explored connected prefixes are pairwise non-isomorphic: for n >= 4
-by the prefix rule, and for n = 3 a connected {0,1}-residue is one block.
-The set enumerated below a connected P is Aut(P)-invariant.  The trackers
-are invariant; on a connected bipartite P every automorphism keeps parity
-everywhere or swaps it everywhere; and the fresh-block rule never acts on
-the last color here, which for n >= 4 is past color 2, while a single
-block has no fresh block.  On the last color the depth-first order is the lexicographic
-order of M, so the test accepts exactly the first candidate met in each
-class, as the set of candidate codes did.  The first candidate below P is
-the least of the whole set, so it passes without the group: there only the
-identity walk runs, to tell whether P is connected.  The test runs before
-the filter's last part and ``keep``, both isomorphism-invariant, and
-connectivity needs no check, since P already spans.  A disconnected prefix
-(say a 3-colored residue of several blocks) can have a huge group, so its
-candidates keep the canonical codes, checked after the filter's last part
-and ``keep``.
+in Aut(P), where (g.M)[g(v)] = g(M[v]).  Two completions of one prefix are
+isomorphic exactly when some g in Aut(P) carries one to the other.
+
+Aut(P) is built at the prefix's second candidate.  A color-preserving
+automorphism of a connected graph is fixed by the image of vertex 0, so a
+connected P has at most p of them, found by one walk per image and listed.
+A disconnected P is never listed: its group can be huge (the {0,1}-residue
+of k blocks has k!*q0^k elements).  An automorphism of it maps each
+component onto an isomorphic one, where it is fixed by the image of one
+vertex, and matches the components of each isomorphism type one to one.  The
+test backtracks over positions w = 0, 1, ... and fixes a component's map the
+first time the comparison of (g.M)[w] = g(M[g^-1(w)]) with M[w] touches that
+component.  It stops at the first position where g.M and M differ: past it
+any partial map extends to a whole automorphism, since the components left
+of each type still match one to one.
+
+Under the parity rule only even-odd images count.  A component map keeps
+the parity flag g(x) - x mod 2 on its whole component, so g.M is even-odd
+exactly when the flags agree at both ends of every M-edge, which on a
+connected candidate means one flag for all.  On a connected P every
+automorphism keeps or swaps parity everywhere, so every image counts.  A
+disconnected P meets the test under the parity rule only for n = 3, where
+its components are {0,1}-blocks: each has maps of both flags (rotations by 2
+and reflections x -> 1-x), so a partial map of one flag extends.
+
+This is exact.  Explored prefixes are pairwise non-isomorphic: for n >= 4 by
+the prefix rule, and for n = 3 P is the fixed {0,1}-residue.  The trackers
+are invariant under Aut(P), and on the last color the depth-first order is
+the lexicographic order of M.  For n >= 4 the set enumerated below P is
+every matching that the trackers and the parity rule allow, and wherever
+the test runs it holds every image of its members.  For n = 3 the
+fresh-block rule skips only matchings M with an image g.M < M: g permutes
+and rotates fresh blocks (by even steps under the parity rule) and fixes the
+rest, so it fixes every vertex below v and the partner of each, and maps the
+skipped partner of v to the smaller one tried.  So the
+least member of each class is enumerated, and the test accepts exactly it,
+the first candidate met in the class, as the set of candidate codes did.
+The first candidate below P is the least of all, so it passes without the
+group: there only the identity walk runs, to tell whether P is connected.
+The test runs before the filter's last part and ``keep``, both
+isomorphism-invariant; a connected P makes every candidate connected.
+
+Two kinds of candidate keep a canonical code instead, checked after the
+filter's last part and ``keep``: disconnected candidates, met only with
+``require_connected=False``, whose equal branches would multiply with the
+candidate's isomorphic components; and, under the parity rule with n >= 4,
+the candidates below a disconnected prefix, since such prefixes are not
+deduplicated and candidates of two of them can be isomorphic.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -111,8 +138,8 @@ below it, and over k = 3..d+1 the parts split the triples and residues by
 their highest color and together are exactly the public check: a failure
 prunes the whole subtree and nothing passes that the check rejects, so the
 depth-first order and the solutions are those of the unsplit search.  The
-last part runs on the complete candidate, after the orbit test or the
-connectivity check and before ``keep`` and any canonical code.
+last part runs on the complete candidate, after the connectivity check and
+the orbit test and before ``keep`` and any canonical code.
 A residue component is tested only once its four triples hold, so it is a
 connected closed 3-manifold gem, and chi = 0 lets one boundary decide it
 (``complexes.is_homology_3sphere``): H1 = 0 exactly when d2 has p + 1
@@ -193,8 +220,10 @@ class SearchStats:
     - ``not_connected``, ``keep_rejected``: a complete candidate that is
       disconnected or that ``keep`` rejects.
     - ``duplicate``: a complete candidate isomorphic to an earlier
-      candidate.  On a connected prefix it is counted before the filter's
-      last part and ``keep``; on a disconnected one, after them.
+      candidate.  It is counted before the filter's last part and ``keep``,
+      except where candidates keep canonical codes (a disconnected
+      candidate, or a disconnected prefix of n >= 4 colors under the parity
+      rule), where it is counted after them.
     """
 
     nodes: int = 0
@@ -339,31 +368,48 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         deadline = time.monotonic() + spec.budget_seconds
     budget_mask = 0x3FF
 
-    # Aut of the last color's prefix as (g, g^-1) pairs without the identity,
-    # None if the prefix is disconnected; ``pending`` until the prefix's first
-    # candidate, ``unbuilt`` (connected) until its second
+    # the last color's prefix P: ``whole`` tells whether it is connected;
+    # ``group`` is ``pending`` until P's first candidate, ``unbuilt`` until
+    # its second, then Aut(P), as (g, g^-1) pairs without the identity when
+    # P is connected and as its components when not; None where candidates
+    # keep canonical codes
     group = pending = object()
     unbuilt = object()
+    whole = True
 
     def finalize():
-        nonlocal group
+        nonlocal group, whole
         if deadline is not None and time.monotonic() > deadline:
             raise _Stop
         stats.candidates += 1
-        if group is unbuilt:
-            group = _automorphisms(inv[:-1])[1:]
-        if group is pending:
+        first = group is pending
+        if first:
             # the first candidate is the least in its orbit: only the
             # identity walk runs, to tell whether the prefix is connected
-            group = None if -1 in _map_from(inv[:-1], 0)[0] else unbuilt
-        elif group is not None and not _least_in_orbit(inv[-1], group):
-            prunes["duplicate"] += 1
-            return
-        graph = _view(inv, n)
+            whole = -1 not in _map_from(inv[:-1], 0)[0]
+            # disconnected prefixes of n >= 4 colors under the parity rule
+            # are not deduplicated, so their candidates keep codes
+            group = unbuilt if whole or n == 3 or not spec.require_bipartite else None
+        coded = group is None
         # a connected prefix makes every candidate connected
-        if group is None and spec.require_connected and not is_connected(graph):
-            prunes["not_connected"] += 1
-            return
+        graph = None if whole else _view(inv, n)
+        if graph is not None and not is_connected(graph):
+            if spec.require_connected:
+                prunes["not_connected"] += 1
+                return
+            coded = True
+        if not (first or coded):
+            if group is unbuilt:
+                rows = inv[:-1]
+                group = (
+                    _automorphisms(rows)[1:] if whole
+                    else _Components(rows, spec.require_bipartite)
+                )
+            if not (_least_in_orbit(inv[-1], group) if whole else group.least(inv[-1])):
+                prunes["duplicate"] += 1
+                return
+        if graph is None:
+            graph = _view(inv, n)
         for f in filters:
             if not f.part(graph):
                 prunes[f.key] += 1
@@ -371,7 +417,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         if keep is not None and not keep(graph):
             prunes["keep_rejected"] += 1
             return
-        if group is None:
+        if coded:
             code = canonical_code(graph)
             if code in seen_codes:
                 prunes["duplicate"] += 1
@@ -566,21 +612,159 @@ def _map_from(rows: Sequence[Sequence[int]], t: int):
 
 
 def _automorphisms(rows: Sequence[Sequence[int]]):
-    """The color-preserving automorphisms of the graph whose involutions are
-    ``rows``, as (g, g^-1) pairs with the identity first; None if the graph
-    is disconnected.
+    """The color-preserving automorphisms of the connected graph whose
+    involutions are ``rows``, as (g, g^-1) pairs with the identity first.
 
-    On a connected graph g is fixed by g(0): it sends the c-neighbor of v to
-    the c-neighbor of g(v).  So one walk per image t of vertex 0 finds the
-    group, and a walk stops at its first conflict.  A walk without one maps
-    the graph onto a union of its components, that is onto itself, so it
-    is a bijection.
+    g is fixed by g(0): it sends the c-neighbor of v to the c-neighbor of
+    g(v).  So one walk per image t of vertex 0 finds the group, and a walk
+    stops at its first conflict.  A walk without one maps the graph onto a
+    union of its components, that is onto itself, so it is a bijection.
     """
-    identity = _map_from(rows, 0)
-    if -1 in identity[0]:
-        return None
-    maps = (_map_from(rows, t) for t in range(1, len(rows[0])))
-    return [identity] + [m for m in maps if m is not None]
+    maps = (_map_from(rows, t) for t in range(len(rows[0])))
+    return [m for m in maps if m is not None]
+
+
+class _Components:
+    """Aut(P) of a disconnected graph P, given by its components and never
+    listed.  An automorphism maps each component onto an isomorphic one,
+    where it is fixed by the image of one vertex.  Two walks that visit
+    neighbors in color order, from a and from b, map a to b exactly when
+    they read the same code, the walk position of every neighbor.  A walk
+    is built when first needed and is as long as its component.
+
+    With ``parity`` P is even-odd and only even-odd images count.  The
+    parity flag (g(x) - x) mod 2 of a component map is constant on the
+    component, so g.m is even-odd exactly when the flags agree at both ends
+    of each m-edge; when P and m together are connected, that is one flag
+    for all.  Every component must then have automorphisms of both flags,
+    as an alternating 2-colored cycle has (its rotations by 2 and its
+    reflections through an edge), so that maps of either flag extend.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]], parity: bool):
+        p = len(rows[0])
+        self.rows = rows
+        self.parity = parity
+        self.codes: dict[tuple[int, ...], int] = {}  # walk code -> its number
+        self.walks: dict[int, tuple[int, list[int]]] = {}  # start -> (code number, order)
+        self.comp = [-1] * p
+        self.members: list[list[int]] = []  # each component, walked from its least vertex
+        for v in range(p):
+            if self.comp[v] < 0:
+                order = self._walk(v)[1]
+                for x in order:
+                    self.comp[x] = len(self.members)
+                self.members.append(order)
+        self.g, self.g_inv = [0] * p, [0] * p  # the map being built
+
+    def _walk(self, s: int) -> tuple[int, list[int]]:
+        """The code number and the vertex order of the walk from s."""
+        walk = self.walks.get(s)
+        if walk is None:
+            order, at, code = [s], {s: 0}, []
+            for v in order:
+                for row in self.rows:
+                    u = row[v]
+                    if u not in at:
+                        at[u] = len(order)
+                        order.append(u)
+                    code.append(at[u])
+            number = self.codes.setdefault(tuple(code), len(self.codes))
+            walk = self.walks[s] = (number, order)
+        return walk
+
+    def _fits(self, a: int, b: int, flag) -> bool:
+        """May a component map send a to b, given the flag of the maps made
+        so far (None before the first)?"""
+        if self._walk(a)[0] != self._walk(b)[0]:
+            return False
+        return not self.parity or flag is None or (b - a) & 1 == flag
+
+    def least(self, m: Sequence[int]) -> bool:
+        """Is no image g.m of the involution m, for g in Aut(P) (even-odd
+        under ``parity``, where P and m together must be connected), smaller
+        than m lexicographically?
+
+        A backtrack over positions w = 0, 1, ... compares (g.m)[w] =
+        g(m[g^-1(w)]) with m[w].  It chooses g^-1(w) when w's component has
+        no preimage yet, and fixes g on the component of y = m[g^-1(w)] the
+        first time it meets it: if some free component takes y below m[w],
+        g.m < m; otherwise g(y) = m[w] is the only way on.  It stops at the
+        first position where g.m and m differ: components of each type are
+        matched one to one (and with one flag under ``parity``), so the
+        partial map extends to an automorphism.
+        """
+        comp, members, g, g_inv = self.comp, self.members, self.g, self.g_inv
+        p = len(m)
+        src = [False] * len(members)  # components that g is fixed on
+        dst = [False] * len(members)  # components that g maps onto
+        trail = []  # (source, target, flag) of each component map, in order
+        stack = []  # choice points [w, preimages of w, next one, len(trail)]
+        w = 0
+        while True:
+            if w < p:
+                flag = trail[0][2] if trail else None
+                d = comp[w]
+                if dst[d]:
+                    mw = m[w]
+                    y = m[g_inv[w]]
+                    if src[comp[y]]:
+                        if g[y] == mw:
+                            w += 1
+                            continue
+                        if g[y] < mw:
+                            return False
+                    elif self._lowers(y, mw, dst, flag):
+                        return False
+                    elif not dst[comp[mw]] and self._fits(y, mw, flag):
+                        self._map(y, mw, src, dst, trail)
+                        w += 1
+                        continue
+                else:
+                    size = len(members[d])
+                    preimages = [
+                        x
+                        for c, part in enumerate(members)
+                        if not src[c] and len(part) == size
+                        for x in part
+                        if self._fits(x, w, flag)
+                    ]
+                    stack.append([w, preimages, 0, len(trail)])
+            # g.m = m up to w, or it failed at w: try the next preimage
+            while stack:
+                top = stack[-1]
+                while len(trail) > top[3]:
+                    c, d, _ = trail.pop()
+                    src[c] = dst[d] = False
+                if top[2] < len(top[1]):
+                    w = top[0]
+                    self._map(top[1][top[2]], w, src, dst, trail)
+                    top[2] += 1
+                    break
+                stack.pop()
+            else:
+                return True
+
+    def _lowers(self, y: int, mw: int, dst: list[bool], flag) -> bool:
+        """Can y go below mw in a component that no map reaches yet?"""
+        size = len(self.members[self.comp[y]])
+        for d, part in enumerate(self.members):
+            if part[0] >= mw:
+                break
+            if not dst[d] and len(part) == size:
+                if any(z < mw and self._fits(y, z, flag) for z in part):
+                    return True
+        return False
+
+    def _map(self, a: int, b: int, src: list[bool], dst: list[bool], trail: list) -> None:
+        """Fix g on the component of a by g(a) = b."""
+        g, g_inv = self.g, self.g_inv
+        for x, y in zip(self._walk(a)[1], self._walk(b)[1]):
+            g[x] = y
+            g_inv[y] = x
+        c, d = self.comp[a], self.comp[b]
+        src[c] = dst[d] = True
+        trail.append((c, d, (b - a) & 1))
 
 
 def _least_in_orbit(m: Sequence[int], group) -> bool:

@@ -7,6 +7,7 @@ import pytest
 import gemtk.complexes
 import gemtk.search
 from gemtk import (
+    ColoredGraph,
     InfeasibleSpecError,
     SearchBudgetExceeded,
     SearchSpec,
@@ -31,8 +32,19 @@ from helpers import (
     naive_type_search,
     random_colored_graph,
     random_connected_graph,
+    random_matching,
     rp3_double,
 )
+
+
+def _even_odd_matching(rng: random.Random, p: int) -> list[int]:
+    odds = list(range(1, p, 2))
+    rng.shuffle(odds)
+    inv = [0] * p
+    for even, odd in zip(range(0, p, 2), odds):
+        inv[even] = odd
+        inv[odd] = even
+    return inv
 
 
 class TestSpecRejection:
@@ -415,8 +427,10 @@ class TestParityRule:
 
 
 class TestLastColorOrbits:
-    """On a connected prefix the last color is deduplicated by the prefix's
-    automorphisms; no candidate gets a canonical code."""
+    """The last color is deduplicated by the prefix's automorphisms, listed
+    when the prefix is connected and given by component maps when not; a
+    connected candidate gets a canonical code only below a disconnected
+    prefix of four or more colors under the parity rule."""
 
     def test_automorphisms_match_brute_force(self):
         rng = random.Random(17)
@@ -438,7 +452,53 @@ class TestLastColorOrbits:
         cube = cube_graph()
         auts = gemtk.search._automorphisms(cube.pairings)
         assert sorted(a for a, _ in auts) == [[v ^ t for v in range(8)] for t in range(8)]
-        assert gemtk.search._automorphisms(disjoint_union(cube, cube).pairings) is None
+        # two cubes: a disconnected prefix, whose group is given by components
+        comps = gemtk.search._Components(disjoint_union(cube, cube).pairings, parity=False)
+        assert [sorted(part) for part in comps.members] == [list(range(8)), list(range(8, 16))]
+        straight = [v + 8 for v in range(8)] + list(range(8))
+        twisted = [(v ^ 1) + 8 for v in range(8)] + [(v - 8) ^ 1 for v in range(8, 16)]
+        assert comps.least(straight) and not comps.least(twisted)
+
+    @pytest.mark.parametrize("parity", [False, True])
+    def test_component_orbit_test_matches_brute_force(self, parity):
+        # below a disconnected prefix P the group is never listed; here it is,
+        # by all permutations.  Under the parity rule only even-odd images
+        # count, and the search meets it only on a {0,1}-residue whose blocks
+        # m connects, so P has two colors there
+        rng = random.Random(29)
+        seen = {"lowered": 0, "least": 0, "flag_matters": 0}
+        graphs = 0
+        while graphs < 60:
+            p = 2 * rng.randint(2, 4)
+            matching = _even_odd_matching if parity else random_matching
+            rows = [matching(rng, p) for _ in range(2 if parity else rng.randint(2, 4))]
+            if is_connected(ColoredGraph.from_involutions(rows)):
+                continue
+            graphs += 1
+            comps = gemtk.search._Components(rows, parity)
+            auts = [
+                g for g in itertools.permutations(range(p))
+                if all(row[g[v]] == g[row[v]] for row in rows for v in range(p))
+            ]
+            for _ in range(5):
+                m = matching(rng, p)
+                if parity and not is_connected(ColoredGraph.from_involutions(rows + [m])):
+                    continue
+                images = []
+                for g in auts:
+                    image = [0] * p
+                    for v in range(p):
+                        image[g[v]] = g[m[v]]
+                    images.append(image)
+                lowered = min(images) < m
+                if parity:
+                    even_odd = [x for x in images if all((v + x[v]) & 1 for v in range(p))]
+                    seen["flag_matters"] += lowered != (min(even_odd) < m)
+                    lowered = min(even_odd) < m
+                assert comps.least(m) != lowered, (rows, m)
+                seen["lowered" if lowered else "least"] += 1
+        assert seen["lowered"] > 20 and seen["least"] > 20
+        assert (seen["flag_matters"] > 0) == parity
 
     @pytest.mark.parametrize(
         "seq,p,kwargs,classes",
@@ -457,6 +517,30 @@ class TestLastColorOrbits:
         assert got == naive_type_search(seq, p, fix_residue=True, **kwargs)
         assert len(got) == classes
         assert (out.stats.prunes.get("duplicate", 0) > 0) == (classes > 0)
+
+    @pytest.mark.parametrize(
+        "seq,p,codes,classes",
+        [((4, 4, 8, 8), 8, 6, 24), ((8, 8, 8), 16, 0, 61)],
+    )
+    def test_disconnected_prefix_candidates_get_no_code(
+        self, monkeypatch, seq, p, codes, classes
+    ):
+        # the last-color prefixes of (4,4,8,8);8 include disconnected ones,
+        # and (8,8,8);16 has a {0,1}-residue of two blocks; their candidates
+        # are deduplicated by component maps, so only the prefixes of
+        # colors 0..2 get canonical codes
+        calls = 0
+        original = gemtk.search.canonical_code
+
+        def counted(graph):
+            nonlocal calls
+            calls += 1
+            return original(graph)
+
+        monkeypatch.setattr(gemtk.search, "canonical_code", counted)
+        out = search_gems(SearchSpec(seq=seq, vertex_count=p))
+        assert out.stats.exhausted and len(out.solutions) == classes
+        assert calls == codes
 
     def test_group_waits_for_the_second_candidate(self, monkeypatch):
         # the first candidate below a prefix is the least in its orbit, so
@@ -562,6 +646,9 @@ class TestLimitsAndCounting:
              {"require_residues_sphere": True, "require_bipartite": True}, 7),
             ((4, 6, 18), 72, {"require_bipartite": True}, 24),
             ((4, 8, 10), 80, {"require_bipartite": True}, 51),
+            # each loses classes if the orbit test ignores the parity flag
+            ((8, 8, 8), 16, {"require_bipartite": True}, 6),
+            ((6, 6, 6), 18, {"require_bipartite": True}, 2),
         ],
     )
     def test_multi_block_counts_exhaust(self, seq, p, kwargs, classes):
@@ -642,7 +729,9 @@ class TestEmittedSolutionChecks:
         )
         assert (out.stats.candidates, len(out.solutions)) == (27, 5)
         assert calls["check_residues_sphere"] == 5
-        assert calls["is_homology_3sphere"] == 79
+        # duplicates below disconnected prefixes are rejected by the orbit
+        # test before the filter's last part, so they make no sphere test
+        assert calls["is_homology_3sphere"] == 67
         assert calls["graph_homology"] == 0
         assert calls["check_3manifold"] == 30  # the 5 whole checks
 

@@ -16,14 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .embeddings import embedding_report
-from .graphs import (
-    ColoredGraph,
-    residue_components,
-    residue_subgraph,
-)
+from .graphs import ColoredGraph, residue_components
 
 Matrix = list[dict[int, int]]
 
@@ -127,6 +123,38 @@ def _add_row(
             cols[j].discard(i)
     if not row:
         del rows[i]
+
+
+# ---------------------------------------------------------------------------
+# Residue table
+# ---------------------------------------------------------------------------
+
+
+class ResidueTable:
+    """The residues of one graph, each color subset's components computed
+    once.  ``colors`` is always a sorted tuple; ``components`` lists the
+    components as :func:`residue_components` does, and ``index`` maps each
+    vertex to the position of its component in that list."""
+
+    def __init__(self, graph: ColoredGraph):
+        self.graph = graph
+        self._components: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self._index: dict[tuple[int, ...], list[int]] = {}
+
+    def components(self, colors: tuple[int, ...]) -> list[tuple[int, ...]]:
+        comps = self._components.get(colors)
+        if comps is None:
+            comps = self._components[colors] = residue_components(self.graph, colors)
+        return comps
+
+    def index(self, colors: tuple[int, ...]) -> list[int]:
+        lookup = self._index.get(colors)
+        if lookup is None:
+            lookup = self._index[colors] = [0] * self.graph.vertex_count
+            for idx, comp in enumerate(self.components(colors)):
+                for v in comp:
+                    lookup[v] = idx
+        return lookup
 
 
 # ---------------------------------------------------------------------------
@@ -280,38 +308,56 @@ def graph_homology(graph: ColoredGraph) -> HomologyProfile:
 
 
 def is_homology_3sphere(graph: ColoredGraph) -> bool:
-    """Whether a closed 3-manifold gem has the integer homology of S^3.
-
-    The graph must be connected, with 4 colors and the four triple counts
-    of :func:`check_3manifold` holding.  Its complex is then a closed
-    3-manifold, so chi = 0, and c2 = 2p edges and c3 = p vertices give
-    c0 = c1 - p.  It is connected, so rank d1 = c0 - 1 and b1 = p + 1 -
-    rank d2: H1 = 0 exactly when d2 has p + 1 invariant factors, all 1.
-    H1 = 0 forces orientability (a non-orientable closed 3-manifold has
-    b3 = 0, so b1 = 1 + b2 >= 1), hence H3 = Z and, by Poincare duality,
-    H2 = Hom(H1, Z) = 0.  So only d2 is built: its rows are the bicolored
-    cycles, and an edge of color d is the 2-cell labeled by the others.
-    """
+    """Whether every component of a closed 3-manifold gem (4 colors, the
+    four triple counts of :func:`check_3manifold` holding) has the integer
+    homology of S^3, by :func:`homology_spheres`."""
     if graph.color_count != 4:
         raise ValueError("3-sphere test needs exactly 4 colors")
+    table = ResidueTable(graph)
+    return homology_spheres(table, (0, 1, 2, 3), table.components((0, 1, 2, 3)))
+
+
+def homology_spheres(
+    table: ResidueTable, colors: tuple[int, ...], comps: Sequence[Sequence[int]]
+) -> bool:
+    """Whether the given k components of the residue on four ``colors``
+    all have the integer homology of S^3.
+
+    Every triple count of ``colors`` must hold, so each component is a
+    closed 3-manifold gem: chi = 0, and its q vertices (3-cells) and 2q
+    edges (2-cells) give c0 = c1 - q.  It is connected, so rank d1 = c0 - 1
+    and b1 = q + 1 - rank d2 >= 0.  H1 = 0 forces orientability (a
+    non-orientable closed 3-manifold has b3 = 0, so b1 = 1 + b2 >= 1),
+    hence H3 = Z and, by Poincare duality, H2 = Hom(H1, Z) = 0.  So only d2
+    is built: its rows are the bicolored cycles, and an edge of color d is
+    the 2-cell labeled by the other three colors.  It is block-diagonal by
+    component: the rank adds over the blocks, each of rank at most q + 1,
+    and the cokernel is the sum of theirs.  So every component has H1 = 0
+    exactly when d2 has p + k invariant factors, all 1, p being the
+    components' total vertex count.
+    """
+    graph = table.graph
     p = graph.vertex_count
-    cycle_of: dict[tuple[int, int], list[int]] = {}
+    offset: dict[tuple[int, ...], int] = {}
     rows = 0
-    for pair in itertools.combinations(range(4), 2):
-        cycle_of[pair] = lookup = [0] * p
-        for cycle in residue_components(graph, pair):
-            for v in cycle:
-                lookup[v] = rows
-            rows += 1
+    for pair in itertools.combinations(colors, 2):
+        offset[pair] = rows
+        rows += len(table.components(pair))
     d2: Matrix = [{} for _ in range(rows)]
-    edges = [(d, v) for d, inv in enumerate(graph.pairings) for v, u in enumerate(inv)
-             if v < u]
-    for col, (d, v) in enumerate(edges):
-        # the facet without label b is the {b, d}-cycle through v
-        for pos, b in enumerate(b for b in range(4) if b != d):
-            d2[cycle_of[(min(b, d), max(b, d))][v]][col] = (-1) ** pos
-    factors = smith_normal_form(d2)
-    return len(factors) == p + 1 and factors[-1] == 1
+    for d in colors:
+        inv = graph.pairings[d]
+        # the facet without label b is the {b, d}-cycle through the edge
+        faces = [
+            (offset[pair], table.index(pair), (-1) ** pos)
+            for pos, pair in enumerate(tuple(sorted((b, d))) for b in colors if b != d)
+        ]
+        for comp in comps:
+            for v in comp:
+                if v < inv[v]:
+                    for base, cycle, sign in faces:
+                        d2[base + cycle[v]][d * p + v] = sign
+    factors = smith_normal_form([row for row in d2 if row])
+    return len(factors) == sum(map(len, comps)) + len(comps) and factors[-1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +392,16 @@ class TripleCheck:
 
 
 def triple_checks(
-    graph: ColoredGraph, triples: Sequence[tuple[int, int, int]]
-) -> tuple[TripleCheck, ...]:
+    table: ResidueTable, triples: Iterable[tuple[int, int, int]]
+) -> Iterator[TripleCheck]:
     """The identity g_ij + g_ik + g_jk = 2*g_ijk + p/2 per triple, counted
-    over the whole graph (exact, see :class:`ThreeManifoldReport`)."""
-    p = graph.vertex_count
-    pairs = {pair for triple in triples for pair in itertools.combinations(triple, 2)}
-    g = {pair: len(residue_components(graph, pair)) for pair in pairs}
-    checks = []
+    over the whole graph (exact, see :class:`ThreeManifoldReport`), one
+    triple at a time."""
+    p = table.graph.vertex_count
     for triple in triples:
-        total = sum(g[pair] for pair in itertools.combinations(triple, 2))
-        expected = 2 * len(residue_components(graph, triple)) + p // 2
-        checks.append(TripleCheck(triple, total, expected, total == expected))
-    return tuple(checks)
+        total = sum(len(table.components(pair)) for pair in itertools.combinations(triple, 2))
+        expected = 2 * len(table.components(triple)) + p // 2
+        yield TripleCheck(triple, total, expected, total == expected)
 
 
 @dataclass(frozen=True)
@@ -382,7 +425,7 @@ def check_3manifold(graph: ColoredGraph) -> ThreeManifoldReport:
     """Evaluate the 3-manifold residue criterion on a 4-colored graph."""
     if graph.color_count != 4:
         raise ValueError("3-manifold check needs exactly 4 colors")
-    checks = triple_checks(graph, tuple(itertools.combinations(range(4), 3)))
+    checks = tuple(triple_checks(ResidueTable(graph), itertools.combinations(range(4), 3)))
     return ThreeManifoldReport(all(c.holds for c in checks), checks)
 
 
@@ -416,17 +459,30 @@ class ResidueSphereReport:
 
 
 def check_residues_sphere(graph: ColoredGraph) -> ResidueSphereReport:
-    """Check every 4-colored residue component of a 5-colored graph."""
+    """Check every 4-colored residue component of a 5-colored graph.
+
+    A component's criterion is :func:`check_3manifold` on its own counts,
+    and its homology is decided by :func:`homology_spheres` on it alone."""
     if graph.color_count != 5:
         raise ValueError("residue sphere check needs exactly 5 colors")
+    table = ResidueTable(graph)
     verdicts = []
     for dropped in range(5):
-        kept = [c for c in range(5) if c != dropped]
-        for idx, comp in enumerate(residue_components(graph, kept)):
-            sub = residue_subgraph(graph, kept, comp)
-            criterion = check_3manifold(sub).holds
-            homology_ok = criterion and is_homology_3sphere(sub)
-            verdicts.append(
-                ResidueVerdict(dropped, idx, sub.vertex_count, criterion, homology_ok)
+        kept = tuple(c for c in range(5) if c != dropped)
+        comps, index = table.components(kept), table.index(kept)
+        triples = list(itertools.combinations(kept, 3))
+        g = {}  # each pair's and triple's component count per component
+        for s in [*triples, *itertools.combinations(kept, 2)]:
+            g[s] = [0] * len(comps)
+            for sub in table.components(s):
+                g[s][index[sub[0]]] += 1
+        for idx, comp in enumerate(comps):
+            q = len(comp)
+            criterion = all(
+                sum(g[pair][idx] for pair in itertools.combinations(t, 2))
+                == 2 * g[t][idx] + q // 2
+                for t in triples
             )
+            homology_ok = criterion and homology_spheres(table, kept, [comp])
+            verdicts.append(ResidueVerdict(dropped, idx, q, criterion, homology_ok))
     return ResidueSphereReport(all(v.ok for v in verdicts), tuple(verdicts))

@@ -140,10 +140,14 @@ prunes the whole subtree and nothing passes that the check rejects, so the
 depth-first order and the solutions are those of the unsplit search.  The
 last part runs on the complete candidate, after the connectivity check and
 the orbit test and before ``keep`` and any canonical code.
-A residue component is tested only once its four triples hold, so it is a
-connected closed 3-manifold gem, and chi = 0 lets one boundary decide it
-(``complexes.is_homology_3sphere``): H1 = 0 exactly when d2 has p + 1
-invariant factors, all 1, and H1 = 0 forces H2 = 0 and H3 = Z.
+A residue is tested only once its four triples hold, so its k components
+are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
+(``complexes.homology_spheres``): a component on q vertices has H1 = 0,
+which forces H2 = 0 and H3 = Z, exactly when its block of the
+block-diagonal d2 has q + 1 invariant factors, all 1.  Each block has rank
+at most q + 1, since b1 >= 0, so all pass exactly when d2 has p + k
+invariant factors, all 1.  One ``complexes.ResidueTable`` per prefix
+computes each residue the part reads once.
 Emitted solutions alone are re-verified through the public validation,
 face tracing, bipartiteness and the filter's whole check; the search state
 guarantees all of them.
@@ -157,9 +161,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 from .complexes import (
+    ResidueTable,
     check_3manifold,
     check_residues_sphere,
-    is_homology_3sphere,
+    homology_spheres,
     triple_checks,
 )
 from .embeddings import semi_equivelar_type
@@ -168,8 +173,6 @@ from .graphs import (
     canonical_code,
     is_bipartite,
     is_connected,
-    residue_components,
-    residue_subgraph,
     validate,
 )
 
@@ -251,16 +254,15 @@ def _new_part(prefix: ColoredGraph, spheres: bool) -> bool:
     component of each 4-colored residue that contains k-1 have the integer
     homology of the 3-sphere?"""
     new = prefix.color_count - 1
+    table = ResidueTable(prefix)
     triples = [(i, j, new) for i, j in itertools.combinations(range(new), 2)]
-    if not all(t.holds for t in triple_checks(prefix, triples)):
+    if not all(t.holds for t in triple_checks(table, triples)):
         return False
     if not spheres:
         return True
-    residues = [kept + (new,) for kept in itertools.combinations(range(new), 3)]
     return all(
-        is_homology_3sphere(residue_subgraph(prefix, r, comp))
-        for r in residues
-        for comp in residue_components(prefix, r)
+        homology_spheres(table, r, table.components(r))
+        for r in (kept + (new,) for kept in itertools.combinations(range(new), 3))
     )
 
 

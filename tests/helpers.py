@@ -19,9 +19,13 @@ from gemtk import (
     check_3manifold,
     check_residues_sphere,
     connected_components,
+    graph_homology,
     is_bipartite,
     is_connected,
+    residue_components,
+    residue_subgraph,
     semi_equivelar_type,
+    sphere_profile,
     validate,
 )
 
@@ -367,6 +371,27 @@ def reference_canonical_code(graph: ColoredGraph) -> str:
         offset += size
     body = ";".join(",".join(map(str, row)) for row in involutions)
     return f"{graph.color_count}:{p}:{body}"
+
+
+# ---------------------------------------------------------------------------
+# Residue spheres, one copy per component
+# ---------------------------------------------------------------------------
+
+
+def reference_residues_sphere(graph: ColoredGraph) -> tuple[tuple, ...]:
+    """The verdicts of ``check_residues_sphere`` by copying each 4-colored
+    residue component and running ``check_3manifold`` and the full homology
+    on the copy: ``(color, component_index, vertex_count, criterion_holds,
+    homology_ok)`` per component."""
+    verdicts = []
+    for dropped in range(5):
+        kept = [c for c in range(5) if c != dropped]
+        for idx, comp in enumerate(residue_components(graph, kept)):
+            sub = residue_subgraph(graph, kept, comp)
+            criterion = check_3manifold(sub).holds
+            homology_ok = criterion and graph_homology(sub) == sphere_profile(3)
+            verdicts.append((dropped, idx, sub.vertex_count, criterion, homology_ok))
+    return tuple(verdicts)
 
 
 def counting_relation_holds(seq: tuple[int, ...], chi: int, p: int) -> bool:

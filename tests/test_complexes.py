@@ -38,6 +38,7 @@ from helpers import (
     random_colored_graph,
     random_connected_graph,
     rank_over_rationals,
+    reference_residues_sphere,
     rp3_double,
     sparse_rows,
     theta_graph,
@@ -457,6 +458,18 @@ S2_TWISTED_S1 = _gem(  # non-orientable, (Z, Z, Z/2, 0)
 RP3_8 = _gem(  # (Z, Z/2, 0, Z)
     "(4,6,3,2,0,7,1,5) (5,2,1,6,7,0,3,4) (2,5,0,4,3,1,7,6) (6,4,7,5,1,3,0,2)"
 )
+S3_2 = validate(4, 2, [[(0, 1)]] * 4)
+RP3_12 = residue_subgraph(rp3_double(), range(4), range(12))
+
+
+def _sphere_gem_8() -> ColoredGraph:
+    """An 8-vertex gem with the homology of S^3."""
+    out = search_gems(
+        SearchSpec(seq=(4, 8, 4, 8), vertex_count=8, require_3manifold=True,
+                   max_solutions=1),
+        keep=lambda g: graph_homology(g) == sphere_profile(3),
+    )
+    return out.solutions[0]
 
 
 class TestIsHomology3Sphere:
@@ -471,10 +484,10 @@ class TestIsHomology3Sphere:
         return verdict
 
     def test_two_vertex_sphere(self):
-        assert self._agrees(validate(4, 2, [[(0, 1)]] * 4))
+        assert self._agrees(S3_2)
 
     def test_twelve_vertex_projective_space(self):
-        assert not self._agrees(residue_subgraph(rp3_double(), range(4), range(12)))
+        assert not self._agrees(RP3_12)
 
     @pytest.mark.parametrize(
         "g,groups",
@@ -504,7 +517,81 @@ class TestIsHomology3Sphere:
                 is_homology_3sphere(g)
 
 
+class TestBlockDiagonalBoundary:
+    """On a disconnected closed 3-manifold gem the one second boundary is
+    block-diagonal by component, and its verdict (p + k invariant factors,
+    all 1, for k components) says whether every component is a homology
+    3-sphere."""
+
+    def _agrees(self, g):
+        assert check_3manifold(g).holds
+        comps = connected_components(g)
+        expected = all(
+            graph_homology(residue_subgraph(g, range(4), comp)) == sphere_profile(3)
+            for comp in comps
+        )
+        assert is_homology_3sphere(g) == expected
+        return expected, len(comps)
+
+    @pytest.mark.parametrize(
+        "other",
+        [S2_X_S1, S2_TWISTED_S1, RP3_8, RP3_12],
+        ids=["s2xs1", "s2-twisted-s1", "rp3-8", "rp3-12"],
+    )
+    def test_one_non_sphere_component_fails_the_residue(self, other):
+        for g in (disjoint_union(S3_2, other), disjoint_union(other, S3_2)):
+            assert self._agrees(g) == (False, 2)
+
+    def test_two_sphere_components(self):
+        sphere = _sphere_gem_8()
+        for g in (disjoint_union(S3_2, sphere), disjoint_union(sphere, sphere)):
+            assert self._agrees(g) == (True, 2)
+
+    def test_random_unions(self):
+        rng = random.Random(20)
+        pool = []
+        while len(pool) < 30:
+            g = random_connected_graph(rng, rng.choice([4, 6, 8, 10]), 4)
+            if check_3manifold(g).holds:
+                pool.append(g)
+        spheres = 0
+        for _ in range(80):
+            parts = [rng.choice(pool) for _ in range(rng.choice([2, 3]))]
+            holds, k = self._agrees(disjoint_union(*parts))
+            spheres += holds and k >= 2
+        assert spheres >= 40
+
+
 class TestCheckResiduesSphere:
+    def test_matches_the_reference_route(self):
+        classes = search_gems(
+            SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True)
+        ).solutions
+        assert len(classes) == 5
+        graphs = [*classes, color4_double(S2_X_S1), rp3_double(),
+                  disjoint_union(classes[0], classes[1])]
+        rng = random.Random(21)
+        for i in range(60):
+            if i % 2:
+                graphs.append(random_colored_graph(rng, rng.choice([2, 4, 6, 8, 10]), 5))
+            else:
+                q = rng.choice([2, 4])
+                graphs.append(disjoint_union(
+                    random_colored_graph(rng, q, 5),
+                    random_colored_graph(rng, rng.choice(range(2, 11 - q, 2)), 5),
+                ))
+        outcomes = set()
+        for g in graphs:
+            mine = tuple(
+                (v.color, v.component_index, v.vertex_count, v.criterion_holds,
+                 v.homology_ok)
+                for v in check_residues_sphere(g).verdicts
+            )
+            reference = reference_residues_sphere(g)
+            assert mine == reference
+            outcomes.update((v[3], v[4]) for v in reference)
+        assert outcomes == {(True, True), (True, False), (False, False)}
+        assert sum(not is_connected(g) for g in graphs) >= 30
     def test_non_sphere_residues_fail_on_homology_only(self):
         # the two residues without color 4 are copies of S2 x S1: they pass
         # every residue count, but their H1 is Z

@@ -698,21 +698,24 @@ class TestEmittedSolutionChecks:
 
     def test_filter_check_runs_once_per_solution(self, monkeypatch):
         # every filter part is decided once per prefix, by whole-graph counts
-        # and one sphere test per residue component; the whole check, with
-        # its per-residue 3-manifold criterion, runs only on the emitted
-        # solutions, and no full homology is computed
+        # and one second boundary per 4-colored residue; the whole check,
+        # with one boundary per residue component, runs only on the emitted
+        # solutions, and no residue is copied nor full homology computed
         calls = {
             "check_residues_sphere": 0,
-            "is_homology_3sphere": 0,
+            "smith_normal_form": 0,
+            "residue_subgraph": 0,
             "graph_homology": 0,
             "check_3manifold": 0,
         }
         for module, name in (
             (gemtk.search, "check_residues_sphere"),
-            (gemtk.search, "is_homology_3sphere"),
-            (gemtk.complexes, "is_homology_3sphere"),
+            (gemtk.complexes, "smith_normal_form"),
+            (gemtk.search, "residue_subgraph"),
+            (gemtk.complexes, "residue_subgraph"),
             (gemtk.search, "graph_homology"),
             (gemtk.complexes, "graph_homology"),
+            (gemtk.search, "check_3manifold"),
             (gemtk.complexes, "check_3manifold"),
         ):
             if not hasattr(module, name):
@@ -729,11 +732,14 @@ class TestEmittedSolutionChecks:
         )
         assert (out.stats.candidates, len(out.solutions)) == (27, 5)
         assert calls["check_residues_sphere"] == 5
-        # duplicates below disconnected prefixes are rejected by the orbit
-        # test before the filter's last part, so they make no sphere test
-        assert calls["is_homology_3sphere"] == 67
+        # 32 residue boundaries in the parts (duplicates below disconnected
+        # prefixes are rejected by the orbit test before the filter's last
+        # part, so they make none) and 30 component boundaries in the 5
+        # whole checks
+        assert calls["smith_normal_form"] == 62
+        assert calls["residue_subgraph"] == 0
         assert calls["graph_homology"] == 0
-        assert calls["check_3manifold"] == 30  # the 5 whole checks
+        assert calls["check_3manifold"] == 0
 
     def test_filter_recheck_still_fires(self, monkeypatch):
         monkeypatch.setattr(

@@ -54,21 +54,22 @@ fresh once color 2 is complete.
 
 Once colors 0..c-1 are complete, with 3 <= c < n, and their filter parts
 pass, a prefix isomorphic to one met before is skipped (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Its
-canonical code joins the candidates' codes in one set; a code starts with
-its color count, so the two kinds never collide.  This is exact.  The
-fresh-block rule acts only on color 2, so from color 3 on every matching
-that the trackers and the parity rule allow is enumerated.  Trackers,
-filter parts, connectivity, ``keep`` and canonical codes are invariant
-under color-preserving isomorphism, so the completions of an isomorphic
-prefix are the images of the first prefix's completions, which were all
-met before it.  Under the parity rule the isomorphism must also carry
-even-odd edges to even-odd edges.  A connected prefix has one bipartition,
-so the isomorphism keeps parity everywhere or swaps it everywhere, and
-either way even-odd edges stay even-odd.  On a disconnected prefix it may
-keep parity on one component and swap it on another (two chiral
-components glued with the same or the opposite handedness), so
-disconnected prefixes are never skipped under the parity rule.
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998), by its
+canonical code.  This is exact.  The fresh-block rule acts only on color
+2, so from color 3 on every matching that the trackers and the parity
+rule allow is enumerated.  Trackers, filter parts, connectivity and
+``keep`` are invariant under color-preserving isomorphism, so the
+completions of an isomorphic prefix are the images of the first prefix's
+completions, which were all met before it.  Under the parity rule the
+images must also be even-odd, which a plain code cannot tell: on a
+disconnected prefix an isomorphism may keep parity on one component and
+swap it on another (two chiral components glued with the same or the
+opposite handedness).  So the key marks parity (``_Components``): per
+component the least walk codes from an even and from an odd start, and of
+the sorted (even, odd) and (odd, even) pairs the lesser.  Equal keys give
+an isomorphism that keeps or swaps parity everywhere, and an isomorphism
+of two connected even-odd candidates does so on their prefixes:
+completions of prefixes with different keys are never isomorphic.
 
 The last color n-1 is deduplicated by the orbit test of orderly
 generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978) below
@@ -91,37 +92,30 @@ any partial map extends to a whole automorphism, since the components left
 of each type still match one to one.
 
 Under the parity rule only even-odd images count.  A component map keeps
-the parity flag g(x) - x mod 2 on its whole component, so g.M is even-odd
-exactly when the flags agree at both ends of every M-edge, which on a
-connected candidate means one flag for all.  On a connected P every
-automorphism keeps or swaps parity everywhere, so every image counts.  A
-disconnected P meets the test under the parity rule only for n = 3, where
-its components are {0,1}-blocks: each has maps of both flags (rotations by 2
-and reflections x -> 1-x), so a partial map of one flag extends.
+the parity flag g(x) - x mod 2 on its whole component, so on a connected
+candidate g.M is even-odd exactly when all flags agree.  A connected P
+keeps or swaps parity everywhere.  On a disconnected P a partial map of
+flag 0 always extends, and one of flag 1 exactly when P has a
+parity-swapping automorphism: its two sorted lists of walk-code pairs are
+equal, as on every {0,1}-residue (rotations by 2, reflections x -> 1-x).
+Only then may a map of flag 1 start.
 
-This is exact.  Explored prefixes are pairwise non-isomorphic: for n >= 4 by
+This is exact.  Explored prefixes are pairwise non-isomorphic (under the
+parity rule, by maps that keep or swap parity everywhere): for n >= 4 by
 the prefix rule, and for n = 3 P is the fixed {0,1}-residue.  The trackers
 are invariant under Aut(P), and on the last color the depth-first order is
-the lexicographic order of M.  For n >= 4 the set enumerated below P is
-every matching that the trackers and the parity rule allow, and wherever
-the test runs it holds every image of its members.  For n = 3 the
-fresh-block rule skips only matchings M with an image g.M < M: g permutes
-and rotates fresh blocks (by even steps under the parity rule) and fixes the
-rest, so it fixes every vertex below v and the partner of each, and maps the
-skipped partner of v to the smaller one tried.  So the
-least member of each class is enumerated, and the test accepts exactly it,
-the first candidate met in the class, as the set of candidate codes did.
-The first candidate below P is the least of all, so it passes without the
-group: there only the identity walk runs, to tell whether P is connected.
-The test runs before the filter's last part and ``keep``, both
-isomorphism-invariant; a connected P makes every candidate connected.
-
-Two kinds of candidate keep a canonical code instead, checked after the
-filter's last part and ``keep``: disconnected candidates, met only with
-``require_connected=False``, whose equal branches would multiply with the
-candidate's isomorphic components; and, under the parity rule with n >= 4,
-the candidates below a disconnected prefix, since such prefixes are not
-deduplicated and candidates of two of them can be isomorphic.
+the lexicographic order of M.  For n >= 4 every matching that the trackers
+and the parity rule allow is enumerated below P.  For n = 3 the fresh-block
+rule skips only matchings M with an image g.M < M: g permutes and rotates
+fresh blocks (by even steps under the parity rule) and fixes the rest, so
+it fixes every vertex below v and the partner of each, and maps the
+skipped partner of v to the smaller one tried.  So the least member of
+each class is enumerated, and the test accepts exactly it, the first
+candidate met in the class: no candidate gets a canonical code.  The first
+candidate below P is the least of all, so it passes without the group:
+there only the identity walk runs, to tell whether P is connected.  The
+test runs after the connectivity cut and before the filter's last part and
+``keep``, both isomorphism-invariant.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -139,7 +133,7 @@ their highest color and together are exactly the public check: a failure
 prunes the whole subtree and nothing passes that the check rejects, so the
 depth-first order and the solutions are those of the unsplit search.  The
 last part runs on the complete candidate, after the connectivity check and
-the orbit test and before ``keep`` and any canonical code.
+the orbit test and before ``keep``.
 A residue is tested only once its four triples hold, so its k components
 are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
 (``complexes.homology_spheres``): a component on q vertices has H1 = 0,
@@ -170,6 +164,7 @@ from .complexes import (
 from .embeddings import semi_equivelar_type
 from .graphs import (
     ColoredGraph,
+    _component_key,
     canonical_code,
     is_bipartite,
     is_connected,
@@ -195,7 +190,6 @@ class SearchSpec:
     require_bipartite: bool = False
     require_3manifold: bool = False
     require_residues_sphere: bool = False
-    require_connected: bool = True
     max_solutions: int | None = None
     budget_seconds: float | None = None
 
@@ -223,10 +217,7 @@ class SearchStats:
     - ``not_connected``, ``keep_rejected``: a complete candidate that is
       disconnected or that ``keep`` rejects.
     - ``duplicate``: a complete candidate isomorphic to an earlier
-      candidate.  It is counted before the filter's last part and ``keep``,
-      except where candidates keep canonical codes (a disconnected
-      candidate, or a disconnected prefix of n >= 4 colors under the parity
-      rule), where it is counted after them.
+      candidate, counted before the filter's last part and ``keep``.
     """
 
     nodes: int = 0
@@ -357,7 +348,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     }
     filters = [f for f in _FILTERS if getattr(spec, f.flag)]
     solutions: list[ColoredGraph] = []
-    seen_codes: set[str] = set()
+    seen_codes: set[str] = set()  # the keys of explored prefixes
 
     q0 = seq[0]
     inv = _fixed_residue(q0, p) + [[-1] * p for _ in range(n - 2)]
@@ -373,11 +364,12 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     # the last color's prefix P: ``whole`` tells whether it is connected;
     # ``group`` is ``pending`` until P's first candidate, ``unbuilt`` until
     # its second, then Aut(P), as (g, g^-1) pairs without the identity when
-    # P is connected and as its components when not; None where candidates
-    # keep canonical codes
+    # P is connected and as its components when not; ``keyed`` holds P's
+    # components where they gave its parity-marked key
     group = pending = object()
     unbuilt = object()
     whole = True
+    keyed = None
 
     def finalize():
         nonlocal group, whole
@@ -389,23 +381,18 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             # the first candidate is the least in its orbit: only the
             # identity walk runs, to tell whether the prefix is connected
             whole = -1 not in _map_from(inv[:-1], 0)[0]
-            # disconnected prefixes of n >= 4 colors under the parity rule
-            # are not deduplicated, so their candidates keep codes
-            group = unbuilt if whole or n == 3 or not spec.require_bipartite else None
-        coded = group is None
+            group = unbuilt
         # a connected prefix makes every candidate connected
         graph = None if whole else _view(inv, n)
         if graph is not None and not is_connected(graph):
-            if spec.require_connected:
-                prunes["not_connected"] += 1
-                return
-            coded = True
-        if not (first or coded):
+            prunes["not_connected"] += 1
+            return
+        if not first:
             if group is unbuilt:
                 rows = inv[:-1]
                 group = (
                     _automorphisms(rows)[1:] if whole
-                    else _Components(rows, spec.require_bipartite)
+                    else keyed or _Components(rows, spec.require_bipartite)
                 )
             if not (_least_in_orbit(inv[-1], group) if whole else group.least(inv[-1])):
                 prunes["duplicate"] += 1
@@ -419,12 +406,6 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         if keep is not None and not keep(graph):
             prunes["keep_rejected"] += 1
             return
-        if coded:
-            code = canonical_code(graph)
-            if code in seen_codes:
-                prunes["duplicate"] += 1
-                return
-            seen_codes.add(code)
         # guaranteed by the search state; re-verified on what leaves it
         validate(n, p, [graph.pairs(c) for c in range(n)])
         se = semi_equivelar_type(graph)
@@ -445,7 +426,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         filter part prunes, the completed prefix was met before or the
         graph is complete.  ``tracks`` holds one path tracker
         ``(pend, plen, target)`` per constrained class of c."""
-        nonlocal group
+        nonlocal group, keyed
         invc = inv[c]
         while v < p and invc[v] >= 0:
             v += 1
@@ -460,16 +441,17 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             if not f.part(prefix):
                 prunes[f.key] += 1
                 return None
-        if c >= 3 and (not spec.require_bipartite or is_connected(prefix)):
-            code = canonical_code(prefix)
-            if code in seen_codes:
+        comps = _Components(inv[:c], True) if c >= 3 and spec.require_bipartite else None
+        if c >= 3:
+            key = comps.key if comps else canonical_code(prefix)
+            if key in seen_codes:
                 prunes["duplicate_prefix"] += 1
                 return None
-            seen_codes.add(code)
+            seen_codes.add(key)
         tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
         if c == n - 1:
             tracks.append((list(inv[0]), [2] * p, seq[c]))
-            group = pending
+            group, keyed = pending, comps
         return node(c, 0, tracks)
 
     def node(c: int, v: int, tracks: list):
@@ -627,9 +609,9 @@ def _automorphisms(rows: Sequence[Sequence[int]]):
 
 
 class _Components:
-    """Aut(P) of a disconnected graph P, given by its components and never
-    listed.  An automorphism maps each component onto an isomorphic one,
-    where it is fixed by the image of one vertex.  Two walks that visit
+    """Aut(P) of a graph P, given by its components and never listed.  An
+    automorphism maps each component onto an isomorphic one, where it is
+    fixed by the image of one vertex.  Two walks that visit
     neighbors in color order, from a and from b, map a to b exactly when
     they read the same code, the walk position of every neighbor.  A walk
     is built when first needed and is as long as its component.
@@ -638,9 +620,12 @@ class _Components:
     parity flag (g(x) - x) mod 2 of a component map is constant on the
     component, so g.m is even-odd exactly when the flags agree at both ends
     of each m-edge; when P and m together are connected, that is one flag
-    for all.  Every component must then have automorphisms of both flags,
-    as an alternating 2-colored cycle has (its rotations by 2 and its
-    reflections through an edge), so that maps of either flag extend.
+    for all.  A component's mark is its least walk code from an even start
+    and from an odd start (the canonical code's walk), and ``key``, the
+    lesser of the sorted (even, odd) and (odd, even) marks, is P's
+    parity-marked code.  Maps of flag 0 always extend, maps of flag 1
+    exactly when the two lists are equal; else ``first_flag`` is 0 and no
+    map of flag 1 starts.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], parity: bool):
@@ -658,6 +643,21 @@ class _Components:
                     self.comp[x] = len(self.members)
                 self.members.append(order)
         self.g, self.g_inv = [0] * p, [0] * p  # the map being built
+        self.first_flag = None  # the flag of the first map, None for either
+        if parity:
+            label = [-1] * p
+            marks = [
+                tuple(
+                    _component_key(rows, sorted(x for x in part if x & 1 == side), label)
+                    for side in (0, 1)
+                )
+                for part in self.members
+            ]
+            straight = sorted(marks)
+            swapped = sorted(mark[::-1] for mark in marks)
+            self.key = str(min(straight, swapped))
+            swaps = straight == swapped  # P has a parity-swapping automorphism
+            self.first_flag = None if swaps else 0
 
     def _walk(self, s: int) -> tuple[int, list[int]]:
         """The code number and the vertex order of the walk from s."""
@@ -705,7 +705,7 @@ class _Components:
         w = 0
         while True:
             if w < p:
-                flag = trail[0][2] if trail else None
+                flag = trail[0][2] if trail else self.first_flag
                 d = comp[w]
                 if dst[d]:
                     mw = m[w]

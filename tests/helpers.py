@@ -195,13 +195,12 @@ def naive_type_search(
     seq: tuple[int, ...],
     p: int,
     require_bipartite: bool = False,
-    require_connected: bool = True,
     require_3manifold: bool = False,
     require_residues_sphere: bool = False,
     fix_color0: bool = True,
     fix_residue: bool = False,
 ) -> set[str]:
-    """Canonical codes of all graphs with the given face-size sequence.
+    """Canonical codes of all connected graphs with the given face-size sequence.
 
     Enumerates every combination of perfect matchings (color 0 fixed to the
     standard pairing unless ``fix_color0`` is false; colors 0 and 1 fixed to
@@ -221,7 +220,7 @@ def naive_type_search(
         se = semi_equivelar_type(graph)
         if se is None or se.raw != tuple(seq):
             continue
-        if require_connected and not is_connected(graph):
+        if not is_connected(graph):
             continue
         if require_bipartite and not is_bipartite(graph):
             continue

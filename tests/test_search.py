@@ -13,6 +13,7 @@ from gemtk import (
     SearchSpec,
     canonical_code,
     check_3manifold,
+    connected_components,
     check_residues_sphere,
     count_nonisomorphic,
     graph_homology,
@@ -160,15 +161,6 @@ class TestNaiveOracleAgreement:
         got = _class_codes(out.solutions)
         assert got == naive_type_search(seq, p)
 
-    def test_disconnected_included_when_allowed(self):
-        out = search_gems(
-            SearchSpec(seq=(4, 4, 4), vertex_count=8, require_connected=False)
-        )
-        got = _class_codes(out.solutions)
-        assert got == naive_type_search((4, 4, 4), 8, require_connected=False)
-        # the cube plus the disjoint double of the 4-vertex coloring
-        assert len(got) > 1
-
     def test_bipartite_filter_agrees(self):
         out = search_gems(
             SearchSpec(seq=(4, 4, 8), vertex_count=8, require_bipartite=True)
@@ -201,8 +193,8 @@ class TestNaiveOracleAgreement:
             ((4, 8, 8), 8, {}),
             ((8, 8, 4), 8, {}),
             ((4, 4, 4), 8, {"require_bipartite": True}),
-            ((4, 4, 4), 8, {"require_connected": False}),
-            ((4, 4, 4), 8, {"require_bipartite": True, "require_connected": False}),
+            ((4, 4, 4), 8, {}),
+            ((4, 8, 4), 8, {}),
             ((6, 6, 6), 6, {"require_bipartite": True}),
             ((6, 6, 6, 6), 6, {}),
             ((6, 6, 6, 6), 6, {"require_3manifold": True}),
@@ -254,7 +246,7 @@ class TestNaiveOracleAgreement:
         [
             ((4, 12, 12), 12, {}, 8),
             ((4, 6, 12), 12, {}, 3),
-            ((4, 6, 12), 12, {"require_connected": False}, 3),
+            ((6, 4, 12), 12, {}, 3),
             ((4, 6, 12), 12, {"require_bipartite": True}, 1),
             ((4, 4, 6), 12, {"require_bipartite": True}, 1),
             ((4, 4, 8, 8), 8, {}, 24),
@@ -318,7 +310,7 @@ class TestStagedFilters:
             ((4, 6, 4, 6), 12, {}),
             ((4, 4, 6, 6), 12, {}),
             ((4, 4, 4, 12), 12, {}),
-            ((4, 4, 4, 4), 8, {"require_connected": False}),
+            ((4, 4, 4, 4), 8, {}),
             ((4, 8, 4, 8), 8, {"require_bipartite": True}),
         ],
     )
@@ -411,12 +403,14 @@ class TestParityRule:
         [
             ((10, 10, 10), 10, {}),
             ((4, 4, 8, 8), 8, {}),
-            ((4, 4, 4), 8, {"require_connected": False}),
+            ((4, 4, 4), 8, {}),
             ((4, 8, 4, 8), 8, {"require_3manifold": True}),
             # isomorphic prefixes are skipped under the parity rule
             ((6, 6, 4, 4), 12, {}),
-            # disconnected prefixes are kept under the parity rule
-            ((4, 4, 4, 4), 16, {"require_connected": False}),
+            # disconnected prefixes are skipped by their parity-marked keys,
+            # and their disconnected candidates cut
+            ((4, 4, 4, 4), 16, {}),
+            ((4, 4, 4, 4, 6), 12, {"require_residues_sphere": True}),
         ],
     )
     def test_parity_rule_loses_no_class(self, seq, p, kwargs):
@@ -426,11 +420,85 @@ class TestParityRule:
         assert parity == _codes(spec, keep=is_bipartite)
 
 
+def _coded_search(monkeypatch, spec):
+    """The outcome of a search and the number of canonical codes it made."""
+    calls = 0
+    original = gemtk.search.canonical_code
+
+    def counted(graph):
+        nonlocal calls
+        calls += 1
+        return original(graph)
+
+    monkeypatch.setattr(gemtk.search, "canonical_code", counted)
+    return search_gems(spec), calls
+
+
+# a chiral component: C and its mirror M (C relabeled by v -> v ^ 1) are
+# isomorphic only by maps that swap parity
+_CHIRAL = ColoredGraph.from_involutions(
+    [
+        [v ^ 1 for v in range(12)],
+        [3, 10, 9, 0, 11, 6, 5, 8, 7, 2, 1, 4],
+        [11, 8, 5, 10, 7, 2, 9, 4, 1, 6, 3, 0],
+    ]
+)
+_MIRROR = relabel(_CHIRAL, [v ^ 1 for v in range(12)])
+
+
+def _images(auts, m):
+    """The images g.m, with (g.m)[g(v)] = g(m[v]), of the involution m."""
+    images = []
+    for g in auts:
+        image = [0] * len(m)
+        for v, u in enumerate(m):
+            image[g[v]] = g[u]
+        images.append(image)
+    return images
+
+
+def _automorphisms_by_components(rows):
+    """Every color-preserving automorphism of the graph, as a list: each
+    component is mapped onto one of the same size, by the walk from its
+    first vertex to each target, for every permutation of the components."""
+    p = len(rows[0])
+    parts = [list(c) for c in connected_components(ColoredGraph.from_involutions(rows))]
+
+    def walk(a, b):
+        g = {a: b}
+        todo = [a]
+        for v in todo:
+            for row in rows:
+                w, y = row[v], row[g[v]]
+                if w not in g:
+                    g[w] = y
+                    todo.append(w)
+                elif g[w] != y:
+                    return None
+        return g
+
+    auts = []
+    for perm in itertools.permutations(range(len(parts))):
+        choices = [
+            [g for y in parts[j] if (g := walk(parts[i][0], y)) is not None]
+            if len(parts[i]) == len(parts[j]) else []
+            for i, j in enumerate(perm)
+        ]
+        for maps in itertools.product(*choices):
+            g = [0] * p
+            for part in maps:
+                for x, y in part.items():
+                    g[x] = y
+            assert sorted(g) == list(range(p))
+            assert all(row[g[v]] == g[row[v]] for row in rows for v in range(p))
+            auts.append(g)
+    return auts
+
+
 class TestLastColorOrbits:
     """The last color is deduplicated by the prefix's automorphisms, listed
-    when the prefix is connected and given by component maps when not; a
-    connected candidate gets a canonical code only below a disconnected
-    prefix of four or more colors under the parity rule."""
+    when the prefix is connected and given by component maps when not; no
+    candidate gets a canonical code."""
 
     def test_automorphisms_match_brute_force(self):
         rng = random.Random(17)
@@ -463,8 +531,8 @@ class TestLastColorOrbits:
     def test_component_orbit_test_matches_brute_force(self, parity):
         # below a disconnected prefix P the group is never listed; here it is,
         # by all permutations.  Under the parity rule only even-odd images
-        # count, and the search meets it only on a {0,1}-residue whose blocks
-        # m connects, so P has two colors there
+        # count, of candidates that m connects; a P of two colors has maps of
+        # both flags on each component (the chiral witness below has not)
         rng = random.Random(29)
         seen = {"lowered": 0, "least": 0, "flag_matters": 0}
         graphs = 0
@@ -484,12 +552,7 @@ class TestLastColorOrbits:
                 m = matching(rng, p)
                 if parity and not is_connected(ColoredGraph.from_involutions(rows + [m])):
                     continue
-                images = []
-                for g in auts:
-                    image = [0] * p
-                    for v in range(p):
-                        image[g[v]] = g[m[v]]
-                    images.append(image)
+                images = _images(auts, m)
                 lowered = min(images) < m
                 if parity:
                     even_odd = [x for x in images if all((v + x[v]) & 1 for v in range(p))]
@@ -529,18 +592,58 @@ class TestLastColorOrbits:
         # and (8,8,8);16 has a {0,1}-residue of two blocks; their candidates
         # are deduplicated by component maps, so only the prefixes of
         # colors 0..2 get canonical codes
-        calls = 0
-        original = gemtk.search.canonical_code
-
-        def counted(graph):
-            nonlocal calls
-            calls += 1
-            return original(graph)
-
-        monkeypatch.setattr(gemtk.search, "canonical_code", counted)
-        out = search_gems(SearchSpec(seq=seq, vertex_count=p))
+        out, calls = _coded_search(monkeypatch, SearchSpec(seq=seq, vertex_count=p))
         assert out.stats.exhausted and len(out.solutions) == classes
         assert calls == codes
+
+    def test_parity_prefixes_get_no_code(self, monkeypatch):
+        # under the parity rule the prefixes get parity-marked keys, so the
+        # disconnected prefixes of bipartite (4^3,6);24 are deduplicated too
+        # and no canonical code is computed at all (1,337 candidates and
+        # 967 codes when such prefixes were never skipped)
+        spec = SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_bipartite=True,
+                          require_3manifold=True)
+        out, calls = _coded_search(monkeypatch, spec)
+        assert out.stats.exhausted and len(out.solutions) == 20
+        assert (out.stats.candidates, calls) == (1031, 0)
+
+    def test_parity_key_tells_handedness(self):
+        # C and its mirror M are isomorphic, but only by swapping parity, so
+        # C+C and C+M share a canonical code; their completions differ, as
+        # an isomorphism of connected even-odd graphs keeps or swaps parity
+        # everywhere, so the parity-marked keys must tell them apart
+        twins = disjoint_union(_CHIRAL, _CHIRAL)
+        glued = disjoint_union(_CHIRAL, _MIRROR)
+        assert canonical_code(twins) == canonical_code(glued)
+        keys = [gemtk.search._Components(g.pairings, parity=True).key for g in (twins, glued)]
+        assert keys[0] != keys[1]
+        # relabeling by an even shift keeps both keys
+        for g, key in zip((twins, glued), keys):
+            shifted = relabel(g, [(v + 12) % 24 for v in range(24)])
+            assert gemtk.search._Components(shifted.pairings, parity=True).key == key
+
+    def test_component_orbit_test_on_chiral_components(self):
+        # P = C+M+C has no parity-swapping automorphism, so no image of flag
+        # 1 counts; Aut(P) is built here from component permutations and
+        # per-component walks, and checked to be automorphisms
+        rows = [list(row) for row in disjoint_union(_CHIRAL, _MIRROR, _CHIRAL).pairings]
+        p = len(rows[0])
+        auts = _automorphisms_by_components(rows)
+        assert len(auts) == 6
+        comps = gemtk.search._Components(rows, parity=True)
+        rng = random.Random(41)
+        seen = {"lowered": 0, "least": 0, "flag_matters": 0}
+        while seen["lowered"] + seen["least"] < 1000:
+            m = _even_odd_matching(rng, p)
+            if not is_connected(ColoredGraph.from_involutions(rows + [m])):
+                continue
+            images = _images(auts, m)
+            even_odd = [x for x in images if all((v + x[v]) & 1 for v in range(p))]
+            lowered = min(even_odd) < m
+            assert comps.least(m) != lowered, m
+            seen["lowered" if lowered else "least"] += 1
+            seen["flag_matters"] += lowered != (min(images) < m)
+        assert seen["lowered"] > 100 and seen["least"] > 100 and seen["flag_matters"] > 0
 
     def test_group_waits_for_the_second_candidate(self, monkeypatch):
         # the first candidate below a prefix is the least in its orbit, so
@@ -577,7 +680,7 @@ class TestSearchOrder:
                          142, 27, 3, 0, id="residues"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12,
                                     require_bipartite=True, require_residues_sphere=True),
-                         747, 101, 28, 37, id="bipartite-residues"),
+                         456, 53, 26, 32, id="bipartite-residues"),
         ],
     )
     def test_node_and_candidate_counts_are_pinned(
@@ -641,7 +744,7 @@ class TestLimitsAndCounting:
             ((4, 4, 4, 8), 16, {"require_3manifold": True}, 6),
             ((8, 8, 8), 16, {}, 61),
             ((4, 8, 8), 16, {}, 7),
-            ((4, 4, 4), 24, {"require_connected": False}, 4),
+            ((4, 4, 4, 4), 16, {"require_bipartite": True}, 6),
             ((4, 4, 4, 4, 6), 12,
              {"require_residues_sphere": True, "require_bipartite": True}, 7),
             ((4, 6, 18), 72, {"require_bipartite": True}, 24),

@@ -48,28 +48,29 @@ x -> 1-x (mod q0) preserve colors 0 and 1; under the parity rule the
 rotations alone are transitive on each parity class.  So an automorphism g
 of everything placed fixes v and maps any fresh partner u to the chosen one,
 and g maps the completions under v-u onto those under v-g(u).  Trackers,
-filters, connectivity, ``keep`` and canonical codes are invariant under g.
+filters, connectivity, ``keep`` and prefix keys are invariant under g.
 The far end of a full path at v is never in a fresh block, and no block is
 fresh once color 2 is complete.
 
 Once colors 0..c-1 are complete, with 3 <= c < n, and their filter parts
 pass, a prefix isomorphic to one met before is skipped (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), by its
-canonical code.  This is exact.  The fresh-block rule acts only on color
-2, so from color 3 on every matching that the trackers and the parity
-rule allow is enumerated.  Trackers, filter parts, connectivity and
-``keep`` are invariant under color-preserving isomorphism, so the
-completions of an isomorphic prefix are the images of the first prefix's
-completions, which were all met before it.  Under the parity rule the
-images must also be even-odd, which a plain code cannot tell: on a
+key: the sorted lex-least labelings of its components, the walk of the
+canonical code (``_Components``).  This is exact.  The fresh-block rule
+acts only on color 2, so from color 3 on every matching that the trackers
+and the parity rule allow is enumerated.  Trackers, filter parts,
+connectivity and ``keep`` are invariant under color-preserving isomorphism,
+so the completions of an isomorphic prefix are the images of the first
+prefix's completions, which were all met before it.  Under the parity rule
+the images must also be even-odd, which a plain code cannot tell: on a
 disconnected prefix an isomorphism may keep parity on one component and
 swap it on another (two chiral components glued with the same or the
-opposite handedness).  So the key marks parity (``_Components``): per
-component the least walk codes from an even and from an odd start, and of
-the sorted (even, odd) and (odd, even) pairs the lesser.  Equal keys give
-an isomorphism that keeps or swaps parity everywhere, and an isomorphism
-of two connected even-odd candidates does so on their prefixes:
-completions of prefixes with different keys are never isomorphic.
+opposite handedness).  So there the key marks parity: per component the
+least labelings from an even and from an odd start, and of the sorted
+(even, odd) and (odd, even) pairs the lesser.  Equal keys give an
+isomorphism that keeps or swaps parity everywhere, and an isomorphism of
+two connected even-odd candidates does so on their prefixes: completions of
+prefixes with different keys are never isomorphic.
 
 The last color n-1 is deduplicated by the orbit test of orderly
 generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978) below
@@ -78,27 +79,25 @@ color, is rejected as a duplicate when g.M < M lexicographically for some g
 in Aut(P), where (g.M)[g(v)] = g(M[v]).  Two completions of one prefix are
 isomorphic exactly when some g in Aut(P) carries one to the other.
 
-Aut(P) is built at the prefix's second candidate.  A color-preserving
-automorphism of a connected graph is fixed by the image of vertex 0, so a
-connected P has at most p of them, found by one walk per image and listed.
-A disconnected P is never listed: its group can be huge (the {0,1}-residue
-of k blocks has k!*q0^k elements).  An automorphism of it maps each
-component onto an isomorphic one, where it is fixed by the image of one
-vertex, and matches the components of each isomorphism type one to one.  The
-test backtracks over positions w = 0, 1, ... and fixes a component's map the
-first time the comparison of (g.M)[w] = g(M[g^-1(w)]) with M[w] touches that
-component.  It stops at the first position where g.M and M differ: past it
-any partial map extends to a whole automorphism, since the components left
-of each type still match one to one.
-
-Under the parity rule only even-odd images count.  A component map keeps
-the parity flag g(x) - x mod 2 on its whole component, so on a connected
-candidate g.M is even-odd exactly when all flags agree.  A connected P
-keeps or swaps parity everywhere.  On a disconnected P a partial map of
-flag 0 always extends, and one of flag 1 exactly when P has a
-parity-swapping automorphism: its two sorted lists of walk-code pairs are
-equal, as on every {0,1}-residue (rotations by 2, reflections x -> 1-x).
-Only then may a map of flag 1 start.
+The ``_Components`` that keys P runs the test (for n = 3, one is built
+for the fixed {0,1}-residue at its second candidate).  Aut(P) is never
+listed: it can be huge (the {0,1}-residue of k blocks has k!*q0^k
+elements).  An automorphism maps each component onto an isomorphic one,
+where it is fixed by the image of one vertex, and matches the components
+of each isomorphism type one to one.  The test backtracks over positions
+w = 0, 1, ... and fixes a component's map the first time the comparison of
+(g.M)[w] = g(M[g^-1(w)]) with M[w] touches that component.  It stops at
+the first position where g.M and M differ: past it any partial map extends
+to a whole automorphism, since the components left of each type still
+match one to one.  A connected P is the case of one component, where the
+preimage of vertex 0 fixes all of g: the test is a loop over at most p - 1
+maps.  Under the parity rule only even-odd images count.  A component map
+keeps the parity flag g(x) - x mod 2 on its whole component, so on a
+connected candidate g.M is even-odd exactly when all flags agree.  A
+partial map of flag 0 always extends, and one of flag 1 exactly when P has
+a parity-swapping automorphism: its two sorted lists of marks are equal,
+as on every {0,1}-residue (rotations by 2, reflections x -> 1-x).  Only
+then may a map of flag 1 start.
 
 This is exact.  Explored prefixes are pairwise non-isomorphic (under the
 parity rule, by maps that keep or swap parity everywhere): for n >= 4 by
@@ -112,10 +111,9 @@ it fixes every vertex below v and the partner of each, and maps the
 skipped partner of v to the smaller one tried.  So the least member of
 each class is enumerated, and the test accepts exactly it, the first
 candidate met in the class: no candidate gets a canonical code.  The first
-candidate below P is the least of all, so it passes without the group:
-there only the identity walk runs, to tell whether P is connected.  The
-test runs after the connectivity cut and before the filter's last part and
-``keep``, both isomorphism-invariant.
+connected candidate below P is the least in its class, so it passes without
+the test.  The test runs after the connectivity cut and before the filter's
+last part and ``keep``, both isomorphism-invariant.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -165,7 +163,7 @@ from .embeddings import semi_equivelar_type
 from .graphs import (
     ColoredGraph,
     _component_key,
-    canonical_code,
+    connected_components,
     is_bipartite,
     is_connected,
     validate,
@@ -361,40 +359,29 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         deadline = time.monotonic() + spec.budget_seconds
     budget_mask = 0x3FF
 
-    # the last color's prefix P: ``whole`` tells whether it is connected;
-    # ``group`` is ``pending`` until P's first candidate, ``unbuilt`` until
-    # its second, then Aut(P), as (g, g^-1) pairs without the identity when
-    # P is connected and as its components when not; ``keyed`` holds P's
-    # components where they gave its parity-marked key
-    group = pending = object()
-    unbuilt = object()
-    whole = True
-    keyed = None
+    # the last color's prefix P: ``last`` describes it (for n = 3, the fixed
+    # {0,1}-residue, from its second candidate on); ``first`` holds until
+    # its first connected candidate, the least in its orbit
+    last = None
+    first = True
 
     def finalize():
-        nonlocal group, whole
+        nonlocal last, first
         if deadline is not None and time.monotonic() > deadline:
             raise _Stop
         stats.candidates += 1
-        first = group is pending
-        if first:
-            # the first candidate is the least in its orbit: only the
-            # identity walk runs, to tell whether the prefix is connected
-            whole = -1 not in _map_from(inv[:-1], 0)[0]
-            group = unbuilt
         # a connected prefix makes every candidate connected
+        whole = len(last.members) == 1 if last else q0 == p
         graph = None if whole else _view(inv, n)
         if graph is not None and not is_connected(graph):
             prunes["not_connected"] += 1
             return
-        if not first:
-            if group is unbuilt:
-                rows = inv[:-1]
-                group = (
-                    _automorphisms(rows)[1:] if whole
-                    else keyed or _Components(rows, spec.require_bipartite)
-                )
-            if not (_least_in_orbit(inv[-1], group) if whole else group.least(inv[-1])):
+        if first:
+            first = False
+        else:
+            if last is None:
+                last = _Components(_view(inv, n - 1), spec.require_bipartite)
+            if not last.least(inv[-1]):
                 prunes["duplicate"] += 1
                 return
         if graph is None:
@@ -426,7 +413,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         filter part prunes, the completed prefix was met before or the
         graph is complete.  ``tracks`` holds one path tracker
         ``(pend, plen, target)`` per constrained class of c."""
-        nonlocal group, keyed
+        nonlocal last, first
         invc = inv[c]
         while v < p and invc[v] >= 0:
             v += 1
@@ -441,17 +428,17 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
             if not f.part(prefix):
                 prunes[f.key] += 1
                 return None
-        comps = _Components(inv[:c], True) if c >= 3 and spec.require_bipartite else None
+        comps = None
         if c >= 3:
-            key = comps.key if comps else canonical_code(prefix)
-            if key in seen_codes:
+            comps = _Components(prefix, spec.require_bipartite)
+            if comps.key in seen_codes:
                 prunes["duplicate_prefix"] += 1
                 return None
-            seen_codes.add(key)
+            seen_codes.add(comps.key)
         tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
         if c == n - 1:
             tracks.append((list(inv[0]), [2] * p, seq[c]))
-            group, keyed = pending, comps
+            last, first = comps, True
         return node(c, 0, tracks)
 
     def node(c: int, v: int, tracks: list):
@@ -576,111 +563,81 @@ def _dead_closure(pend, plen, target, qend, qlen, qtarget, v, u) -> bool:
     return False
 
 
-def _map_from(rows: Sequence[Sequence[int]], t: int):
-    """The color-preserving map g with g(0) = t on the component of 0, with
-    its inverse (-1 off that component), or None if no such map exists."""
-    p = len(rows[0])
-    g, g_inv = [-1] * p, [-1] * p
-    g[0], g_inv[t] = t, 0
-    reached = [0]
-    for v in reached:
-        x = g[v]
-        for row in rows:
-            w, y = row[v], row[x]
-            if g[w] < 0:
-                g[w], g_inv[y] = y, w
-                reached.append(w)
-            elif g[w] != y:
-                return None
-    return g, g_inv
-
-
-def _automorphisms(rows: Sequence[Sequence[int]]):
-    """The color-preserving automorphisms of the connected graph whose
-    involutions are ``rows``, as (g, g^-1) pairs with the identity first.
-
-    g is fixed by g(0): it sends the c-neighbor of v to the c-neighbor of
-    g(v).  So one walk per image t of vertex 0 finds the group, and a walk
-    stops at its first conflict.  A walk without one maps the graph onto a
-    union of its components, that is onto itself, so it is a bijection.
-    """
-    maps = (_map_from(rows, t) for t in range(len(rows[0])))
-    return [m for m in maps if m is not None]
-
-
 class _Components:
-    """Aut(P) of a graph P, given by its components and never listed.  An
-    automorphism maps each component onto an isomorphic one, where it is
-    fixed by the image of one vertex.  Two walks that visit
-    neighbors in color order, from a and from b, map a to b exactly when
-    they read the same code, the walk position of every neighbor.  A walk
-    is built when first needed and is as long as its component.
+    """A prefix P, given by its components: its key, and the orbit test of
+    the last color below it.  An automorphism of P maps each component onto
+    an isomorphic one, where it is fixed by the image of one vertex, so Aut(P)
+    is never listed.  A component map with a -> b is found by one walk that
+    sends the c-neighbor of each reached x to the c-neighbor of its image and
+    stops at its first conflict; a walk without one between components of
+    one size is a bijection.  Found maps are kept, by (a, b), as the images of
+    the component's sorted vertices.
 
-    With ``parity`` P is even-odd and only even-odd images count.  The
-    parity flag (g(x) - x) mod 2 of a component map is constant on the
-    component, so g.m is even-odd exactly when the flags agree at both ends
-    of each m-edge; when P and m together are connected, that is one flag
-    for all.  A component's mark is its least walk code from an even start
-    and from an odd start (the canonical code's walk), and ``key``, the
-    lesser of the sorted (even, odd) and (odd, even) marks, is P's
-    parity-marked code.  Maps of flag 0 always extend, maps of flag 1
-    exactly when the two lists are equal; else ``first_flag`` is 0 and no
-    map of flag 1 starts.
+    ``key`` is P's code: the sorted lex-least labelings of its components
+    (``graphs._component_key``, the walk of the canonical code).  With
+    ``parity`` P is even-odd and only even-odd images count.  The parity
+    flag (g(x) - x) mod 2 of a component map is constant on the component,
+    so g.m is even-odd exactly when the flags agree at both ends of each
+    m-edge; when P and m together are connected, that is one flag for all.
+    A component's mark is then its least labeling from an even start and
+    from an odd start, and ``key``, the lesser of the sorted (even, odd) and
+    (odd, even) marks, is P's parity-marked code.  Maps of flag 0 always
+    extend, maps of flag 1 exactly when the two lists are equal; else
+    ``first_flag`` is 0 and no map of flag 1 starts.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]], parity: bool):
-        p = len(rows[0])
-        self.rows = rows
+    def __init__(self, graph: ColoredGraph, parity: bool):
+        p = graph.vertex_count
+        self.rows = rows = graph.pairings
         self.parity = parity
-        self.codes: dict[tuple[int, ...], int] = {}  # walk code -> its number
-        self.walks: dict[int, tuple[int, list[int]]] = {}  # start -> (code number, order)
-        self.comp = [-1] * p
-        self.members: list[list[int]] = []  # each component, walked from its least vertex
-        for v in range(p):
-            if self.comp[v] < 0:
-                order = self._walk(v)[1]
-                for x in order:
-                    self.comp[x] = len(self.members)
-                self.members.append(order)
+        self.members = connected_components(graph)  # sorted, by least vertex
+        self.comp = [0] * p
+        for k, part in enumerate(self.members):
+            for x in part:
+                self.comp[x] = k
+        self.maps: dict[tuple[int, int], list[int]] = {}
+        self.roots = None  # the preimages of vertex 0, found at the first test
+        self.auts = None  # on a connected P, Aut(P) as (g, g^-1) pairs
         self.g, self.g_inv = [0] * p, [0] * p  # the map being built
+        self.img = [-1] * p  # a walk's images, all -1 between walks
         self.first_flag = None  # the flag of the first map, None for either
-        if parity:
-            label = [-1] * p
-            marks = [
-                tuple(
-                    _component_key(rows, sorted(x for x in part if x & 1 == side), label)
-                    for side in (0, 1)
-                )
-                for part in self.members
-            ]
-            straight = sorted(marks)
-            swapped = sorted(mark[::-1] for mark in marks)
-            self.key = str(min(straight, swapped))
-            swaps = straight == swapped  # P has a parity-swapping automorphism
-            self.first_flag = None if swaps else 0
-
-    def _walk(self, s: int) -> tuple[int, list[int]]:
-        """The code number and the vertex order of the walk from s."""
-        walk = self.walks.get(s)
-        if walk is None:
-            order, at, code = [s], {s: 0}, []
-            for v in order:
-                for row in self.rows:
-                    u = row[v]
-                    if u not in at:
-                        at[u] = len(order)
-                        order.append(u)
-                    code.append(at[u])
-            number = self.codes.setdefault(tuple(code), len(self.codes))
-            walk = self.walks[s] = (number, order)
-        return walk
+        label = [-1] * p
+        if not parity:
+            self.key = str(sorted(_component_key(rows, part, label) for part in self.members))
+            return
+        marks = [
+            tuple(
+                _component_key(rows, [x for x in part if x & 1 == side], label)
+                for side in (0, 1)
+            )
+            for part in self.members
+        ]
+        straight = sorted(marks)
+        swapped = sorted(mark[::-1] for mark in marks)
+        self.key = str(min(straight, swapped))
+        swaps = straight == swapped  # P has a parity-swapping automorphism
+        self.first_flag = None if swaps else 0
 
     def _fits(self, a: int, b: int, flag) -> bool:
-        """May a component map send a to b, given the flag of the maps made
-        so far (None before the first)?"""
-        if self._walk(a)[0] != self._walk(b)[0]:
+        """Is there a component map with a -> b, of the flag of the maps
+        made so far (None before the first)?"""
+        if self.parity and flag is not None and (b - a) & 1 != flag:
             return False
-        return not self.parity or flag is None or (b - a) & 1 == flag
+        if (a, b) in self.maps:
+            return True
+        part = self.members[self.comp[a]]
+        if len(part) != len(self.members[self.comp[b]]):
+            return False
+        img = self.img
+        reached, found = _walk(self.rows, img, a, b)
+        if found and len(part) == len(img):  # P is connected: img is all of g
+            self.maps[a, b], self.img = img, [-1] * len(img)
+            return True
+        if found:
+            self.maps[a, b] = [img[x] for x in part]
+        for x in reached:
+            img[x] = -1
+        return found
 
     def least(self, m: Sequence[int]) -> bool:
         """Is no image g.m of the involution m, for g in Aut(P) (even-odd
@@ -694,44 +651,34 @@ class _Components:
         g.m < m; otherwise g(y) = m[w] is the only way on.  It stops at the
         first position where g.m and m differ: components of each type are
         matched one to one (and with one flag under ``parity``), so the
-        partial map extends to an automorphism.
+        partial map extends to an automorphism.  The preimages of vertex 0
+        are found once; on a connected P each fixes all of g, and the
+        identity, which never lowers m, is left out.
         """
-        comp, members, g, g_inv = self.comp, self.members, self.g, self.g_inv
+        if self.roots is None:
+            self.roots = self._preimages(0, [False] * len(self.members), self.first_flag)
+            if len(self.members) == 1:
+                # each map x -> 0 is all of g, and its inverse is the map
+                # g(0) -> 0; the identity never lowers m
+                maps = self.maps
+                self.auts = [(maps[x, 0], maps[maps[x, 0][0], 0]) for x in self.roots if x]
+        if self.auts is not None:
+            for g, g_inv in self.auts:
+                for w, mw in enumerate(m):
+                    y = g[m[g_inv[w]]]
+                    if y != mw:
+                        if y < mw:
+                            return False
+                        break
+            return True
+        comp, members = self.comp, self.members
+        g, g_inv = self.g, self.g_inv
         p = len(m)
         src = [False] * len(members)  # components that g is fixed on
         dst = [False] * len(members)  # components that g maps onto
         trail = []  # (source, target, flag) of each component map, in order
-        stack = []  # choice points [w, preimages of w, next one, len(trail)]
-        w = 0
+        stack = [[0, self.roots, 0, 0]]  # choice points [w, preimages of w, next one, len(trail)]
         while True:
-            if w < p:
-                flag = trail[0][2] if trail else self.first_flag
-                d = comp[w]
-                if dst[d]:
-                    mw = m[w]
-                    y = m[g_inv[w]]
-                    if src[comp[y]]:
-                        if g[y] == mw:
-                            w += 1
-                            continue
-                        if g[y] < mw:
-                            return False
-                    elif self._lowers(y, mw, dst, flag):
-                        return False
-                    elif not dst[comp[mw]] and self._fits(y, mw, flag):
-                        self._map(y, mw, src, dst, trail)
-                        w += 1
-                        continue
-                else:
-                    size = len(members[d])
-                    preimages = [
-                        x
-                        for c, part in enumerate(members)
-                        if not src[c] and len(part) == size
-                        for x in part
-                        if self._fits(x, w, flag)
-                    ]
-                    stack.append([w, preimages, 0, len(trail)])
             # g.m = m up to w, or it failed at w: try the next preimage
             while stack:
                 top = stack[-1]
@@ -746,6 +693,36 @@ class _Components:
                 stack.pop()
             else:
                 return True
+            while w < p:
+                flag = trail[0][2] if trail else self.first_flag
+                if not dst[comp[w]]:
+                    stack.append([w, self._preimages(w, src, flag), 0, len(trail)])
+                    break
+                mw = m[w]
+                y = m[g_inv[w]]
+                if src[comp[y]]:
+                    if g[y] != mw:
+                        if g[y] < mw:
+                            return False
+                        break
+                elif self._lowers(y, mw, dst, flag):
+                    return False
+                elif dst[comp[mw]] or not self._fits(y, mw, flag):
+                    break
+                else:
+                    self._map(y, mw, src, dst, trail)
+                w += 1
+
+    def _preimages(self, w: int, src: list[bool], flag) -> list[int]:
+        """The x in components that g is not fixed on with a map x -> w."""
+        size = len(self.members[self.comp[w]])
+        return [
+            x
+            for c, part in enumerate(self.members)
+            if not src[c] and len(part) == size
+            for x in part
+            if self._fits(x, w, flag)
+        ]
 
     def _lowers(self, y: int, mw: int, dst: list[bool], flag) -> bool:
         """Can y go below mw in a component that no map reaches yet?"""
@@ -754,32 +731,41 @@ class _Components:
             if part[0] >= mw:
                 break
             if not dst[d] and len(part) == size:
-                if any(z < mw and self._fits(y, z, flag) for z in part):
-                    return True
+                for z in part:
+                    if z >= mw:
+                        break
+                    if self._fits(y, z, flag):
+                        return True
         return False
 
     def _map(self, a: int, b: int, src: list[bool], dst: list[bool], trail: list) -> None:
         """Fix g on the component of a by g(a) = b."""
         g, g_inv = self.g, self.g_inv
-        for x, y in zip(self._walk(a)[1], self._walk(b)[1]):
+        c, d = self.comp[a], self.comp[b]
+        for x, y in zip(self.members[c], self.maps[a, b]):
             g[x] = y
             g_inv[y] = x
-        c, d = self.comp[a], self.comp[b]
         src[c] = dst[d] = True
         trail.append((c, d, (b - a) & 1))
 
 
-def _least_in_orbit(m: Sequence[int], group) -> bool:
-    """Is no image g.m, with (g.m)[g(v)] = g(m[v]), of the involution m
-    lexicographically smaller than m, for the (g, g^-1) in ``group``?"""
-    for g, g_inv in group:
-        for w, mw in enumerate(m):
-            x = g[m[g_inv[w]]]
-            if x != mw:
-                if x < mw:
-                    return False
-                break
-    return True
+def _walk(rows: Sequence[Sequence[int]], img: list[int], a: int, b: int):
+    """Set ``img`` on the component of a to the color-preserving map with
+    a -> b: the c-neighbor of each reached x goes to the c-neighbor of its
+    image.  Stop at the first conflict; return the vertices set and whether
+    there was none.  ``img`` must be -1 on the component."""
+    img[a] = b
+    reached = [a]
+    for x in reached:
+        y = img[x]
+        for row in rows:
+            w, z = row[x], row[y]
+            if img[w] < 0:
+                img[w] = z
+                reached.append(w)
+            elif img[w] != z:
+                return reached, False
+    return reached, True
 
 
 def _fixed_residue(q0: int, p: int) -> list[list[int]]:

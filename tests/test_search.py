@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -28,12 +29,13 @@ from gemtk import (
 )
 
 from helpers import (
+    all_matchings,
     cube_graph,
     disjoint_union,
     naive_type_search,
     random_colored_graph,
-    random_connected_graph,
     random_matching,
+    reference_canonical_code,
     rp3_double,
 )
 
@@ -420,18 +422,20 @@ class TestParityRule:
         assert parity == _codes(spec, keep=is_bipartite)
 
 
-def _coded_search(monkeypatch, spec):
-    """The outcome of a search and the number of canonical codes it made."""
-    calls = 0
-    original = gemtk.search.canonical_code
+def _built_search(monkeypatch, spec):
+    """The outcome of a search and the number of ``_Components`` it built,
+    one per key and per orbit test; the search makes no canonical code."""
+    assert not hasattr(gemtk.search, "canonical_code")
+    builds = 0
+    original = gemtk.search._Components
 
-    def counted(graph):
-        nonlocal calls
-        calls += 1
-        return original(graph)
+    def counted(graph, parity):
+        nonlocal builds
+        builds += 1
+        return original(graph, parity)
 
-    monkeypatch.setattr(gemtk.search, "canonical_code", counted)
-    return search_gems(spec), calls
+    monkeypatch.setattr(gemtk.search, "_Components", counted)
+    return search_gems(spec), builds
 
 
 # a chiral component: C and its mirror M (C relabeled by v -> v ^ 1) are
@@ -496,32 +500,26 @@ def _automorphisms_by_components(rows):
 
 
 class TestLastColorOrbits:
-    """The last color is deduplicated by the prefix's automorphisms, listed
-    when the prefix is connected and given by component maps when not; no
-    candidate gets a canonical code."""
+    """The last color is deduplicated by the automorphisms of its prefix,
+    given by component maps (``_Components``), whether the prefix is
+    connected or not; no candidate gets a canonical code."""
 
     def test_automorphisms_match_brute_force(self):
-        rng = random.Random(17)
-        nontrivial = 0
-        for _ in range(60):
-            g = random_connected_graph(rng, 2 * rng.randint(1, 3), rng.randint(2, 4))
-            p = g.vertex_count
-            auts = gemtk.search._automorphisms(g.pairings)
-            assert auts[0][0] == list(range(p))
-            for a, a_inv in auts:
-                assert [a[x] for x in a_inv] == list(range(p))
-            brute = {
-                perm for perm in itertools.permutations(range(p)) if relabel(g, perm) == g
-            }
-            assert len(auts) == len(brute)
-            assert {tuple(a) for a, _ in auts} == brute
-            nontrivial += len(auts) > 1
-        assert 0 < nontrivial < 60
+        # the cube: a connected prefix, whose group is the 8 translations
+        # v -> v ^ t; the orbit test keeps the 7 besides the identity
         cube = cube_graph()
-        auts = gemtk.search._automorphisms(cube.pairings)
-        assert sorted(a for a, _ in auts) == [[v ^ t for v in range(8)] for t in range(8)]
+        comps = gemtk.search._Components(cube, parity=False)
+        translations = [[v ^ t for v in range(8)] for t in range(8)]
+        matchings = all_matchings(8)
+        lowered = 0
+        for m in matchings:
+            images = _images(translations, m)
+            assert comps.least(m) == (min(images) == m), m
+            lowered += min(images) < m
+        assert 0 < lowered < len(matchings)
+        assert sorted(g for g, _ in comps.auts) == translations[1:]
         # two cubes: a disconnected prefix, whose group is given by components
-        comps = gemtk.search._Components(disjoint_union(cube, cube).pairings, parity=False)
+        comps = gemtk.search._Components(disjoint_union(cube, cube), parity=False)
         assert [sorted(part) for part in comps.members] == [list(range(8)), list(range(8, 16))]
         straight = [v + 8 for v in range(8)] + list(range(8))
         twisted = [(v ^ 1) + 8 for v in range(8)] + [(v - 8) ^ 1 for v in range(8, 16)]
@@ -529,21 +527,20 @@ class TestLastColorOrbits:
 
     @pytest.mark.parametrize("parity", [False, True])
     def test_component_orbit_test_matches_brute_force(self, parity):
-        # below a disconnected prefix P the group is never listed; here it is,
-        # by all permutations.  Under the parity rule only even-odd images
-        # count, of candidates that m connects; a P of two colors has maps of
-        # both flags on each component (the chiral witness below has not)
+        # the group of a prefix P is never listed; here it is, by all
+        # permutations, for connected and disconnected P.  Under the parity
+        # rule only even-odd images count, of candidates that m connects; a
+        # P of two colors has maps of both flags on each component (the
+        # chiral witness below has not)
         rng = random.Random(29)
-        seen = {"lowered": 0, "least": 0, "flag_matters": 0}
-        graphs = 0
-        while graphs < 60:
+        seen = {"lowered": 0, "least": 0, "flag_matters": 0, "connected": 0}
+        for _ in range(80):
             p = 2 * rng.randint(2, 4)
             matching = _even_odd_matching if parity else random_matching
             rows = [matching(rng, p) for _ in range(2 if parity else rng.randint(2, 4))]
-            if is_connected(ColoredGraph.from_involutions(rows)):
-                continue
-            graphs += 1
-            comps = gemtk.search._Components(rows, parity)
+            prefix = ColoredGraph.from_involutions(rows)
+            seen["connected"] += is_connected(prefix)
+            comps = gemtk.search._Components(prefix, parity)
             auts = [
                 g for g in itertools.permutations(range(p))
                 if all(row[g[v]] == g[row[v]] for row in rows for v in range(p))
@@ -562,6 +559,7 @@ class TestLastColorOrbits:
                 seen["lowered" if lowered else "least"] += 1
         assert seen["lowered"] > 20 and seen["least"] > 20
         assert (seen["flag_matters"] > 0) == parity
+        assert 10 < seen["connected"] < 70
 
     @pytest.mark.parametrize(
         "seq,p,kwargs,classes",
@@ -582,30 +580,58 @@ class TestLastColorOrbits:
         assert (out.stats.prunes.get("duplicate", 0) > 0) == (classes > 0)
 
     @pytest.mark.parametrize(
-        "seq,p,codes,classes",
-        [((4, 4, 8, 8), 8, 6, 24), ((8, 8, 8), 16, 0, 61)],
+        "seq,p,builds,classes",
+        [((4, 4, 8, 8), 8, 6, 24), ((8, 8, 8), 16, 1, 61)],
     )
     def test_disconnected_prefix_candidates_get_no_code(
-        self, monkeypatch, seq, p, codes, classes
+        self, monkeypatch, seq, p, builds, classes
     ):
         # the last-color prefixes of (4,4,8,8);8 include disconnected ones,
-        # and (8,8,8);16 has a {0,1}-residue of two blocks; their candidates
-        # are deduplicated by component maps, so only the prefixes of
-        # colors 0..2 get canonical codes
-        out, calls = _coded_search(monkeypatch, SearchSpec(seq=seq, vertex_count=p))
+        # and (8,8,8);16 has a {0,1}-residue of two blocks; each prefix of
+        # colors 0..2 is described once, for its key and its orbit test
+        # (the 6 of (4,4,8,8);8 once got canonical codes), and the fixed
+        # {0,1}-residue once, at its second candidate
+        out, built = _built_search(monkeypatch, SearchSpec(seq=seq, vertex_count=p))
         assert out.stats.exhausted and len(out.solutions) == classes
-        assert calls == codes
+        assert built == builds
 
     def test_parity_prefixes_get_no_code(self, monkeypatch):
         # under the parity rule the prefixes get parity-marked keys, so the
         # disconnected prefixes of bipartite (4^3,6);24 are deduplicated too
-        # and no canonical code is computed at all (1,337 candidates and
-        # 967 codes when such prefixes were never skipped)
+        # (1,337 candidates when such prefixes were never skipped); each of
+        # its 32 prefixes of colors 0..2 is described once, and 21 of them
+        # are skipped
         spec = SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_bipartite=True,
                           require_3manifold=True)
-        out, calls = _coded_search(monkeypatch, spec)
+        out, built = _built_search(monkeypatch, spec)
         assert out.stats.exhausted and len(out.solutions) == 20
-        assert (out.stats.candidates, calls) == (1031, 0)
+        assert (out.stats.candidates, built) == (1031, 32)
+        assert out.stats.prunes["duplicate_prefix"] == 21
+
+    def test_plain_key_matches_reference_code(self):
+        # without the parity rule a prefix is keyed by its sorted component
+        # labelings: equal keys exactly when the brute-force codes are equal
+        rng = random.Random(53)
+        graphs = []
+        for _ in range(60):
+            colors = rng.choice((3, 4))
+            parts = [
+                random_colored_graph(rng, 2 * rng.randint(1, 3), colors)
+                for _ in range(rng.randint(1, 2))
+            ]
+            g = disjoint_union(*parts)
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, perm)]
+        keys = [gemtk.search._Components(g, parity=False).key for g in graphs]
+        codes = [reference_canonical_code(g) for g in graphs]
+        seen = {"same": 0, "other": 0, "connected": 0}
+        for (k1, c1), (k2, c2) in itertools.combinations(zip(keys, codes), 2):
+            assert (k1 == k2) == (c1 == c2)
+            seen["same" if c1 == c2 else "other"] += 1
+        seen["connected"] = sum(map(is_connected, graphs))
+        assert seen["same"] > 60 and seen["other"] > 1000
+        assert 20 < seen["connected"] < 100
 
     def test_parity_key_tells_handedness(self):
         # C and its mirror M are isomorphic, but only by swapping parity, so
@@ -615,22 +641,23 @@ class TestLastColorOrbits:
         twins = disjoint_union(_CHIRAL, _CHIRAL)
         glued = disjoint_union(_CHIRAL, _MIRROR)
         assert canonical_code(twins) == canonical_code(glued)
-        keys = [gemtk.search._Components(g.pairings, parity=True).key for g in (twins, glued)]
+        keys = [gemtk.search._Components(g, parity=True).key for g in (twins, glued)]
         assert keys[0] != keys[1]
         # relabeling by an even shift keeps both keys
         for g, key in zip((twins, glued), keys):
             shifted = relabel(g, [(v + 12) % 24 for v in range(24)])
-            assert gemtk.search._Components(shifted.pairings, parity=True).key == key
+            assert gemtk.search._Components(shifted, parity=True).key == key
 
     def test_component_orbit_test_on_chiral_components(self):
         # P = C+M+C has no parity-swapping automorphism, so no image of flag
         # 1 counts; Aut(P) is built here from component permutations and
         # per-component walks, and checked to be automorphisms
-        rows = [list(row) for row in disjoint_union(_CHIRAL, _MIRROR, _CHIRAL).pairings]
+        prefix = disjoint_union(_CHIRAL, _MIRROR, _CHIRAL)
+        rows = [list(row) for row in prefix.pairings]
         p = len(rows[0])
         auts = _automorphisms_by_components(rows)
         assert len(auts) == 6
-        comps = gemtk.search._Components(rows, parity=True)
+        comps = gemtk.search._Components(prefix, parity=True)
         rng = random.Random(41)
         seen = {"lowered": 0, "least": 0, "flag_matters": 0}
         while seen["lowered"] + seen["least"] < 1000:
@@ -647,23 +674,27 @@ class TestLastColorOrbits:
 
     def test_group_waits_for_the_second_candidate(self, monkeypatch):
         # the first candidate below a prefix is the least in its orbit, so
-        # it needs only the identity walk; the group is built once, at the
-        # second candidate: the identity and one walk per other image of 0
-        walks = 0
-        original = gemtk.search._map_from
-
-        def counted(rows, t):
-            nonlocal walks
-            walks += 1
-            return original(rows, t)
-
-        monkeypatch.setattr(gemtk.search, "_map_from", counted)
-        out = search_gems(SearchSpec(seq=(200,) * 3, vertex_count=200, max_solutions=1))
-        assert (len(out.solutions), out.stats.candidates, walks) == (1, 1, 1)
-        walks = 0
-        out = search_gems(SearchSpec(seq=(12,) * 3, vertex_count=12))
+        # it needs no group; a 3-colored search has no keyed prefix, and its
+        # fixed {0,1}-residue is described once, at the second candidate
+        spec = SearchSpec(seq=(200,) * 3, vertex_count=200, max_solutions=1)
+        out, built = _built_search(monkeypatch, spec)
+        assert (len(out.solutions), out.stats.candidates, built) == (1, 1, 0)
+        out, built = _built_search(monkeypatch, SearchSpec(seq=(12,) * 3, vertex_count=12))
         assert out.stats.exhausted and len(out.solutions) == 125
-        assert walks == 1 + 12
+        assert built == 1
+
+    def test_connected_group_memory(self):
+        # the group of the single 200-vertex block is kept as its 199
+        # non-identity maps, each the inverse of another: about 0.5 MB at
+        # peak; a coded walk from every vertex took 6.1 MB
+        tracemalloc.start()
+        try:
+            out = search_gems(SearchSpec(seq=(200,) * 3, vertex_count=200, max_solutions=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.solutions) == 2
+        assert peak < 2 * 2**20
 
 
 class TestSearchOrder:
@@ -784,9 +815,10 @@ class TestEmittedSolutionChecks:
     type re-check run once per emitted solution."""
 
     def test_checks_run_once_per_class(self, monkeypatch):
-        # the single {0,1}-block is a connected prefix, so its candidates are
-        # deduplicated by its automorphisms, with no canonical code
-        calls = {"validate": 0, "semi_equivelar_type": 0, "canonical_code": 0}
+        # the single {0,1}-block is a connected prefix, described once for
+        # the orbit test of its candidates; the search has no canonical code
+        assert not hasattr(gemtk.search, "canonical_code")
+        calls = {"validate": 0, "semi_equivelar_type": 0, "_Components": 0}
         for name in calls:
             original = getattr(gemtk.search, name)
 
@@ -797,7 +829,7 @@ class TestEmittedSolutionChecks:
             monkeypatch.setattr(gemtk.search, name, counted)
         out = search_gems(SearchSpec(seq=(10, 10, 10), vertex_count=10))
         assert (out.stats.candidates, len(out.solutions)) == (148, 24)
-        assert calls == {"validate": 24, "semi_equivelar_type": 24, "canonical_code": 0}
+        assert calls == {"validate": 24, "semi_equivelar_type": 24, "_Components": 1}
 
     def test_filter_check_runs_once_per_solution(self, monkeypatch):
         # every filter part is decided once per prefix, by whole-graph counts

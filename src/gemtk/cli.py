@@ -7,8 +7,8 @@ Subcommands: ``types`` (census for a given Euler characteristic), ``verify``
 sequence), ``canon`` (canonical code).
 
 Exit codes: 0 success, 1 verification failure or inconclusive search,
-2 usage, syntax or file errors.  Output is plain text (NO_COLOR is moot) or
-JSON records with ``--json``.
+2 usage, syntax or file errors (an unwritable ``search --out`` too).
+Output is plain text (NO_COLOR is moot) or JSON records with ``--json``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .graphs import (
 from .search import (
     InfeasibleSpecError,
     SearchSpec,
+    check_spec,
     search_gems,
 )
 
@@ -62,6 +63,11 @@ def _load_graph(path: str):
     except GemValidationError as exc:
         print(f"invalid gem: {path}: {exc}", file=sys.stderr)
         raise SystemExit(CHECK_FAILED)
+
+
+def _cannot_write(path: Path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def _report_json(obj) -> None:
@@ -264,20 +270,28 @@ def cmd_search(args) -> int:
         budget_seconds=args.budget,
     )
     try:
-        outcome = search_gems(spec)
+        check_spec(spec)
     except InfeasibleSpecError as exc:
         print(f"error: infeasible search spec: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
     out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:  # made before the search, so a bad path costs no search
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(out_dir, exc)
+
+    outcome = search_gems(spec)
     for graph in outcome.solutions:
         code = canonical_code(graph)
         name = hashlib.sha256(code.encode()).hexdigest()[:12]
         text = write_gem(graph)
         if out_dir:
-            (out_dir / f"{name}.gem").write_text(text, encoding="utf-8")
+            path = out_dir / f"{name}.gem"
+            try:
+                path.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                return _cannot_write(path, exc)
         if args.json:
             _report_json(
                 {

@@ -307,16 +307,6 @@ def graph_homology(graph: ColoredGraph) -> HomologyProfile:
     return homology(build_complex(graph))
 
 
-def is_homology_3sphere(graph: ColoredGraph) -> bool:
-    """Whether every component of a closed 3-manifold gem (4 colors, the
-    four triple counts of :func:`check_3manifold` holding) has the integer
-    homology of S^3, by :func:`homology_spheres`."""
-    if graph.color_count != 4:
-        raise ValueError("3-sphere test needs exactly 4 colors")
-    table = ResidueTable(graph)
-    return homology_spheres(table, (0, 1, 2, 3), table.components((0, 1, 2, 3)))
-
-
 def homology_spheres(
     table: ResidueTable, colors: tuple[int, ...], comps: Sequence[Sequence[int]]
 ) -> bool:

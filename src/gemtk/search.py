@@ -10,7 +10,9 @@ colors are assigned in order, one edge at a time, always pairing the least
 unpaired vertex v of the current color with a greater partner u, in
 increasing order.  The depth-first walk runs on an explicit stack with no
 recursion: each entry is a generator for one node, which places the edge
-v-u, yields the child node and undoes the edge when resumed.
+v-u, yields the child node and undoes the edge when resumed.  The nodes
+share one ``_Search``, which holds the colors placed so far, the counters
+and the last color's prefix, and chooses the spec's manifold filter once.
 
 While a color c is being built, the bi-colored paths of the class {c-1, c}
 (and of {d, 0} when c is the last color) are tracked by their ends ``pend``
@@ -150,7 +152,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .complexes import (
     ResidueTable,
@@ -255,36 +258,6 @@ def _new_part(prefix: ColoredGraph, spheres: bool) -> bool:
     )
 
 
-class _Filter(NamedTuple):
-    """A manifold filter: ``part`` decides, on the view of colors 0..k-1,
-    the part of ``check`` that color k-1 completes; failures count under
-    ``key``.  ``check`` re-verifies emitted solutions."""
-
-    flag: str  # the SearchSpec field that switches it on
-    colors: int
-    key: str
-    check: Callable[[ColoredGraph], bool]
-    part: Callable[[ColoredGraph], bool]
-
-
-_FILTERS = (
-    _Filter(
-        "require_3manifold",
-        4,
-        "criterion_3manifold",
-        lambda graph: check_3manifold(graph).holds,
-        lambda prefix: _new_part(prefix, spheres=False),
-    ),
-    _Filter(
-        "require_residues_sphere",
-        5,
-        "criterion_residues",
-        lambda graph: check_residues_sphere(graph).holds,
-        lambda prefix: _new_part(prefix, spheres=True),
-    ),
-)
-
-
 def check_spec(spec: SearchSpec) -> None:
     """Reject specs that cannot have solutions, before any search work."""
     problems = []
@@ -303,9 +276,10 @@ def check_spec(spec: SearchSpec) -> None:
             problems.append(
                 f"face size {t} does not divide {p}; its cycles cannot partition the vertices"
             )
-    for f in _FILTERS:
-        if getattr(spec, f.flag) and n != f.colors:
-            problems.append(f"{f.flag} needs exactly {f.colors} colors")
+    if spec.require_3manifold and n != 4:
+        problems.append("require_3manifold needs exactly 4 colors")
+    if spec.require_residues_sphere and n != 5:
+        problems.append("require_residues_sphere needs exactly 5 colors")
     if spec.max_solutions is not None and spec.max_solutions < 1:
         problems.append(f"solution limit must be >= 1, got {spec.max_solutions}")
     if not (spec.budget_seconds is None or spec.budget_seconds >= 0):
@@ -329,128 +303,157 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
     explored.
     """
     check_spec(spec)
-    n = spec.color_count
-    p = spec.vertex_count
-    seq = spec.seq
-    stats = SearchStats()
-    prunes = {
-        "wrong_cycle_length": 0,
-        "path_too_long": 0,
-        "dead_closure": 0,
-        "not_connected": 0,
-        "criterion_3manifold": 0,
-        "criterion_residues": 0,
-        "duplicate_prefix": 0,
-        "duplicate": 0,
-        "keep_rejected": 0,
-    }
-    filters = [f for f in _FILTERS if getattr(spec, f.flag)]
-    solutions: list[ColoredGraph] = []
-    seen_codes: set[str] = set()  # the keys of explored prefixes
+    search = _Search(spec, keep)
+    stats = search.stats
+    start = time.monotonic()
+    stats.exhausted = True
+    try:
+        stack = [search.descend(1, spec.vertex_count, [])]  # colors 0 and 1 are fixed
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(child)
+    except _Stop:
+        stats.exhausted = False
+    stats.elapsed_seconds = time.monotonic() - start
+    stats.prunes = {k: v for k, v in search.prunes.items() if v}
+    return SearchOutcome(spec, search.solutions, stats)
 
-    q0 = seq[0]
-    inv = _fixed_residue(q0, p) + [[-1] * p for _ in range(n - 2)]
-    # partners of v in range(v + 1, p, 2) keep every edge even-odd
-    step = 2 if spec.require_bipartite else 1
-    touched = [0] * (p // q0)  # color-2 edges per {0,1}-block
 
-    deadline = None
-    if spec.budget_seconds is not None:
-        deadline = time.monotonic() + spec.budget_seconds
-    budget_mask = 0x3FF
+class _Search:
+    """The state of one search: the involutions ``inv`` of the colors, color
+    2's edges per {0,1}-block, the counters, the solutions, the keys of the
+    explored prefixes and the last color's prefix P.  Each ``node``
+    generator is one entry of the stack in ``search_gems``; ``descend`` and
+    ``finalize`` run below an edge."""
 
-    # the last color's prefix P: ``last`` describes it (for n = 3, the fixed
-    # {0,1}-residue, from its second candidate on); ``first`` holds until
-    # its first connected candidate, the least in its orbit
-    last = None
-    first = True
+    def __init__(self, spec: SearchSpec, keep):
+        self.spec = spec
+        self.keep = keep
+        self.n = n = spec.color_count
+        self.p = p = spec.vertex_count
+        self.q0 = q0 = spec.seq[0]
+        self.inv = _fixed_residue(q0, p) + [[-1] * p for _ in range(n - 2)]
+        # partners of v in range(v + 1, p, 2) keep every edge even-odd
+        self.step = 2 if spec.require_bipartite else 1
+        self.touched = [0] * (p // q0)  # color-2 edges per {0,1}-block
+        self.stats = SearchStats()
+        self.prunes = dict.fromkeys(
+            ("wrong_cycle_length", "path_too_long", "dead_closure", "not_connected",
+             "criterion_3manifold", "criterion_residues", "duplicate_prefix", "duplicate",
+             "keep_rejected"),
+            0,
+        )
+        self.solutions: list[ColoredGraph] = []
+        self.seen_codes: set[str] = set()  # the keys of explored prefixes
+        self.deadline = None
+        if spec.budget_seconds is not None:
+            self.deadline = time.monotonic() + spec.budget_seconds
+        # at most one manifold filter: check_spec gives the 3-manifold filter
+        # 4 colors and the residue-sphere filter 5.  Its parts are
+        # ``_new_part(view, spheres)``, its whole check re-verifies solutions
+        self.filter_key = None
+        if spec.require_3manifold:
+            self.filter_key, self.spheres = "criterion_3manifold", False
+            self.check = check_3manifold
+        elif spec.require_residues_sphere:
+            self.filter_key, self.spheres = "criterion_residues", True
+            self.check = check_residues_sphere
+        # the last color's prefix P: ``last`` describes it (for n = 3, the fixed
+        # {0,1}-residue, from its second candidate on); ``first`` holds until
+        # its first connected candidate, the least in its orbit
+        self.last = None
+        self.first = True
 
-    def finalize():
-        nonlocal last, first
-        if deadline is not None and time.monotonic() > deadline:
+    def finalize(self) -> None:
+        """Test, filter and emit the complete candidate."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop
-        stats.candidates += 1
+        spec, inv, n, p, prunes = self.spec, self.inv, self.n, self.p, self.prunes
+        self.stats.candidates += 1
         # a connected prefix makes every candidate connected
-        whole = len(last.members) == 1 if last else q0 == p
+        whole = len(self.last.members) == 1 if self.last else self.q0 == p
         graph = None if whole else _view(inv, n)
         if graph is not None and not is_connected(graph):
             prunes["not_connected"] += 1
             return
-        if first:
-            first = False
+        if self.first:
+            self.first = False
         else:
-            if last is None:
-                last = _Components(_view(inv, n - 1), spec.require_bipartite)
-            if not last.least(inv[-1]):
+            if self.last is None:
+                self.last = _Components(_view(inv, n - 1), spec.require_bipartite)
+            if not self.last.least(inv[-1]):
                 prunes["duplicate"] += 1
                 return
         if graph is None:
             graph = _view(inv, n)
-        for f in filters:
-            if not f.part(graph):
-                prunes[f.key] += 1
-                return
-        if keep is not None and not keep(graph):
+        if self.filter_key and not _new_part(graph, self.spheres):
+            prunes[self.filter_key] += 1
+            return
+        if self.keep is not None and not self.keep(graph):
             prunes["keep_rejected"] += 1
             return
         # guaranteed by the search state; re-verified on what leaves it
         validate(n, p, [graph.pairs(c) for c in range(n)])
         se = semi_equivelar_type(graph)
-        if se is None or se.raw != seq:
+        if se is None or se.raw != spec.seq:
             raise RuntimeError(f"search produced a non-conforming graph: {graph}")
         if spec.require_bipartite and not is_bipartite(graph):
             raise RuntimeError("the parity rule let a non-bipartite graph through")
-        for f in filters:
-            if not f.check(graph):
-                raise RuntimeError(f"the parts of {f.key} let a failing graph through")
-        solutions.append(graph)
-        if spec.max_solutions is not None and len(solutions) >= spec.max_solutions:
+        if self.filter_key and not self.check(graph).holds:
+            raise RuntimeError(f"the parts of {self.filter_key} let a failing graph through")
+        self.solutions.append(graph)
+        if spec.max_solutions is not None and len(self.solutions) >= spec.max_solutions:
             raise _Stop
 
-    def descend(c: int, v: int, tracks: list):
+    def descend(self, c: int, v: int, tracks: list):
         """The node below an edge of color c: the least unpaired vertex of
         color c from v on, else vertex 0 of the next color.  None where a
         filter part prunes, the completed prefix was met before or the
         graph is complete.  ``tracks`` holds one path tracker
         ``(pend, plen, target)`` per constrained class of c."""
-        nonlocal last, first
+        inv, p = self.inv, self.p
         invc = inv[c]
         while v < p and invc[v] >= 0:
             v += 1
         if v < p:
-            return node(c, v, tracks)
+            return self.node(c, v, tracks)
         c += 1
-        if c == n:
-            finalize()
+        if c == self.n:
+            self.finalize()
             return None
         prefix = _view(inv, c)
-        for f in filters:
-            if not f.part(prefix):
-                prunes[f.key] += 1
-                return None
+        if self.filter_key and not _new_part(prefix, self.spheres):
+            self.prunes[self.filter_key] += 1
+            return None
         comps = None
         if c >= 3:
-            comps = _Components(prefix, spec.require_bipartite)
-            if comps.key in seen_codes:
-                prunes["duplicate_prefix"] += 1
+            comps = _Components(prefix, self.spec.require_bipartite)
+            if comps.key in self.seen_codes:
+                self.prunes["duplicate_prefix"] += 1
                 return None
-            seen_codes.add(comps.key)
+            self.seen_codes.add(comps.key)
+        seq = self.spec.seq
         tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
-        if c == n - 1:
+        if c == self.n - 1:
             tracks.append((list(inv[0]), [2] * p, seq[c]))
-            last, first = comps, True
-        return node(c, 0, tracks)
+            self.last, self.first = comps, True
+        return self.node(c, 0, tracks)
 
-    def node(c: int, v: int, tracks: list):
+    def node(self, c: int, v: int, tracks: list):
         """Pair v with each allowed partner in turn: yield the child node of
         each edge, and undo the edge when resumed.  On the last color an
         edge that fails ``_dead_closure`` is undone at once."""
+        stats = self.stats
         stats.nodes += 1
-        if deadline is not None and (stats.nodes & budget_mask) == 0:
-            if time.monotonic() > deadline:
+        if self.deadline is not None and (stats.nodes & 0x3FF) == 0:  # every 1,024 nodes
+            if time.monotonic() > self.deadline:
                 raise _Stop
-        invc = inv[c]
-        partners = range(v + 1, p, step)
+        invc = self.inv[c]
+        p, q0, touched, prunes, descend = self.p, self.q0, self.touched, self.prunes, self.descend
+        partners = range(v + 1, p, self.step)
         for pend, plen, target in tracks:
             if plen[v] == target:
                 # the path at v is full: its only partner closes it
@@ -460,9 +463,9 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
         # past v's block with no color-2 edge); the rest are its images
         fresh_from = v - v % q0 + q0 if c == 2 else p
         fresh_tried = False
-        last = len(tracks) == 2
-        if last:
-            (pend0, plen0, t0), (pend1, plen1, t1) = tracks
+        on_last = len(tracks) == 2
+        if on_last:
+            t0, t1 = tracks
         for u in partners:
             if invc[u] >= 0:
                 continue
@@ -492,10 +495,7 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
                         pend[a] = b
                         pend[b] = a
                         plen[a] = plen[b] = plen[v] + plen[u]
-                if last and (
-                    _dead_closure(pend0, plen0, t0, pend1, plen1, t1, v, u)
-                    or _dead_closure(pend1, plen1, t1, pend0, plen0, t0, v, u)
-                ):
+                if on_last and (_dead_closure(t0, t1, v, u) or _dead_closure(t1, t0, v, u)):
                     prunes["dead_closure"] += 1
                 else:
                     child = descend(c, v + 1, tracks)
@@ -514,28 +514,12 @@ def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
                     touched[u // q0] -= 1
                 invc[v] = invc[u] = -1
 
-    start = time.monotonic()
-    stats.exhausted = True
-    try:
-        stack = [descend(1, p, [])]  # colors 0 and 1 are fixed
-        while stack:
-            child = next(stack[-1], None)
-            if child is None:
-                stack.pop()
-            else:
-                stack.append(child)
-    except _Stop:
-        stats.exhausted = False
-    stats.elapsed_seconds = time.monotonic() - start
-    stats.prunes = {k: v for k, v in prunes.items() if v}
-    return SearchOutcome(spec, solutions, stats)
 
-
-def _dead_closure(pend, plen, target, qend, qlen, qtarget, v, u) -> bool:
+def _dead_closure(track, other, v: int, u: int) -> bool:
     """On the last color, the edge v-u has just been placed and both
     trackers updated, v and u keeping their old far ends: if v-u grew a
-    path of the tracker ``(pend, plen, target)`` to the ends a, b, is every
-    completion dead in the other tracker ``(qend, qlen, qtarget)``?
+    path of the tracker ``track = (pend, plen, target)`` to the ends a, b,
+    is every completion dead in the ``other`` tracker?
 
     A full path closes only by a-b, so a-b must pass the other tracker.  An
     end whose path in the other tracker is full has one partner y, the far
@@ -543,9 +527,11 @@ def _dead_closure(pend, plen, target, qend, qlen, qtarget, v, u) -> bool:
     long.  Path lengths only grow, so a failure here fails in every
     completion.
     """
+    pend, plen, target = track
     a = pend[v]
     if a == u:  # v-u closed a cycle
         return False
+    qend, qlen, qtarget = other
     b = pend[u]
     length = plen[a]
     if length == target:
@@ -573,17 +559,18 @@ class _Components:
     one size is a bijection.  Found maps are kept, by (a, b), as the images of
     the component's sorted vertices.
 
-    ``key`` is P's code: the sorted lex-least labelings of its components
-    (``graphs._component_key``, the walk of the canonical code).  With
-    ``parity`` P is even-odd and only even-odd images count.  The parity
-    flag (g(x) - x) mod 2 of a component map is constant on the component,
-    so g.m is even-odd exactly when the flags agree at both ends of each
-    m-edge; when P and m together are connected, that is one flag for all.
-    A component's mark is then its least labeling from an even start and
-    from an odd start, and ``key``, the lesser of the sorted (even, odd) and
-    (odd, even) marks, is P's parity-marked code.  Maps of flag 0 always
-    extend, maps of flag 1 exactly when the two lists are equal; else
-    ``first_flag`` is 0 and no map of flag 1 starts.
+    ``key`` is P's code, computed when first read, since only prefixes of
+    3 <= c < n colors are keyed: the sorted lex-least labelings of its
+    components (``graphs._component_key``, the walk of the canonical code).
+    With ``parity`` P is even-odd and only even-odd images count.  The
+    parity flag (g(x) - x) mod 2 of a component map is constant on the
+    component, so g.m is even-odd exactly when the flags agree at both ends
+    of each m-edge; when P and m together are connected, that is one flag
+    for all.  A component's mark is then its least labeling from an even
+    start and from an odd start, and ``key``, the lesser of the sorted
+    (even, odd) and (odd, even) ``marks``, is P's parity-marked code.  Maps
+    of flag 0 always extend, maps of flag 1 exactly when the two lists are
+    equal; else ``first_flag`` is 0 and no map of flag 1 starts.
     """
 
     def __init__(self, graph: ColoredGraph, parity: bool):
@@ -601,10 +588,10 @@ class _Components:
         self.g, self.g_inv = [0] * p, [0] * p  # the map being built
         self.img = [-1] * p  # a walk's images, all -1 between walks
         self.first_flag = None  # the flag of the first map, None for either
-        label = [-1] * p
+        self.marks = None  # with ``parity``, the sorted (even, odd) and (odd, even) marks
         if not parity:
-            self.key = str(sorted(_component_key(rows, part, label) for part in self.members))
             return
+        label = [-1] * p
         marks = [
             tuple(
                 _component_key(rows, [x for x in part if x & 1 == side], label)
@@ -612,11 +599,16 @@ class _Components:
             )
             for part in self.members
         ]
-        straight = sorted(marks)
-        swapped = sorted(mark[::-1] for mark in marks)
-        self.key = str(min(straight, swapped))
+        self.marks = straight, swapped = sorted(marks), sorted(mark[::-1] for mark in marks)
         swaps = straight == swapped  # P has a parity-swapping automorphism
         self.first_flag = None if swaps else 0
+
+    @cached_property
+    def key(self) -> str:
+        if self.marks is not None:
+            return str(min(self.marks))
+        label = [-1] * len(self.comp)
+        return str(sorted(_component_key(self.rows, part, label) for part in self.members))
 
     def _fits(self, a: int, b: int, flag) -> bool:
         """Is there a component map with a -> b, of the flag of the maps

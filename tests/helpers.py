@@ -28,6 +28,7 @@ from gemtk import (
     sphere_profile,
     validate,
 )
+from gemtk.complexes import ResidueTable, homology_spheres
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +392,14 @@ def reference_residues_sphere(graph: ColoredGraph) -> tuple[tuple, ...]:
             homology_ok = criterion and graph_homology(sub) == sphere_profile(3)
             verdicts.append((dropped, idx, sub.vertex_count, criterion, homology_ok))
     return tuple(verdicts)
+
+
+def one_boundary_spheres(graph: ColoredGraph) -> bool:
+    """``complexes.homology_spheres`` on every component of a 4-colored gem
+    whose four triple counts hold: the library's one-boundary verdict that
+    each component has the integer homology of S^3."""
+    table = ResidueTable(graph)
+    return homology_spheres(table, (0, 1, 2, 3), table.components((0, 1, 2, 3)))
 
 
 def counting_relation_holds(seq: tuple[int, ...], chi: int, p: int) -> bool:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gemtk
 from gemtk import parse_gem, relabel, validate, write_gem
 from gemtk.cli import CHECK_FAILED, main
@@ -230,6 +232,35 @@ class TestSearch:
         assert len(files) == 1
         found = parse_gem(files[0].read_text())
         assert found.vertex_count == 8
+
+    def test_out_onto_a_file_is_a_file_error(self, capsys, tmp_path, monkeypatch):
+        # the directory is made before the search, so no search runs
+        monkeypatch.setattr(gemtk.cli, "search_gems", lambda spec: pytest.fail("searched"))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        for target in (blocker, blocker / "found"):
+            code, out, err = run(
+                capsys,
+                "search", "--type", "10,10,10", "--vertices", "10", "--all",
+                "--out", str(target),
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: cannot write {target}: ")
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_unwritable_gem_file_is_a_file_error(self, capsys, tmp_path):
+        spec = ("--type", "10,10,10", "--vertices", "10", "--require-bipartite", "--all")
+        code, out, _ = run(capsys, "search", *spec, "--out", str(tmp_path / "found"))
+        assert code == 0
+        names = sorted(line.split()[1] for line in out.splitlines() if line.startswith("wrote"))
+        assert len(names) == 4
+        # a directory in the place of a gem file makes writing it fail
+        out_dir = tmp_path / "blocked"
+        (out_dir / names[0]).mkdir(parents=True)
+        code, out, err = run(capsys, "search", *spec, "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out_dir / names[0]}: ")
 
     def test_stdout_mode(self, capsys):
         code, out, _ = run(

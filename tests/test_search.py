@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -352,16 +353,18 @@ class TestStagedFilters:
         assert out.stats.prunes[key] > out.stats.candidates
 
     @pytest.mark.parametrize(
-        "flag,check,fixed",
+        "spheres,colors,check,fixed",
         [
             pytest.param(
-                "require_3manifold",
+                False,
+                4,
                 lambda g: check_3manifold(g).holds,
                 [],
                 id="3manifold",
             ),
             pytest.param(
-                "require_residues_sphere",
+                True,
+                5,
                 lambda g: check_residues_sphere(g).holds,
                 # every residue count holds, but the two RP^3 residues fail
                 # homology, in the part of color 3 or 4 as sigma places them
@@ -373,21 +376,21 @@ class TestStagedFilters:
             ),
         ],
     )
-    def test_parts_partition_the_check(self, flag, check, fixed):
+    def test_parts_partition_the_check(self, spheres, colors, check, fixed):
         # the parts that colors 2..n-1 complete, each decided on the view of
         # the colors up to it, together decide exactly the public check
-        f = next(f for f in gemtk.search._FILTERS if f.flag == flag)
-        rng = random.Random(f.colors)
+        rng = random.Random(colors)
 
         def parts(g):
             inv = [list(row) for row in g.pairings]
             return all(
-                f.part(gemtk.search._view(inv, k)) for k in range(3, f.colors + 1)
+                gemtk.search._new_part(gemtk.search._view(inv, k), spheres)
+                for k in range(3, colors + 1)
             )
 
         held = 0
         for _ in range(2000):
-            g = random_colored_graph(rng, 2 * rng.randint(1, 6), f.colors)
+            g = random_colored_graph(rng, 2 * rng.randint(1, 6), colors)
             holds = parts(g)
             assert holds == check(g), g
             held += holds
@@ -594,6 +597,27 @@ class TestLastColorOrbits:
         out, built = _built_search(monkeypatch, SearchSpec(seq=seq, vertex_count=p))
         assert out.stats.exhausted and len(out.solutions) == classes
         assert built == builds
+
+    def test_unkeyed_prefix_gets_no_key(self, monkeypatch):
+        # a 3-colored search keys no prefix: the fixed {0,1}-residue is
+        # described only for the orbit test, so without the parity rule no
+        # component is labeled; a 4-colored search keys its prefixes
+        calls = 0
+        original = gemtk.search._component_key
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(gemtk.search, "_component_key", counted)
+        out = search_gems(SearchSpec(seq=(8, 8, 8), vertex_count=16))
+        assert out.stats.exhausted and len(out.solutions) == 61
+        assert (out.stats.nodes, out.stats.candidates) == (3006, 925)
+        assert calls == 0
+        out = search_gems(SearchSpec(seq=(4, 4, 8, 8), vertex_count=8))
+        assert out.stats.exhausted and len(out.solutions) == 24
+        assert calls == 10  # one per component of its 6 keyed prefixes
 
     def test_parity_prefixes_get_no_code(self, monkeypatch):
         # under the parity rule the prefixes get parity-marked keys, so the
@@ -877,14 +901,19 @@ class TestEmittedSolutionChecks:
         assert calls["check_3manifold"] == 0
 
     def test_filter_recheck_still_fires(self, monkeypatch):
-        monkeypatch.setattr(
-            gemtk.search,
-            "_FILTERS",
-            tuple(f._replace(check=lambda graph: False) for f in gemtk.search._FILTERS),
-        )
+        # the parts pass, but the whole check that re-verifies each emitted
+        # solution fails: both filters must raise naming their prune key
+        failing = SimpleNamespace(holds=False)
+        monkeypatch.setattr(gemtk.search, "check_3manifold", lambda graph: failing)
+        monkeypatch.setattr(gemtk.search, "check_residues_sphere", lambda graph: failing)
         with pytest.raises(RuntimeError, match="criterion_3manifold"):
             search_gems(
                 SearchSpec(seq=(4, 8, 4, 8), vertex_count=8, require_3manifold=True,
+                           max_solutions=1)
+            )
+        with pytest.raises(RuntimeError, match="criterion_residues"):
+            search_gems(
+                SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True,
                            max_solutions=1)
             )
 

@@ -229,10 +229,11 @@ def cmd_embed(args) -> int:
 
 def cmd_homology(args) -> int:
     graph = _load_graph(args.file)
-    parts = [
-        residue_subgraph(graph, graph.colors, comp)
-        for comp in connected_components(graph)
-    ]
+    comps = connected_components(graph)
+    if len(comps) == 1:
+        parts = [graph]
+    else:
+        parts = [residue_subgraph(graph, graph.colors, comp) for comp in comps]
     for index, part in enumerate(parts):
         profile = graph_homology(part)
         dims = range(part.color_count)
@@ -318,9 +319,8 @@ def cmd_search(args) -> int:
         summary += " prunes: " + " ".join(f"{k}={v}" for k, v in stats.prunes.items())
     # with --json, stdout stays one record per solution
     print(summary, file=sys.stderr if args.json else sys.stdout)
-    if outcome.solutions:
-        return 0
-    return 0 if stats.exhausted else CHECK_FAILED
+    inconclusive = not stats.exhausted and (args.all or not outcome.solutions)
+    return CHECK_FAILED if inconclusive else 0
 
 
 def cmd_canon(args) -> int:

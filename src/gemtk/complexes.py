@@ -6,10 +6,11 @@ simplex vertices.  The cells labeled by a color subset B then correspond to
 the connected components of the residue on the complementary colors, and the
 boundary maps follow the label order, so the chain complex is exact integer
 linear algebra.  Each boundary is a list of sparse rows, one dict of nonzero
-entries per (k-1)-cell, so memory grows with the nonzeros.  Every column has
-at most d+1 of them, all +-1, so Smith normal form mostly pivots on +-1
-entries with invariant factor 1; the few rows left, which hold all torsion,
-go through the same loop with least-absolute-value pivots.
+entries per (k-1)-cell, so memory grows with the nonzeros.  Each column of
+d1 and row of dd has two entries +-1, so :func:`incidence_factors` reads
+their invariant factors off a signed graph; Smith normal form, for d2 ..
+d(d-1), mostly pivots on +-1 entries, and the few rows left, which hold all
+torsion, on entries of least absolute value.
 """
 
 from __future__ import annotations
@@ -125,6 +126,46 @@ def _add_row(
         del rows[i]
 
 
+def incidence_factors(lines: Iterable[Mapping[int, int]]) -> tuple[int, ...]:
+    """Invariant factors of a matrix given by its lines (rows, or columns:
+    the transpose has the same factors), each with exactly two entries +-1.
+
+    They are the edges of a signed graph.  Negating a node's entries is
+    unimodular, and so makes every edge of a spanning tree (+1, -1); on a
+    component of q nodes the tree then spans the vectors of sum 0, with
+    q - 1 factors 1.  Another edge is outside that span only if its cycle
+    holds an odd number of same-sign edges (negation keeps the parity);
+    then it is +-(1, 1) and the span grows to the vectors of even sum: one
+    factor 2.  The union-find keeps each node's negation relative to its
+    parent and hangs the smaller tree under the larger: O(log n) finds.
+    """
+    parent: dict[int, int] = {}
+    flip: dict[int, bool] = {}  # a node's negation relative to its parent
+    size: dict[int, int] = {}
+    odd: set[int] = set()  # roots, now or once, of components with an odd cycle
+    for line in lines:
+        if len(line) != 2 or any(v not in (1, -1) for v in line.values()):
+            raise ValueError(f"line {dict(line)} does not have two entries +-1")
+        rel = len(set(line.values())) == 1  # same signs need opposite negations
+        roots = []
+        for x in line:
+            while parent.setdefault(x, x) != x:
+                rel ^= flip[x]
+                x = parent[x]
+            roots.append(x)
+        small, big = sorted(roots, key=lambda r: size.setdefault(r, 1))
+        if small == big:
+            if rel:
+                odd.add(big)
+        else:
+            parent[small], flip[small] = big, rel
+            size[big] += size[small]
+            if small in odd:
+                odd.add(big)
+    roots = {x for x in parent if parent[x] == x}
+    return (1,) * (len(parent) - len(roots)) + (2,) * len(odd & roots)
+
+
 # ---------------------------------------------------------------------------
 # Residue table
 # ---------------------------------------------------------------------------
@@ -208,40 +249,32 @@ def build_complex(graph: ColoredGraph) -> CellComplex:
     """Cells and boundary matrices of the induced simplicial cell complex."""
     colors = tuple(graph.colors)
     n = graph.color_count
-
-    comp_of_vertex: dict[tuple[int, ...], list[int]] = {}
-    cells_by_labels: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for size in range(1, n + 1):
-        for labels in itertools.combinations(colors, size):
-            complement = [c for c in colors if c not in labels]
-            comps = residue_components(graph, complement)
-            cells_by_labels[labels] = comps
-            lookup = [-1] * graph.vertex_count
-            for idx, comp in enumerate(comps):
-                for v in comp:
-                    lookup[v] = idx
-            comp_of_vertex[labels] = lookup
+    table = ResidueTable(graph)
+    rest: dict[tuple[int, ...], tuple[int, ...]] = {}  # the colors not in labels
 
     cells: list[tuple[Cell, ...]] = []
     offsets: dict[tuple[int, ...], int] = {}
     for k in range(n):
         layer: list[Cell] = []
         for labels in itertools.combinations(colors, k + 1):
+            rest[labels] = tuple(c for c in colors if c not in labels)
             offsets[labels] = len(layer)
-            for idx, comp in enumerate(cells_by_labels[labels]):
+            for idx, comp in enumerate(table.components(rest[labels])):
                 layer.append(Cell(labels, idx, comp))
         cells.append(tuple(layer))
 
     boundaries: list[Matrix] = [[]]  # dimension 0 maps to zero
     for k in range(1, n):
         mat: Matrix = [{} for _ in cells[k - 1]]
-        for col, cell in enumerate(cells[k]):
-            rep = cell.vertices[0]
-            for pos, b in enumerate(cell.labels):
-                # each facet has its own label set, so no entry is set twice
-                sub = tuple(c for c in cell.labels if c != b)
-                row = offsets[sub] + comp_of_vertex[sub][rep]
-                mat[row][col] = (-1) ** pos
+        for labels in itertools.combinations(colors, k + 1):
+            # each facet has its own label set, so no entry is set twice
+            facets = []
+            for pos in range(k + 1):
+                sub = labels[:pos] + labels[pos + 1 :]
+                facets.append((offsets[sub], table.index(rest[sub]), (-1) ** pos))
+            for col, comp in enumerate(table.components(rest[labels]), offsets[labels]):
+                for base, lookup, sign in facets:
+                    mat[base + lookup[comp[0]]][col] = sign
         boundaries.append(mat)
     return CellComplex(n, graph.vertex_count, tuple(cells), tuple(boundaries))
 
@@ -293,8 +326,17 @@ def homology(complex_: CellComplex) -> HomologyProfile:
     sizes = [len(cs) for cs in complex_.cells]
     ranks = [0] * (d + 2)
     torsions: list[tuple[int, ...]] = [()] * (d + 1)
-    for k in range(1, d + 1):
-        factors = smith_normal_form(complex_.boundaries[k])
+    for k, mat in enumerate(complex_.boundaries[1:], 1):
+        if k == 1:  # a column per 1-cell: its two ends, +1 and -1
+            columns: dict[int, dict[int, int]] = {}
+            for i, row in enumerate(mat):
+                for j, v in row.items():
+                    columns.setdefault(j, {})[i] = v
+            factors = incidence_factors(columns.values())
+        elif k == d:  # a row per edge of color b: (-1)^b at both ends
+            factors = incidence_factors(mat)
+        else:
+            factors = smith_normal_form(mat)
         ranks[k] = len(factors)
         torsions[k - 1] = tuple(f for f in factors if f > 1)
     groups = tuple(

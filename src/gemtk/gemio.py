@@ -18,8 +18,6 @@ import re
 
 from .graphs import ColoredGraph, validate
 
-_PAIR_RE = re.compile(r"^(\d+)-(\d+)$")
-
 
 class GemParseError(ValueError):
     """Syntax error with its source location."""
@@ -90,10 +88,10 @@ def parse_gem(text: str) -> ColoredGraph:
             fail(lineno, body, m.group(1), f"duplicate pairing line for color {color}")
         pairs = []
         for token in m.group(2).split():
-            pm = _PAIR_RE.match(token)
-            if not pm:
+            a, _, b = token.partition("-")
+            if not (a.isdecimal() and b.isdecimal()):  # what \d+-\d+ matches
                 fail(lineno, body, token, f"malformed pair {token!r}, expected 'a-b'")
-            pairs.append((int(pm.group(1)), int(pm.group(2))))
+            pairs.append((int(a), int(b)))
         pairings[color] = pairs
 
     return validate(color_count, vertex_count, pairings)

@@ -329,6 +329,18 @@ class TestSearch:
             assert code == 1
             assert "exhausted: no" in out
 
+    def test_budget_stopping_all_with_solutions_is_inconclusive(self, capsys):
+        # a partial class count must not pass for a complete one
+        code, out, _ = run(
+            capsys,
+            "search", "--type", "4,6,14", "--vertices", "168", "--require-bipartite",
+            "--all", "--budget", "0.5",
+        )
+        assert code == CHECK_FAILED
+        assert out.startswith("gem 1")  # the solutions found are still printed
+        assert "exhausted: no" in out
+        assert "solutions: 0" not in out
+
     def test_exhausted_empty_is_success(self, capsys):
         # the only quadrilateral graph on 4 vertices is non-bipartite, so the
         # bipartite search exhausts with nothing to report

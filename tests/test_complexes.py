@@ -23,6 +23,8 @@ from gemtk import (
     sphere_profile,
     validate,
 )
+from gemtk import complexes
+from gemtk.complexes import incidence_factors
 from gemtk.graphs import ColoredGraph
 from gemtk.search import SearchSpec, search_gems
 
@@ -197,6 +199,81 @@ class TestSmithNormalForm:
                     for row in a:
                         row[i] += k * row[j]
             assert smith_normal_form(sparse_rows(a)) == (1, 1, 2, 6)
+
+
+def _columns(mat):
+    columns = {}
+    for i, row in enumerate(mat):
+        for j, v in row.items():
+            columns.setdefault(j, {})[i] = v
+    return list(columns.values())
+
+
+class TestIncidenceFactors:
+    def test_equals_snf_on_first_and_last_boundary(self):
+        rng = random.Random(97)
+        kinds = set()
+        for i in range(1200):
+            colors = rng.randrange(2, 6)
+            g = random_colored_graph(rng, 2 * rng.randrange(1, 10), colors)
+            if i % 3 == 0:  # the 2-vertex gem keeps g bipartite or not
+                g = disjoint_union(g, random_colored_graph(rng, 2, colors))
+            kinds.add((colors, is_connected(g), is_bipartite(g)))
+            k = build_complex(g)
+            d1, dd = k.boundaries[1], k.boundaries[k.dim]
+            assert incidence_factors(_columns(d1)) == smith_normal_form(d1)
+            assert incidence_factors(dd) == smith_normal_form(dd)
+        # every color count was drawn connected and not, bipartite and not,
+        # but a 2-colored graph is a union of even cycles
+        assert kinds == {
+            (c, conn, bip)
+            for c in range(2, 6)
+            for conn in (False, True)
+            for bip in (False, True)
+            if c > 2 or bip
+        }
+
+    def test_signed_cycles_and_chains(self):
+        def cycle(n, same):
+            return [{i: 1, (i + 1) % n: 1 if i < same else -1} for i in range(n)]
+
+        assert incidence_factors(cycle(5, 1)) == (1,) * 4 + (2,)
+        assert incidence_factors(cycle(5, 2)) == (1,) * 4
+        assert incidence_factors(cycle(4, 3)) == (1,) * 3 + (2,)
+        assert incidence_factors(cycle(3, 1) + cycle(3, 1)) == (1, 1, 2)
+        # an odd triangle whose tree then hangs under a larger one
+        path = [{i: 1, i + 1: -1} for i in range(10, 14)]
+        assert incidence_factors(cycle(3, 1) + path + [{0: 1, 10: 1}]) == (1,) * 7 + (2,)
+        # a star whose center a tree without union by size would bury ever
+        # deeper: each find from it would walk the whole chain
+        n = 20000
+        star = [{0: 1, i: -1} for i in range(1, n + 1)]
+        assert incidence_factors(star) == (1,) * n
+        assert incidence_factors(star + [{1: -1, 2: -1}]) == (1,) * n + (2,)
+        assert incidence_factors([]) == ()
+
+    def test_smith_normal_form_only_between_first_and_last_boundary(self, monkeypatch):
+        calls = []
+
+        def counting(matrix):
+            calls.append(len(matrix))
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(complexes, "smith_normal_form", counting)
+        rng = random.Random(101)
+        for colors, snfs in [(2, 0), (3, 0), (4, 1), (5, 2)]:
+            calls.clear()
+            g = random_connected_graph(rng, 12, colors)
+            graph_homology(g)
+            assert len(calls) == snfs
+        assert graph_homology(k4_graph()).torsion(1) == (2,)  # with no SNF
+
+    @pytest.mark.parametrize(
+        "line", [{0: 1}, {0: 1, 1: -1, 2: 1}, {0: 2, 1: -1}, {0: 1, 1: 0}]
+    )
+    def test_line_that_is_not_two_unit_entries_is_refused(self, line):
+        with pytest.raises(ValueError):
+            incidence_factors([{3: 1, 4: -1}, line])
 
 
 class TestBuildComplex:

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from gemtk import GemParseError, GemValidationError, parse_gem, write_gem
+from gemtk import GemParseError, GemValidationError, gemio, parse_gem, write_gem
 
 from helpers import cube_graph, random_colored_graph, theta_graph
 
@@ -73,6 +74,27 @@ class TestParse:
             parse_gem(text)
         assert err.value.line == 5
         assert err.value.column >= 1
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1-", "-1", "1-2-3", "1--2", "+1-2", "1_0-2", "a-b", "0~1", "١-٢", "0-1", "1-²"],
+    )
+    def test_pair_tokens_match_the_regex(self, token, monkeypatch):
+        # the pair syntax is \d+-\d+, with any Unicode decimal digits, which
+        # int reads, but no other digits (a superscript two is one that int
+        # refuses); validation is bypassed to see the parsed pairs
+        monkeypatch.setattr(gemio, "validate", lambda colors, p, pairings: pairings)
+        body = f"color 1: 0-1 {token}"
+        text = f"gem 1\ncolors 2\nvertices 2\ncolor 0: 0-1\n{body}\n"
+        match = re.fullmatch(r"(\d+)-(\d+)", token)
+        if match:
+            pair = (int(match[1]), int(match[2]))
+            assert parse_gem(text) == {0: [(0, 1)], 1: [(0, 1), pair]}
+            return
+        with pytest.raises(GemParseError) as err:
+            parse_gem(text)
+        assert (err.value.line, err.value.column) == (5, body.index(token) + 1)
+        assert f"malformed pair {token!r}" in str(err.value)
 
     def test_bad_version(self):
         with pytest.raises(GemParseError):

@@ -23,9 +23,9 @@ from pathlib import Path
 
 from .census import enumerate_types
 from .complexes import (
+    SurfaceDescriptor,
     check_3manifold,
     check_residues_sphere,
-    check_surface,
     graph_homology,
 )
 from .embeddings import CyclicOrder, all_embeddings, embedding_report
@@ -104,11 +104,13 @@ def cmd_verify(args) -> int:
     connected = len(comps) == 1
     bipartite = is_bipartite(graph)
     failures = []
+    embeddings = all_embeddings(graph) if connected else {}
 
     checks: dict[str, object] = {}
     if graph.color_count == 3:
-        if connected:
-            checks["surface"] = check_surface(graph)
+        if connected:  # the surface of the only cyclic order
+            (rep,) = embeddings.values()
+            checks["surface"] = SurfaceDescriptor(rep.orientable, rep.genus)
     elif graph.color_count == 4:
         report = check_3manifold(graph)
         checks["criterion_3manifold"] = report.holds
@@ -123,10 +125,6 @@ def cmd_verify(args) -> int:
                 for v in report.failures()
             )
             failures.append(f"residue check fails at {bad}")
-
-    embeddings = {}
-    if connected:
-        embeddings = all_embeddings(graph)
 
     g_counts = {
         "".join(map(str, key)): count

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .embeddings import embedding_report
-from .graphs import ColoredGraph, residue_components
+from .graphs import ColoredGraph
 
 Matrix = list[dict[int, int]]
 
@@ -167,38 +167,6 @@ def incidence_factors(lines: Iterable[Mapping[int, int]]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Residue table
-# ---------------------------------------------------------------------------
-
-
-class ResidueTable:
-    """The residues of one graph, each color subset's components computed
-    once.  ``colors`` is always a sorted tuple; ``components`` lists the
-    components as :func:`residue_components` does, and ``index`` maps each
-    vertex to the position of its component in that list."""
-
-    def __init__(self, graph: ColoredGraph):
-        self.graph = graph
-        self._components: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        self._index: dict[tuple[int, ...], list[int]] = {}
-
-    def components(self, colors: tuple[int, ...]) -> list[tuple[int, ...]]:
-        comps = self._components.get(colors)
-        if comps is None:
-            comps = self._components[colors] = residue_components(self.graph, colors)
-        return comps
-
-    def index(self, colors: tuple[int, ...]) -> list[int]:
-        lookup = self._index.get(colors)
-        if lookup is None:
-            lookup = self._index[colors] = [0] * self.graph.vertex_count
-            for idx, comp in enumerate(self.components(colors)):
-                for v in comp:
-                    lookup[v] = idx
-        return lookup
-
-
-# ---------------------------------------------------------------------------
 # Cell complex
 # ---------------------------------------------------------------------------
 
@@ -249,7 +217,7 @@ def build_complex(graph: ColoredGraph) -> CellComplex:
     """Cells and boundary matrices of the induced simplicial cell complex."""
     colors = tuple(graph.colors)
     n = graph.color_count
-    table = ResidueTable(graph)
+    table = graph.residues
     rest: dict[tuple[int, ...], tuple[int, ...]] = {}  # the colors not in labels
 
     cells: list[tuple[Cell, ...]] = []
@@ -350,7 +318,7 @@ def graph_homology(graph: ColoredGraph) -> HomologyProfile:
 
 
 def homology_spheres(
-    table: ResidueTable, colors: tuple[int, ...], comps: Sequence[Sequence[int]]
+    graph: ColoredGraph, colors: tuple[int, ...], comps: Sequence[Sequence[int]]
 ) -> bool:
     """Whether the given k components of the residue on four ``colors``
     all have the integer homology of S^3.
@@ -368,7 +336,7 @@ def homology_spheres(
     exactly when d2 has p + k invariant factors, all 1, p being the
     components' total vertex count.
     """
-    graph = table.graph
+    table = graph.residues
     p = graph.vertex_count
     offset: dict[tuple[int, ...], int] = {}
     rows = 0
@@ -424,12 +392,13 @@ class TripleCheck:
 
 
 def triple_checks(
-    table: ResidueTable, triples: Iterable[tuple[int, int, int]]
+    graph: ColoredGraph, triples: Iterable[tuple[int, int, int]]
 ) -> Iterator[TripleCheck]:
     """The identity g_ij + g_ik + g_jk = 2*g_ijk + p/2 per triple, counted
     over the whole graph (exact, see :class:`ThreeManifoldReport`), one
     triple at a time."""
-    p = table.graph.vertex_count
+    table = graph.residues
+    p = graph.vertex_count
     for triple in triples:
         total = sum(len(table.components(pair)) for pair in itertools.combinations(triple, 2))
         expected = 2 * len(table.components(triple)) + p // 2
@@ -457,7 +426,7 @@ def check_3manifold(graph: ColoredGraph) -> ThreeManifoldReport:
     """Evaluate the 3-manifold residue criterion on a 4-colored graph."""
     if graph.color_count != 4:
         raise ValueError("3-manifold check needs exactly 4 colors")
-    checks = tuple(triple_checks(ResidueTable(graph), itertools.combinations(range(4), 3)))
+    checks = tuple(triple_checks(graph, itertools.combinations(range(4), 3)))
     return ThreeManifoldReport(all(c.holds for c in checks), checks)
 
 
@@ -497,7 +466,7 @@ def check_residues_sphere(graph: ColoredGraph) -> ResidueSphereReport:
     and its homology is decided by :func:`homology_spheres` on it alone."""
     if graph.color_count != 5:
         raise ValueError("residue sphere check needs exactly 5 colors")
-    table = ResidueTable(graph)
+    table = graph.residues
     verdicts = []
     for dropped in range(5):
         kept = tuple(c for c in range(5) if c != dropped)
@@ -515,6 +484,6 @@ def check_residues_sphere(graph: ColoredGraph) -> ResidueSphereReport:
                 == 2 * g[t][idx] + q // 2
                 for t in triples
             )
-            homology_ok = criterion and homology_spheres(table, kept, [comp])
+            homology_ok = criterion and homology_spheres(graph, kept, [comp])
             verdicts.append(ResidueVerdict(dropped, idx, q, criterion, homology_ok))
     return ResidueSphereReport(all(v.ok for v in verdicts), tuple(verdicts))

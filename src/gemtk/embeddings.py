@@ -9,7 +9,9 @@ surface; bipartiteness decides orientability.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .census import TypeSequence, canonical_cycle, distinct_arrangements, normalize
 from .graphs import ColoredGraph, is_bipartite, is_connected
@@ -137,14 +139,19 @@ def semi_equivelar_type(
     Returns None when some face class mixes cycle lengths, when any face is a
     bigon (face sizes below 4 carry no type), or with fewer than 3 colors.
     """
-    trace = trace_faces(graph, eps)
-    return _se_type_of(trace)
+    return _se_type_of({len(c) for c in cycles} for cycles in trace_faces(graph, eps).cycles)
 
 
-def _se_type_of(trace: FaceTrace) -> SeType | None:
+def _faces(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, set[int]]:
+    """The number of faces that the cycles of one color pair bound, and
+    their sizes."""
+    return len(cycles), {len(c) for c in cycles}
+
+
+def _se_type_of(sizes: Iterable[set[int]]) -> SeType | None:
+    """The type from the face sizes of each consecutive color pair."""
     raw = []
-    for per_class in trace.cycles:
-        lengths = {len(c) for c in per_class}
+    for lengths in sizes:
         if len(lengths) != 1:
             return None
         (q,) = lengths
@@ -156,6 +163,30 @@ def _se_type_of(trace: FaceTrace) -> SeType | None:
     return SeType(tuple(raw), normalize(raw))
 
 
+def _report(
+    graph: ColoredGraph,
+    eps: CyclicOrder,
+    faces: list[tuple[int, set[int]]],
+    orientable: bool,
+) -> EmbeddingReport:
+    """The report of ``eps`` from the ``_faces`` of its consecutive color pairs."""
+    p = graph.vertex_count
+    e = p * graph.color_count // 2
+    f = sum(count for count, _ in faces)
+    chi = p - e + f
+    return EmbeddingReport(
+        eps=eps,
+        vertex_count=p,
+        edge_count=e,
+        face_count=f,
+        chi=chi,
+        orientable=orientable,
+        genus=(2 - chi) // 2 if orientable else 2 - chi,
+        has_bigons=any(2 in sizes for _, sizes in faces),
+        se_type=_se_type_of(sizes for _, sizes in faces),
+    )
+
+
 def embedding_report(
     graph: ColoredGraph, eps: CyclicOrder | None = None
 ) -> EmbeddingReport:
@@ -163,33 +194,27 @@ def embedding_report(
     if not is_connected(graph):
         raise ValueError("embedding reports need a connected graph")
     trace = trace_faces(graph, eps)
-    p = graph.vertex_count
-    e = p * graph.color_count // 2
-    f = trace.face_count
-    chi = p - e + f
-    orientable = is_bipartite(graph)
-    genus = (2 - chi) // 2 if orientable else 2 - chi
-    has_bigons = any(len(c) == 2 for per_class in trace.cycles for c in per_class)
-    return EmbeddingReport(
-        eps=trace.eps,
-        vertex_count=p,
-        edge_count=e,
-        face_count=f,
-        chi=chi,
-        orientable=orientable,
-        genus=genus,
-        has_bigons=has_bigons,
-        se_type=_se_type_of(trace),
-    )
+    faces = [_faces(cycles) for cycles in trace.cycles]
+    return _report(graph, trace.eps, faces, is_bipartite(graph))
 
 
 def all_embeddings(graph: ColoredGraph) -> dict[CyclicOrder, EmbeddingReport]:
-    """One report per rotation/reflection class of cyclic orders.
+    """One report per rotation/reflection class of cyclic orders, the same
+    as :func:`embedding_report` gives each.
 
     There are d!/2 classes for d+1 >= 3 colors and a single class for 2.
+    Connectivity and orientability do not depend on the order, and each
+    color pair's faces are traced once for every order that uses the pair.
     """
+    if not is_connected(graph):
+        raise ValueError("embedding reports need a connected graph")
+    orientable = is_bipartite(graph)
+    faces = {}
+    for a, b in itertools.combinations(graph.colors, 2):
+        faces[a, b] = faces[b, a] = _faces(_bicolored_cycles(graph, a, b))
     return {
-        eps: embedding_report(graph, eps) for eps in _cyclic_orders(graph.color_count)
+        eps: _report(graph, eps, [faces[pair] for pair in eps.pairs()], orientable)
+        for eps in _cyclic_orders(graph.color_count)
     }
 
 

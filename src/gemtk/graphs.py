@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 PairList = Sequence[tuple[int, int]]
@@ -66,7 +67,8 @@ class ColoredGraph:
 
     ``pairings[c][v]`` is the partner of vertex ``v`` under color ``c``.
     Instances are immutable and assumed valid; construct them through
-    :func:`validate` or :meth:`from_involutions`.
+    :func:`validate` or :meth:`from_involutions`.  ``residues`` is made on
+    first use and is not a field, so ``==`` and ``hash`` ignore it.
     """
 
     color_count: int
@@ -83,6 +85,11 @@ class ColoredGraph:
     @property
     def colors(self) -> range:
         return range(self.color_count)
+
+    @cached_property
+    def residues(self) -> "ResidueTable":
+        """Each color subset's components, computed once for this graph."""
+        return ResidueTable(self)
 
     def partner(self, color: int, vertex: int) -> int:
         return self.pairings[color][vertex]
@@ -256,20 +263,14 @@ def _color_subset(graph: ColoredGraph, colors: Iterable[int]) -> list[int]:
     return subset
 
 
-def residue_components(
-    graph: ColoredGraph, colors: Iterable[int]
-) -> list[tuple[int, ...]]:
-    """Connected components of the subgraph using only ``colors``.
-
-    The empty color set yields one singleton class per vertex.  Classes are
-    returned as sorted vertex tuples, ordered by least vertex.
-    """
-    subset = _color_subset(graph, colors)
-    invs = [graph.pairings[c] for c in subset]
-    p = graph.vertex_count
-    seen = bytearray(p)
+def _bfs_components(
+    pairings: Sequence[Sequence[int]], vertex_count: int, colors: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The components of the residue on ``colors``, by a breadth-first walk."""
+    invs = [pairings[c] for c in colors]
+    seen = bytearray(vertex_count)
     classes = []
-    for start in range(p):
+    for start in range(vertex_count):
         if seen[start]:
             continue
         comp = [start]
@@ -281,15 +282,59 @@ def residue_components(
                     seen[u] = 1
                     comp.append(u)
         classes.append(tuple(sorted(comp)))
-    return classes
+    return tuple(classes)
+
+
+class ResidueTable:
+    """The residues of one graph, each color subset's components computed
+    once; reach it as ``graph.residues``.  ``colors`` is always a sorted
+    tuple; ``components`` gives the components as a tuple in the order of
+    :func:`residue_components`, and ``index`` maps each vertex to the
+    position of its component there.  It holds the pairings, not the graph,
+    so a graph and its table form no reference cycle and are freed as soon
+    as the graph is."""
+
+    def __init__(self, graph: ColoredGraph):
+        self.pairings = graph.pairings
+        self.vertex_count = graph.vertex_count
+        self._components: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._index: dict[tuple[int, ...], list[int]] = {}
+
+    def components(self, colors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        comps = self._components.get(colors)
+        if comps is None:
+            comps = _bfs_components(self.pairings, self.vertex_count, colors)
+            self._components[colors] = comps
+        return comps
+
+    def index(self, colors: tuple[int, ...]) -> list[int]:
+        lookup = self._index.get(colors)
+        if lookup is None:
+            lookup = self._index[colors] = [0] * self.vertex_count
+            for idx, comp in enumerate(self.components(colors)):
+                for v in comp:
+                    lookup[v] = idx
+        return lookup
+
+
+def residue_components(
+    graph: ColoredGraph, colors: Iterable[int]
+) -> list[tuple[int, ...]]:
+    """Connected components of the subgraph using only ``colors``.
+
+    The empty color set yields one singleton class per vertex.  Classes are
+    returned as sorted vertex tuples, ordered by least vertex, in a new list
+    read from ``graph.residues``.
+    """
+    return list(graph.residues.components(tuple(_color_subset(graph, colors))))
 
 
 def connected_components(graph: ColoredGraph) -> list[tuple[int, ...]]:
-    return residue_components(graph, graph.colors)
+    return list(graph.residues.components(tuple(graph.colors)))
 
 
 def is_connected(graph: ColoredGraph) -> bool:
-    return len(connected_components(graph)) == 1
+    return len(graph.residues.components(tuple(graph.colors))) == 1
 
 
 @dataclass(frozen=True)
@@ -309,12 +354,13 @@ class ResidueStats:
 def residue_stats(graph: ColoredGraph) -> ResidueStats:
     """Component counts for all 2- and 3-color residues (plus the full set)."""
     sizes = {2, 3, graph.color_count}
+    table = graph.residues
     counts: dict[tuple[int, ...], int] = {}
     for size in sorted(sizes):
         if size > graph.color_count:
             continue
         for subset in itertools.combinations(range(graph.color_count), size):
-            counts[subset] = len(residue_components(graph, subset))
+            counts[subset] = len(table.components(subset))
     return ResidueStats(counts)
 
 

@@ -140,11 +140,12 @@ are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
 which forces H2 = 0 and H3 = Z, exactly when its block of the
 block-diagonal d2 has q + 1 invariant factors, all 1.  Each block has rank
 at most q + 1, since b1 >= 0, so all pass exactly when d2 has p + k
-invariant factors, all 1.  One ``complexes.ResidueTable`` per prefix
-computes each residue the part reads once.
+invariant factors, all 1.  The residue table of each view
+(``ColoredGraph.residues``) computes each residue the part reads once.
 Emitted solutions alone are re-verified through the public validation,
-face tracing, bipartiteness and the filter's whole check; the search state
-guarantees all of them.
+face tracing, bipartiteness and the filter's whole check, which reads the
+candidate's table that the last part filled; the search state guarantees
+all of them.
 """
 
 from __future__ import annotations
@@ -156,7 +157,6 @@ from functools import cached_property
 from typing import Sequence
 
 from .complexes import (
-    ResidueTable,
     check_3manifold,
     check_residues_sphere,
     homology_spheres,
@@ -246,14 +246,14 @@ def _new_part(prefix: ColoredGraph, spheres: bool) -> bool:
     component of each 4-colored residue that contains k-1 have the integer
     homology of the 3-sphere?"""
     new = prefix.color_count - 1
-    table = ResidueTable(prefix)
     triples = [(i, j, new) for i, j in itertools.combinations(range(new), 2)]
-    if not all(t.holds for t in triple_checks(table, triples)):
+    if not all(t.holds for t in triple_checks(prefix, triples)):
         return False
     if not spheres:
         return True
+    table = prefix.residues
     return all(
-        homology_spheres(table, r, table.components(r))
+        homology_spheres(prefix, r, table.components(r))
         for r in (kept + (new,) for kept in itertools.combinations(range(new), 3))
     )
 

@@ -28,7 +28,7 @@ from gemtk import (
     sphere_profile,
     validate,
 )
-from gemtk.complexes import ResidueTable, homology_spheres
+from gemtk.complexes import homology_spheres
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +398,8 @@ def one_boundary_spheres(graph: ColoredGraph) -> bool:
     """``complexes.homology_spheres`` on every component of a 4-colored gem
     whose four triple counts hold: the library's one-boundary verdict that
     each component has the integer homology of S^3."""
-    table = ResidueTable(graph)
-    return homology_spheres(table, (0, 1, 2, 3), table.components((0, 1, 2, 3)))
+    colors = (0, 1, 2, 3)
+    return homology_spheres(graph, colors, graph.residues.components(colors))
 
 
 def counting_relation_holds(seq: tuple[int, ...], chi: int, p: int) -> bool:

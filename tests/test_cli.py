@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import gemtk
-from gemtk import parse_gem, relabel, validate, write_gem
+from gemtk import embeddings, graphs, parse_gem, relabel, validate, write_gem
 from gemtk.cli import CHECK_FAILED, main
 
-from helpers import cube_graph, k4_graph, theta_graph
+from helpers import cube_graph, k4_graph, random_connected_graph, rp3_double, theta_graph
 
 
 def run(capsys, *argv):
@@ -173,6 +174,59 @@ class TestEmbed:
         path.write_text(write_gem(cube_graph()))
         code, _, err = run(capsys, "embed", str(path), "--perm", "0,1")
         assert code == 2
+
+
+def counted(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestWorkCounts:
+    """Each residue is computed once per gem, each color pair's faces traced
+    once, and connectivity and orientability decided once for all orders."""
+
+    def gem_file(self, tmp_path, graph):
+        path = tmp_path / "g.gem"
+        path.write_text(write_gem(graph))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "graph, residues, pairs",
+        [
+            (cube_graph(), 4, 3),  # 3 pairs, the whole set
+            (random_connected_graph(random.Random(4), 12, 4), 11, 6),  # + 4 triples
+            (random_connected_graph(random.Random(5), 12, 5), 26, 10),  # + 10, + 5 quads
+            (rp3_double(), 26, 10),
+        ],
+    )
+    def test_verify(self, capsys, tmp_path, monkeypatch, graph, residues, pairs):
+        path = self.gem_file(tmp_path, graph)
+        walks = counted(monkeypatch, graphs, "_bfs_components")
+        traces = counted(monkeypatch, embeddings, "_bicolored_cycles")
+        run(capsys, "verify", "--json", path)
+        assert len(walks) == len({colors for _, _, colors in walks}) == residues
+        assert len(traces) == pairs
+
+    def test_embed_all_perms(self, capsys, tmp_path, monkeypatch):
+        path = self.gem_file(tmp_path, rp3_double())
+        traces = counted(monkeypatch, embeddings, "_bicolored_cycles")
+        bipartite = counted(monkeypatch, embeddings, "is_bipartite")
+        connected = counted(monkeypatch, embeddings, "is_connected")
+        code, out, _ = run(capsys, "embed", "--all-perms", "--json", path)
+        assert code == 0
+        assert len(out.splitlines()) == 12
+        assert sorted((a, b) for _, a, b in traces) == [
+            (a, b) for a in range(5) for b in range(a + 1, 5)
+        ]
+        assert (len(bipartite), len(connected)) == (1, 1)
 
 
 class TestHomology:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -9,13 +11,22 @@ from gemtk import (
     all_embeddings,
     embedding_report,
     is_bipartite,
+    is_connected,
+    residue_components,
     semi_equivelar_type,
     trace_faces,
     validate,
 )
 from gemtk.search import SearchSpec, search_gems
 
-from helpers import cube_graph, k4_graph, random_connected_graph, theta_graph
+from helpers import (
+    cube_graph,
+    disjoint_union,
+    k4_graph,
+    random_connected_graph,
+    random_matching,
+    theta_graph,
+)
 
 
 class TestCyclicOrder:
@@ -128,8 +139,10 @@ class TestEmbeddingReport:
         double_theta = validate(
             3, 4, [[(0, 1), (2, 3)]] * 3
         )
-        with pytest.raises(ValueError):
-            embedding_report(double_theta)
+        for g in (double_theta, disjoint_union(cube_graph(), k4_graph())):
+            for call in (embedding_report, all_embeddings):
+                with pytest.raises(ValueError, match="embedding reports need a connected graph"):
+                    call(g)
 
     def test_chi_parity_and_bound(self):
         rng = random.Random(13)
@@ -208,6 +221,56 @@ class TestAllEmbeddings:
         assert se.raw == (4,) * 6
 
     def test_reports_match_direct_calls(self):
+        # the cube and 200 connected graphs of 2 to 5 colors, bipartite and
+        # not, with and without bigons: every report, field by field, is the
+        # one that embedding_report gives its order alone
         g = cube_graph()
         for eps, rep in all_embeddings(g).items():
             assert rep == embedding_report(g, eps)
+        rng = random.Random(25)
+        seen = set()
+        for _ in range(200):
+            n = rng.choice([2, 3, 4, 5])
+            bipartite, bigons = rng.random() < 0.5, rng.random() < 0.5
+            p = rng.choice([2, 4, 6, 8] if bigons else [16, 20, 24])
+            g = _random_gem(rng, n, p, bipartite, bigons)
+            reports = all_embeddings(g)
+            assert set(reports) == {
+                CyclicOrder.from_sequence(perm) for perm in itertools.permutations(range(n))
+            }
+            assert {eps: asdict(r) for eps, r in reports.items()} == {
+                eps: asdict(embedding_report(g, eps)) for eps in reports
+            }
+            for eps, rep in reports.items():  # faces counted by the residue walk
+                faces = [c for pair in eps.pairs() for c in residue_components(g, pair)]
+                assert rep.face_count == len(faces)
+                assert rep.has_bigons == any(len(c) == 2 for c in faces)
+            seen.add((n, is_bipartite(g), any(r.has_bigons for r in reports.values())))
+        flags = (True, False)
+        assert seen >= {(n, b, f) for n in (3, 4, 5) for b in flags for f in flags}
+        assert {(2, True, True), (2, True, False)} <= seen
+
+
+def _random_gem(rng, n, p, bipartite, bigons):
+    """A random connected graph; with ``bipartite`` every edge joins an even
+    and an odd vertex, and without ``bigons`` no two colors share an edge."""
+    while True:
+        invs, used = [], set()
+        for _ in range(n):
+            while True:
+                if bipartite:
+                    odds = list(range(1, p, 2))
+                    rng.shuffle(odds)
+                    inv = [0] * p
+                    for a, b in zip(range(0, p, 2), odds):
+                        inv[a], inv[b] = b, a
+                else:
+                    inv = random_matching(rng, p)
+                edges = set(enumerate(inv))
+                if bigons or not edges & used:
+                    break
+            used |= edges
+            invs.append(inv)
+        g = ColoredGraph.from_involutions(invs)
+        if is_connected(g):
+            return g

@@ -1,5 +1,7 @@
+import gc
 import random
 import timeit
+import weakref
 
 import pytest
 
@@ -118,6 +120,40 @@ class TestResidues:
             for subset in subsets:
                 classes = residue_components(g, subset)
                 assert sum(len(c) for c in classes) == g.vertex_count
+
+    def test_returned_lists_are_copies(self):
+        # a caller that changes a returned list leaves the graph's table alone
+        g = cube_graph()
+        pairs = residue_components(g, [1, 0])
+        expected = list(pairs)
+        pairs[0] = (99,)
+        pairs.append((0, 1))
+        assert residue_components(g, [0, 1]) == expected
+        whole = connected_components(g)
+        whole.append((8,))
+        assert connected_components(g) == [tuple(range(8))]
+        assert is_connected(g)
+        assert residue_stats(g).count([0, 1]) == 2
+
+    def test_table_is_not_a_field(self):
+        g = cube_graph()
+        fresh = cube_graph()
+        residue_components(g, [0, 1])
+        assert g == fresh
+        assert hash(g) == hash(fresh)
+        assert "residues" not in vars(fresh)
+
+    def test_graph_and_table_form_no_cycle(self):
+        # freed by reference counting, not left for the cyclic collector
+        g = cube_graph()
+        assert is_connected(g)
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_bicolored_residues_are_even_cycles(self):
         rng = random.Random(11)

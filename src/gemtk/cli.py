@@ -102,9 +102,10 @@ def cmd_verify(args) -> int:
     graph = _load_graph(args.file)
     comps = connected_components(graph)
     connected = len(comps) == 1
-    bipartite = is_bipartite(graph)
     failures = []
     embeddings = all_embeddings(graph) if connected else {}
+    # every report holds the graph's orientability
+    bipartite = next(iter(embeddings.values())).orientable if connected else is_bipartite(graph)
 
     checks: dict[str, object] = {}
     if graph.color_count == 3:
@@ -262,7 +263,7 @@ def cmd_search(args) -> int:
     spec = SearchSpec(
         seq=seq,
         vertex_count=args.vertices,
-        require_bipartite=args.require_bipartite,
+        orientable=args.orientable,
         require_3manifold=args.require_3manifold,
         require_residues_sphere=args.require_residues_sphere,
         max_solutions=None if args.all else args.max,
@@ -367,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="search for gems with a given type")
     p_search.add_argument("--type", required=True, help="face sizes, e.g. 4,8,4,8")
     p_search.add_argument("--vertices", type=int, required=True)
-    p_search.add_argument("--require-bipartite", action="store_true")
+    side = p_search.add_mutually_exclusive_group()
+    side.add_argument("--orientable", action="store_const", const=True)
+    side.add_argument("--non-orientable", dest="orientable", action="store_const", const=False)
     p_search.add_argument("--require-3manifold", action="store_true")
     p_search.add_argument("--require-residues-sphere", action="store_true")
     p_search.add_argument("--max", type=int, default=1, help="stop after N solutions")

@@ -35,13 +35,14 @@ failed check fails in every completion, and only subtrees without a
 candidate are cut: the depth-first order, the candidates and the solutions
 are those of the search without the check.
 
-Bipartite graphs are searched by vertex parity.  Numbering each
-{0,1}-cycle from a vertex on side 0 of the bipartition puts every even
-label on side 0, since the blocks start at multiples of the even q0; so
-every bipartite class has a representative in which each edge joins an even
-and an odd label, and the search tries only partners of the other parity.
-A tracked path then alternates parity and has an even number of vertices,
-so the partner that closes it has the other parity too.
+Orientable gems (``orientable=True``) are the bipartite graphs, searched
+by vertex parity.  Numbering each {0,1}-cycle from a vertex on side 0 of the
+bipartition puts every even label on side 0, since the blocks start at
+multiples of the even q0; so every bipartite class has a representative in
+which each edge joins an even and an odd label, and the search tries only
+partners of the other parity.  A tracked path then alternates parity and
+has an even number of vertices, so the partner that closes it has the other
+parity too.  ``orientable=False`` cuts the bipartite candidates instead.
 
 While color 2 is placed, v tries one partner in the fresh blocks (past v's
 block, with no color-2 edge): the first reached.  This is exact.  Fresh
@@ -50,29 +51,29 @@ x -> 1-x (mod q0) preserve colors 0 and 1; under the parity rule the
 rotations alone are transitive on each parity class.  So an automorphism g
 of everything placed fixes v and maps any fresh partner u to the chosen one,
 and g maps the completions under v-u onto those under v-g(u).  Trackers,
-filters, connectivity, ``keep`` and prefix keys are invariant under g.
+filters, connectivity, bipartiteness and prefix keys are invariant under g.
 The far end of a full path at v is never in a fresh block, and no block is
 fresh once color 2 is complete.
 
 Once colors 0..c-1 are complete, with 3 <= c < n, and their filter parts
 pass, a prefix isomorphic to one met before is skipped (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998), by its
-key: the sorted lex-least labelings of its components, the walk of the
-canonical code (``_Components``).  This is exact.  The fresh-block rule
-acts only on color 2, so from color 3 on every matching that the trackers
-and the parity rule allow is enumerated.  Trackers, filter parts,
-connectivity and ``keep`` are invariant under color-preserving isomorphism,
-so the completions of an isomorphic prefix are the images of the first
-prefix's completions, which were all met before it.  Under the parity rule
-the images must also be even-odd, which a plain code cannot tell: on a
-disconnected prefix an isomorphism may keep parity on one component and
-swap it on another (two chiral components glued with the same or the
-opposite handedness).  So there the key marks parity: per component the
-least labelings from an even and from an odd start, and of the sorted
-(even, odd) and (odd, even) pairs the lesser.  Equal keys give an
-isomorphism that keeps or swaps parity everywhere, and an isomorphism of
-two connected even-odd candidates does so on their prefixes: completions of
-prefixes with different keys are never isomorphic.
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998), by its key:
+the sorted lex-least labelings of its components, the walk of the canonical
+code (``_Components``).  This is exact.  The fresh-block rule acts only on
+color 2, so from color 3 on every matching that the trackers and the parity
+rule allow is enumerated.  Trackers, filter parts, connectivity and
+bipartiteness are invariant under color-preserving isomorphism, so the
+completions of an isomorphic prefix are the images of the first prefix's
+completions, which were all met before it.  Under the parity rule the images
+must also be even-odd, which a plain code cannot tell: on a disconnected
+prefix an isomorphism may keep parity on one component and swap it on
+another (two chiral components glued with the same or the opposite
+handedness).  So there the key marks parity: per component the least
+labelings from an even and from an odd start, and of the sorted (even, odd)
+and (odd, even) pairs the lesser.  Equal keys give an isomorphism that keeps
+or swaps parity everywhere, and an isomorphism of two connected even-odd
+candidates does so on their prefixes: completions of prefixes with different
+keys are never isomorphic.
 
 The last color n-1 is deduplicated by the orbit test of orderly
 generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978) below
@@ -81,25 +82,24 @@ color, is rejected as a duplicate when g.M < M lexicographically for some g
 in Aut(P), where (g.M)[g(v)] = g(M[v]).  Two completions of one prefix are
 isomorphic exactly when some g in Aut(P) carries one to the other.
 
-The ``_Components`` that keys P runs the test (for n = 3, one is built
-for the fixed {0,1}-residue at its second candidate).  Aut(P) is never
-listed: it can be huge (the {0,1}-residue of k blocks has k!*q0^k
-elements).  An automorphism maps each component onto an isomorphic one,
-where it is fixed by the image of one vertex, and matches the components
-of each isomorphism type one to one.  The test backtracks over positions
-w = 0, 1, ... and fixes a component's map the first time the comparison of
-(g.M)[w] = g(M[g^-1(w)]) with M[w] touches that component.  It stops at
-the first position where g.M and M differ: past it any partial map extends
-to a whole automorphism, since the components left of each type still
-match one to one.  A connected P is the case of one component, where the
-preimage of vertex 0 fixes all of g: the test is a loop over at most p - 1
-maps.  Under the parity rule only even-odd images count.  A component map
-keeps the parity flag g(x) - x mod 2 on its whole component, so on a
-connected candidate g.M is even-odd exactly when all flags agree.  A
-partial map of flag 0 always extends, and one of flag 1 exactly when P has
-a parity-swapping automorphism: its two sorted lists of marks are equal,
-as on every {0,1}-residue (rotations by 2, reflections x -> 1-x).  Only
-then may a map of flag 1 start.
+The ``_Components`` that keys P runs the test (for n = 3, the unkeyed one of
+the fixed {0,1}-residue).  Aut(P) is never listed: it can be huge (the
+{0,1}-residue of k blocks has k!*q0^k elements).  An automorphism maps each
+component onto an isomorphic one, where it is fixed by the image of one
+vertex, and matches the components of each isomorphism type one to one.  The
+test backtracks over positions w = 0, 1, ... and fixes a component's map the
+first time the comparison of (g.M)[w] = g(M[g^-1(w)]) with M[w] touches that
+component.  It stops at the first position where g.M and M differ: past it
+any partial map extends to a whole automorphism, since the components left
+of each type still match one to one.  A connected P is the case of one
+component, where the preimage of vertex 0 fixes all of g: the test is a loop
+over at most p - 1 maps.  Under the parity rule only even-odd images count.
+A component map keeps the parity flag g(x) - x mod 2 on its whole component,
+so on a connected candidate g.M is even-odd exactly when all flags agree.  A
+partial map of flag 0 always extends, and one of flag 1 exactly when P has a
+parity-swapping automorphism: its two sorted lists of marks are equal, as on
+every {0,1}-residue (rotations by 2, reflections x -> 1-x).  Only then may a
+map of flag 1 start.
 
 This is exact.  Explored prefixes are pairwise non-isomorphic (under the
 parity rule, by maps that keep or swap parity everywhere): for n >= 4 by
@@ -115,7 +115,7 @@ each class is enumerated, and the test accepts exactly it, the first
 candidate met in the class: no candidate gets a canonical code.  The first
 connected candidate below P is the least in its class, so it passes without
 the test.  The test runs after the connectivity cut and before the filter's
-last part and ``keep``, both isomorphism-invariant.
+last part and the orientability cut, both isomorphism-invariant.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -133,7 +133,7 @@ their highest color and together are exactly the public check: a failure
 prunes the whole subtree and nothing passes that the check rejects, so the
 depth-first order and the solutions are those of the unsplit search.  The
 last part runs on the complete candidate, after the connectivity check and
-the orbit test and before ``keep``.
+the orbit test and before the orientability cut.
 A residue is tested only once its four triples hold, so its k components
 are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
 (``complexes.homology_spheres``): a component on q vertices has H1 = 0,
@@ -188,7 +188,7 @@ class SearchSpec:
 
     seq: tuple[int, ...]
     vertex_count: int
-    require_bipartite: bool = False
+    orientable: bool | None = None  # True: bipartite only, False: non-bipartite only
     require_3manifold: bool = False
     require_residues_sphere: bool = False
     max_solutions: int | None = None
@@ -215,10 +215,10 @@ class SearchStats:
       part, on a prefix of complete colors or on a complete candidate.
     - ``duplicate_prefix``: a prefix of complete colors isomorphic to one
       met before.
-    - ``not_connected``, ``keep_rejected``: a complete candidate that is
-      disconnected or that ``keep`` rejects.
+    - ``not_connected``, ``orientable``: a complete candidate that is
+      disconnected, or bipartite under ``orientable=False`` (one per class).
     - ``duplicate``: a complete candidate isomorphic to an earlier
-      candidate, counted before the filter's last part and ``keep``.
+      candidate, counted before the filter's last part.
     """
 
     nodes: int = 0
@@ -280,6 +280,8 @@ def check_spec(spec: SearchSpec) -> None:
         problems.append("require_3manifold needs exactly 4 colors")
     if spec.require_residues_sphere and n != 5:
         problems.append("require_residues_sphere needs exactly 5 colors")
+    if spec.orientable is not None and not isinstance(spec.orientable, bool):
+        problems.append(f"orientable must be True, False or None, got {spec.orientable!r}")
     if spec.max_solutions is not None and spec.max_solutions < 1:
         problems.append(f"solution limit must be >= 1, got {spec.max_solutions}")
     if not (spec.budget_seconds is None or spec.budget_seconds >= 0):
@@ -292,18 +294,14 @@ class _Stop(Exception):
     """Ends the search early: enough solutions, or the budget ran out."""
 
 
-def search_gems(spec: SearchSpec, keep=None) -> SearchOutcome:
-    """Run the search; ``keep`` optionally post-filters complete solutions.
+def search_gems(spec: SearchSpec) -> SearchOutcome:
+    """Run the search: one solution per isomorphism class.
 
-    ``keep`` must give isomorphic graphs the same verdict, since the search
-    skips graphs isomorphic to ones it tries and keeps one per class, and
-    skips every completion of a prefix isomorphic to one it has explored.
-    ``max_solutions`` counts solutions that survive every filter (and
-    ``keep``); the run is flagged exhausted only when the whole space was
-    explored.
+    ``max_solutions`` counts solutions that pass every filter; the run is
+    flagged exhausted only when the whole space was explored.
     """
     check_spec(spec)
-    search = _Search(spec, keep)
+    search = _Search(spec)
     stats = search.stats
     start = time.monotonic()
     stats.exhausted = True
@@ -329,21 +327,21 @@ class _Search:
     generator is one entry of the stack in ``search_gems``; ``descend`` and
     ``finalize`` run below an edge."""
 
-    def __init__(self, spec: SearchSpec, keep):
+    def __init__(self, spec: SearchSpec):
         self.spec = spec
-        self.keep = keep
         self.n = n = spec.color_count
         self.p = p = spec.vertex_count
         self.q0 = q0 = spec.seq[0]
         self.inv = _fixed_residue(q0, p) + [[-1] * p for _ in range(n - 2)]
+        self.parity = spec.orientable is True
         # partners of v in range(v + 1, p, 2) keep every edge even-odd
-        self.step = 2 if spec.require_bipartite else 1
+        self.step = 2 if self.parity else 1
         self.touched = [0] * (p // q0)  # color-2 edges per {0,1}-block
         self.stats = SearchStats()
         self.prunes = dict.fromkeys(
             ("wrong_cycle_length", "path_too_long", "dead_closure", "not_connected",
              "criterion_3manifold", "criterion_residues", "duplicate_prefix", "duplicate",
-             "keep_rejected"),
+             "orientable"),
             0,
         )
         self.solutions: list[ColoredGraph] = []
@@ -362,8 +360,8 @@ class _Search:
             self.filter_key, self.spheres = "criterion_residues", True
             self.check = check_residues_sphere
         # the last color's prefix P: ``last`` describes it (for n = 3, the fixed
-        # {0,1}-residue, from its second candidate on); ``first`` holds until
-        # its first connected candidate, the least in its orbit
+        # {0,1}-residue); ``first`` holds until its first connected candidate,
+        # the least in its orbit
         self.last = None
         self.first = True
 
@@ -374,33 +372,30 @@ class _Search:
         spec, inv, n, p, prunes = self.spec, self.inv, self.n, self.p, self.prunes
         self.stats.candidates += 1
         # a connected prefix makes every candidate connected
-        whole = len(self.last.members) == 1 if self.last else self.q0 == p
-        graph = None if whole else _view(inv, n)
+        graph = None if len(self.last.members) == 1 else _view(inv, n)
         if graph is not None and not is_connected(graph):
             prunes["not_connected"] += 1
             return
         if self.first:
             self.first = False
-        else:
-            if self.last is None:
-                self.last = _Components(_view(inv, n - 1), spec.require_bipartite)
-            if not self.last.least(inv[-1]):
-                prunes["duplicate"] += 1
-                return
+        elif not self.last.least(inv[-1]):
+            prunes["duplicate"] += 1
+            return
         if graph is None:
             graph = _view(inv, n)
         if self.filter_key and not _new_part(graph, self.spheres):
             prunes[self.filter_key] += 1
             return
-        if self.keep is not None and not self.keep(graph):
-            prunes["keep_rejected"] += 1
+        # after the orbit test and the filter: one cut per bipartite class
+        if spec.orientable is False and is_bipartite(graph):
+            prunes["orientable"] += 1
             return
         # guaranteed by the search state; re-verified on what leaves it
         validate(n, p, [graph.pairs(c) for c in range(n)])
         se = semi_equivelar_type(graph)
         if se is None or se.raw != spec.seq:
             raise RuntimeError(f"search produced a non-conforming graph: {graph}")
-        if spec.require_bipartite and not is_bipartite(graph):
+        if self.parity and not is_bipartite(graph):
             raise RuntimeError("the parity rule let a non-bipartite graph through")
         if self.filter_key and not self.check(graph).holds:
             raise RuntimeError(f"the parts of {self.filter_key} let a failing graph through")
@@ -429,8 +424,9 @@ class _Search:
             self.prunes[self.filter_key] += 1
             return None
         comps = None
+        if c >= 3 or c == self.n - 1:  # keyed, or the last color's prefix
+            comps = _Components(prefix, self.parity)
         if c >= 3:
-            comps = _Components(prefix, self.spec.require_bipartite)
             if comps.key in self.seen_codes:
                 self.prunes["duplicate_prefix"] += 1
                 return None

@@ -195,7 +195,7 @@ def standard_residue(q: int, p: int) -> tuple[list[int], list[int]]:
 def naive_type_search(
     seq: tuple[int, ...],
     p: int,
-    require_bipartite: bool = False,
+    orientable: bool | None = None,
     require_3manifold: bool = False,
     require_residues_sphere: bool = False,
     fix_color0: bool = True,
@@ -223,7 +223,7 @@ def naive_type_search(
             continue
         if not is_connected(graph):
             continue
-        if require_bipartite and not is_bipartite(graph):
+        if orientable is not None and is_bipartite(graph) != orientable:
             continue
         if require_3manifold and not check_3manifold(graph).holds:
             continue

@@ -115,7 +115,7 @@ def test_criterion_3_three_colored_rediscovery(capsys):
             start = time.monotonic()
             out = search_gems(
                 SearchSpec(
-                    seq=seq, vertex_count=p, require_bipartite=True,
+                    seq=seq, vertex_count=p, orientable=True,
                     max_solutions=1, budget_seconds=600,
                 )
             )
@@ -156,15 +156,14 @@ def test_criterion_4_four_colored_rediscovery(capsys):
             out = search_gems(
                 SearchSpec(
                     seq=seq, vertex_count=p, require_3manifold=True,
-                    max_solutions=1, budget_seconds=600,
-                ),
-                keep=lambda g: graph_homology(g) == S3,
+                    budget_seconds=600,
+                )
             )
             elapsed = time.monotonic() - start
-            ok = bool(out.solutions)
+            g = next((g for g in out.solutions if graph_homology(g) == S3), None)
+            ok = g is not None
             detail = "no gem found"
             if ok:
-                g = out.solutions[0]
                 rep = embedding_report(g)
                 ok = rep.chi == -2 and check_3manifold(g).holds
                 detail = f"chi={rep.chi} H={graph_homology(g)} {elapsed:.2f}s"
@@ -187,16 +186,15 @@ def test_criterion_5_five_colored_rediscovery(capsys):
         out = search_gems(
             SearchSpec(
                 seq=(4, 4, 4, 4, 4), vertex_count=8,
-                require_residues_sphere=True, max_solutions=1,
-                budget_seconds=1800,
-            ),
-            keep=lambda g: graph_homology(g) == sphere_profile(4),
+                require_residues_sphere=True, budget_seconds=1800,
+            )
         )
         elapsed = time.monotonic() - start
-        ok = bool(out.solutions)
+        spheres = (g for g in out.solutions if graph_homology(g) == sphere_profile(4))
+        g = next(spheres, None)
+        ok = g is not None
         detail = "no gem found"
         if ok:
-            g = out.solutions[0]
             ok = check_residues_sphere(g).holds
             detail = f"H={graph_homology(g)} residues-pass={ok} {elapsed:.2f}s"
         report("criterion 5", ok, f"(4^5);8 gem {detail}")
@@ -228,23 +226,21 @@ def test_criterion_6_larger_four_colored(capsys):
         out = search_gems(
             SearchSpec(
                 seq=(4, 6, 4, 6), vertex_count=12, require_3manifold=True,
-                max_solutions=1, budget_seconds=1800,
-            ),
-            keep=lambda g: graph_homology(g) == L31,
+                budget_seconds=1800,
+            )
         )
-        ok_alt = bool(out.solutions)
-        h_alt = graph_homology(out.solutions[0]) if ok_alt else None
+        ok_alt = any(graph_homology(g) == L31 for g in out.solutions)
+        h_alt = L31 if ok_alt else None
         print(f"  (4,6,4,6);12: H={h_alt} (lens-space torsion Z/3)")
 
         out = search_gems(
             SearchSpec(
                 seq=(4, 4, 6, 6), vertex_count=12, require_3manifold=True,
-                max_solutions=1, budget_seconds=1800,
-            ),
-            keep=lambda g: graph_homology(g) == RP3,
+                budget_seconds=1800,
+            )
         )
-        ok_66 = bool(out.solutions)
-        h_66 = graph_homology(out.solutions[0]) if ok_66 else None
+        ok_66 = any(graph_homology(g) == RP3 for g in out.solutions)
+        h_66 = RP3 if ok_66 else None
         print(f"  (4,4,6,6);12: H={h_66} (projective-space torsion Z/2)")
 
         # best effort, not gating: 4-colored types on 16+ vertices

@@ -211,9 +211,12 @@ class TestWorkCounts:
         path = self.gem_file(tmp_path, graph)
         walks = counted(monkeypatch, graphs, "_bfs_components")
         traces = counted(monkeypatch, embeddings, "_bicolored_cycles")
+        # orientability is decided once, for the check and every embedding
+        bipartite = [counted(monkeypatch, m, "is_bipartite") for m in (gemtk.cli, embeddings)]
         run(capsys, "verify", "--json", path)
         assert len(walks) == len({colors for _, _, colors in walks}) == residues
         assert len(traces) == pairs
+        assert sum(map(len, bipartite)) == 1
 
     def test_embed_all_perms(self, capsys, tmp_path, monkeypatch):
         path = self.gem_file(tmp_path, rp3_double())
@@ -304,7 +307,7 @@ class TestSearch:
         assert blocker.read_text() == "not a directory\n"
 
     def test_unwritable_gem_file_is_a_file_error(self, capsys, tmp_path):
-        spec = ("--type", "10,10,10", "--vertices", "10", "--require-bipartite", "--all")
+        spec = ("--type", "10,10,10", "--vertices", "10", "--orientable", "--all")
         code, out, _ = run(capsys, "search", *spec, "--out", str(tmp_path / "found"))
         assert code == 0
         names = sorted(line.split()[1] for line in out.splitlines() if line.startswith("wrote"))
@@ -336,7 +339,7 @@ class TestSearch:
         # the orbit test rejects duplicates before the filter's last part, so
         # three candidates that failed that part are counted as duplicates
         assert " criterion_residues=36 duplicate_prefix=3 duplicate=6" in err
-        assert "keep_rejected" not in err
+        assert "orientable" not in err
 
     def test_first_hit_summary_reports_dead_closures(self, capsys):
         code, out, err = run(
@@ -375,7 +378,7 @@ class TestSearch:
         code, out, _ = run(
             capsys,
             "search", "--type", "4,4,4,6", "--vertices", "24",
-            "--require-3manifold", "--require-bipartite", "--max", "5",
+            "--require-3manifold", "--orientable", "--max", "5",
             "--budget", "0.02",
         )
         assert code in (0, 1)
@@ -387,7 +390,7 @@ class TestSearch:
         # a partial class count must not pass for a complete one
         code, out, _ = run(
             capsys,
-            "search", "--type", "4,6,14", "--vertices", "168", "--require-bipartite",
+            "search", "--type", "4,6,14", "--vertices", "168", "--orientable",
             "--all", "--budget", "0.5",
         )
         assert code == CHECK_FAILED
@@ -395,12 +398,30 @@ class TestSearch:
         assert "exhausted: no" in out
         assert "solutions: 0" not in out
 
+    def test_non_orientable_count(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--type", "4,4,6,6", "--vertices", "12",
+            "--non-orientable", "--all", "--json",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 36
+        assert " orientable=8" in err
+
+    def test_both_orientabilities_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--type", "4,4,4", "--vertices", "8",
+            "--orientable", "--non-orientable",
+        )
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
     def test_exhausted_empty_is_success(self, capsys):
         # the only quadrilateral graph on 4 vertices is non-bipartite, so the
         # bipartite search exhausts with nothing to report
         code, out, _ = run(
             capsys, "search", "--type", "4,4,4", "--vertices", "4",
-            "--require-bipartite", "--all",
+            "--orientable", "--all",
         )
         assert code == 0
         assert "solutions: 0" in out

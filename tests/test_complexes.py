@@ -346,7 +346,7 @@ class TestHomology:
     def test_genus_two_gems(self):
         for seq, p in [((10, 10, 10), 10), ((12, 12, 6), 12)]:
             out = search_gems(
-                SearchSpec(seq=seq, vertex_count=p, require_bipartite=True,
+                SearchSpec(seq=seq, vertex_count=p, orientable=True,
                            max_solutions=1)
             )
             assert graph_homology(out.solutions[0]) == free_profile(1, 4, 1)
@@ -354,11 +354,9 @@ class TestHomology:
     def test_sum_of_four_projective_spaces(self):
         rp3 = HomologyProfile(((1, ()), (0, (2,)), (0, ()), (1, ())))
         out = search_gems(
-            SearchSpec(seq=(4, 4, 6, 6), vertex_count=12, require_3manifold=True,
-                       max_solutions=1),
-            keep=lambda g: graph_homology(g) == rp3,
+            SearchSpec(seq=(4, 4, 6, 6), vertex_count=12, require_3manifold=True)
         )
-        gem = out.solutions[0]
+        gem = next(g for g in out.solutions if graph_homology(g) == rp3)
         total = gem
         for k in range(3):
             total = connected_sum(total, gem, 5 * k + 1, 7)
@@ -405,7 +403,7 @@ class TestCheckSurface:
 
     def test_dodecagon_gem_double_torus(self):
         out = search_gems(
-            SearchSpec(seq=(12, 12, 6), vertex_count=12, require_bipartite=True,
+            SearchSpec(seq=(12, 12, 6), vertex_count=12, orientable=True,
                        max_solutions=1)
         )
         d = check_surface(out.solutions[0])
@@ -492,11 +490,9 @@ class TestCheck3Manifold:
             )
 
         out = search_gems(
-            SearchSpec(seq=(4, 4, 6, 6), vertex_count=12, require_3manifold=True,
-                       max_solutions=1),
-            keep=matches,
+            SearchSpec(seq=(4, 4, 6, 6), vertex_count=12, require_3manifold=True)
         )
-        assert out.solutions
+        assert any(map(matches, out.solutions))
 
     def test_passing_gems_have_closed_3manifold_homology_shape(self):
         # chi of the complex vanishes for every 3-manifold gem; orientable ones
@@ -542,11 +538,9 @@ RP3_12 = residue_subgraph(rp3_double(), range(4), range(12))
 def _sphere_gem_8() -> ColoredGraph:
     """An 8-vertex gem with the homology of S^3."""
     out = search_gems(
-        SearchSpec(seq=(4, 8, 4, 8), vertex_count=8, require_3manifold=True,
-                   max_solutions=1),
-        keep=lambda g: graph_homology(g) == sphere_profile(3),
+        SearchSpec(seq=(4, 8, 4, 8), vertex_count=8, require_3manifold=True)
     )
-    return out.solutions[0]
+    return next(g for g in out.solutions if graph_homology(g) == sphere_profile(3))
 
 
 class TestIsHomology3Sphere:
@@ -686,11 +680,9 @@ class TestCheckResiduesSphere:
         # color; dropping the new color must expose the torsion residue
         rp3 = HomologyProfile(((1, ()), (0, (2,)), (0, ()), (1, ())))
         out = search_gems(
-            SearchSpec(seq=(4, 4, 6, 6), vertex_count=12, require_3manifold=True,
-                       max_solutions=1),
-            keep=lambda g: graph_homology(g) == rp3,
+            SearchSpec(seq=(4, 4, 6, 6), vertex_count=12, require_3manifold=True)
         )
-        base = out.solutions[0]
+        base = next(g for g in out.solutions if graph_homology(g) == rp3)
         extra = tuple(v ^ 1 for v in range(12))
         g5 = ColoredGraph.from_involutions(list(base.pairings) + [extra])
         report = check_residues_sphere(g5)

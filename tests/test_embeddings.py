@@ -67,7 +67,7 @@ class TestTraceFaces:
 
     def test_decagon_type_single_cycle_per_class(self):
         out = search_gems(
-            SearchSpec(seq=(10, 10, 10), vertex_count=10, require_bipartite=True,
+            SearchSpec(seq=(10, 10, 10), vertex_count=10, orientable=True,
                        max_solutions=1)
         )
         trace = trace_faces(out.solutions[0])
@@ -126,7 +126,7 @@ class TestEmbeddingReport:
 
     def test_octagon_gem_genus_two(self):
         out = search_gems(
-            SearchSpec(seq=(8, 8, 8), vertex_count=16, require_bipartite=True,
+            SearchSpec(seq=(8, 8, 8), vertex_count=16, orientable=True,
                        max_solutions=1)
         )
         rep = embedding_report(out.solutions[0])
@@ -188,7 +188,7 @@ class TestSemiEquivelarType:
 
     def test_counting_relation_consistency(self):
         out = search_gems(
-            SearchSpec(seq=(6, 6, 18), vertex_count=18, require_bipartite=True,
+            SearchSpec(seq=(6, 6, 18), vertex_count=18, orientable=True,
                        max_solutions=1)
         )
         g = out.solutions[0]

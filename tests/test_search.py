@@ -18,14 +18,12 @@ from gemtk import (
     connected_components,
     check_residues_sphere,
     count_nonisomorphic,
-    graph_homology,
     is_bipartite,
     is_connected,
     permute_colors,
     relabel,
     search_gems,
     semi_equivelar_type,
-    sphere_profile,
     validate,
 )
 
@@ -76,6 +74,11 @@ class TestSpecRejection:
                 SearchSpec(seq=(4, 4, 4, 4), vertex_count=8, require_residues_sphere=True)
             )
 
+    def test_orientable_is_true_false_or_none(self):
+        # a truthy non-bool would otherwise search both orientabilities
+        with pytest.raises(InfeasibleSpecError, match="orientable"):
+            search_gems(SearchSpec(seq=(4, 4, 4), vertex_count=8, orientable=1))
+
     @pytest.mark.parametrize("budget", [-5, float("nan")])
     def test_negative_or_nan_budget(self, budget):
         # a zero budget is legal and stops at once; a negative one or NaN is
@@ -94,7 +97,7 @@ class TestSpecRejection:
 class TestCubeRediscovery:
     def test_unique_bipartite_solution_is_the_cube(self):
         out = search_gems(
-            SearchSpec(seq=(4, 4, 4), vertex_count=8, require_bipartite=True)
+            SearchSpec(seq=(4, 4, 4), vertex_count=8, orientable=True)
         )
         assert out.stats.exhausted
         assert len(out.solutions) == 1
@@ -102,7 +105,7 @@ class TestCubeRediscovery:
 
     def test_count(self):
         n = count_nonisomorphic(
-            SearchSpec(seq=(4, 4, 4), vertex_count=8, require_bipartite=True)
+            SearchSpec(seq=(4, 4, 4), vertex_count=8, orientable=True)
         )
         assert n == 1
 
@@ -111,7 +114,7 @@ class TestSoundness:
     @pytest.mark.parametrize(
         "seq,p,kwargs",
         [
-            ((4, 4, 4), 8, {"require_bipartite": True}),
+            ((4, 4, 4), 8, {"orientable": True}),
             ((6, 6, 6), 6, {}),
             ((4, 8, 8), 8, {}),
             ((6, 6, 6, 6), 6, {"require_3manifold": True}),
@@ -128,7 +131,7 @@ class TestSoundness:
             se = semi_equivelar_type(g)
             assert se is not None and se.raw == seq
             assert is_connected(g)
-            if kwargs.get("require_bipartite"):
+            if kwargs.get("orientable"):
                 assert is_bipartite(g)
             if kwargs.get("require_3manifold"):
                 assert check_3manifold(g).holds
@@ -166,10 +169,10 @@ class TestNaiveOracleAgreement:
 
     def test_bipartite_filter_agrees(self):
         out = search_gems(
-            SearchSpec(seq=(4, 4, 8), vertex_count=8, require_bipartite=True)
+            SearchSpec(seq=(4, 4, 8), vertex_count=8, orientable=True)
         )
         got = _class_codes(out.solutions)
-        assert got == naive_type_search((4, 4, 8), 8, require_bipartite=True)
+        assert got == naive_type_search((4, 4, 8), 8, orientable=True)
 
     def test_four_colored_specs(self):
         for seq, p in [((4, 4, 4, 4), 4), ((6, 6, 6, 6), 6)]:
@@ -195,10 +198,10 @@ class TestNaiveOracleAgreement:
             ((8, 4, 8), 8, {}),
             ((4, 8, 8), 8, {}),
             ((8, 8, 4), 8, {}),
-            ((4, 4, 4), 8, {"require_bipartite": True}),
+            ((4, 4, 4), 8, {"orientable": True}),
             ((4, 4, 4), 8, {}),
             ((4, 8, 4), 8, {}),
-            ((6, 6, 6), 6, {"require_bipartite": True}),
+            ((6, 6, 6), 6, {"orientable": True}),
             ((6, 6, 6, 6), 6, {}),
             ((6, 6, 6, 6), 6, {"require_3manifold": True}),
             ((4, 4, 4, 4), 4, {}),
@@ -206,6 +209,9 @@ class TestNaiveOracleAgreement:
             ((4,) * 5, 4, {}),
             ((6,) * 5, 6, {"require_residues_sphere": True}),
             ((4,) * 5, 4, {"require_residues_sphere": True}),
+            ((4, 4, 4), 8, {"orientable": False}),
+            ((6, 6, 6), 6, {"orientable": False}),
+            ((8, 4, 8), 8, {"orientable": False}),
         ],
     )
     def test_fixed_residue_reaches_every_class(self, seq, p, kwargs):
@@ -233,7 +239,7 @@ class TestNaiveOracleAgreement:
         [
             ((8, 4, 8), 8, {}, 2),
             ((4, 6, 12), 12, {}, 3),
-            ((4, 6, 12), 12, {"require_bipartite": True}, 2),
+            ((4, 6, 12), 12, {"orientable": True}, 2),
             ((4, 8, 4, 8), 8, {}, 9),
         ],
     )
@@ -250,12 +256,14 @@ class TestNaiveOracleAgreement:
             ((4, 12, 12), 12, {}, 8),
             ((4, 6, 12), 12, {}, 3),
             ((6, 4, 12), 12, {}, 3),
-            ((4, 6, 12), 12, {"require_bipartite": True}, 1),
-            ((4, 4, 6), 12, {"require_bipartite": True}, 1),
+            ((4, 6, 12), 12, {"orientable": True}, 1),
+            ((4, 4, 6), 12, {"orientable": True}, 1),
             ((4, 4, 8, 8), 8, {}, 24),
-            ((4, 4, 8, 8), 8, {"require_bipartite": True}, 3),
+            ((4, 4, 8, 8), 8, {"orientable": True}, 3),
             ((4, 8, 4, 8), 8, {}, 19),
-            ((4, 8, 4, 8), 8, {"require_bipartite": True}, 2),
+            ((4, 8, 4, 8), 8, {"orientable": True}, 2),
+            ((4, 6, 12), 12, {"orientable": False}, 2),
+            ((4, 8, 4, 8), 8, {"orientable": False}, 17),
         ],
     )
     def test_fresh_block_rule_reaches_every_class(self, seq, p, kwargs, classes):
@@ -296,16 +304,18 @@ class TestNaiveOracleAgreement:
             assert canonical_code(h) == canonical_code(g)
 
 
-def _codes(spec, keep=None):
-    out = search_gems(spec, keep=keep)
+def _codes(spec, check=None):
+    """The class codes of an exhaustive search, of the solutions that pass
+    ``check`` if one is given."""
+    out = search_gems(spec)
     assert out.stats.exhausted
-    return _class_codes(out.solutions)
+    return _class_codes([g for g in out.solutions if check is None or check(g)])
 
 
 class TestStagedFilters:
-    """The filters also prune partial colorings; ``keep`` sees complete
-    graphs only, so an unfiltered search with the filter as ``keep`` is an
-    unstaged reference."""
+    """The filters also prune partial colorings; the solutions of an
+    unfiltered search that pass the public check are an unstaged
+    reference."""
 
     @pytest.mark.parametrize(
         "seq,p,kwargs",
@@ -314,27 +324,32 @@ class TestStagedFilters:
             ((4, 4, 6, 6), 12, {}),
             ((4, 4, 4, 12), 12, {}),
             ((4, 4, 4, 4), 8, {}),
-            ((4, 8, 4, 8), 8, {"require_bipartite": True}),
+            ((4, 8, 4, 8), 8, {"orientable": True}),
         ],
     )
     def test_3manifold_classes_match_unstaged(self, seq, p, kwargs):
         spec = SearchSpec(seq=seq, vertex_count=p, **kwargs)
         staged = _codes(replace(spec, require_3manifold=True))
         assert staged
-        assert staged == _codes(spec, keep=lambda g: check_3manifold(g).holds)
+        assert staged == _codes(spec, lambda g: check_3manifold(g).holds)
 
     def test_residue_classes_match_unstaged(self):
         spec = SearchSpec(seq=(4,) * 5, vertex_count=8)
         staged = _codes(replace(spec, require_residues_sphere=True))
         assert len(staged) == 5
-        assert staged == _codes(spec, keep=lambda g: check_residues_sphere(g).holds)
+        assert staged == _codes(spec, lambda g: check_residues_sphere(g).holds)
 
     def test_first_hit_matches_unstaged(self):
-        spec = SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, max_solutions=1)
-        staged = search_gems(replace(spec, require_3manifold=True))
-        unstaged = search_gems(spec, keep=lambda g: check_3manifold(g).holds)
-        assert len(staged.solutions) == len(unstaged.solutions) == 1
-        assert staged.solutions[0].pairings == unstaged.solutions[0].pairings
+        # the unfiltered search emits its solutions in the same depth-first
+        # order; the one that stops at the first passing solution is the
+        # unstaged reference, nodes included
+        spec = SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, max_solutions=10)
+        staged = search_gems(replace(spec, require_3manifold=True, max_solutions=1))
+        first = search_gems(spec).solutions
+        k = next(k for k, g in enumerate(first) if check_3manifold(g).holds)
+        unstaged = search_gems(replace(spec, max_solutions=k + 1))
+        assert len(staged.solutions) == 1
+        assert staged.solutions[0].pairings == unstaged.solutions[k].pairings
         assert staged.stats.nodes < unstaged.stats.nodes
 
     @pytest.mark.parametrize(
@@ -400,8 +415,10 @@ class TestStagedFilters:
 
 
 class TestParityRule:
-    """With ``require_bipartite`` the search pairs even labels with odd ones
-    only; ``keep=is_bipartite`` on the unrestricted search is the reference."""
+    """With ``orientable=True`` the search pairs even labels with odd ones
+    only, and with ``orientable=False`` it cuts bipartite candidates; the
+    unrestricted search's solutions of that bipartiteness are the
+    reference."""
 
     @pytest.mark.parametrize(
         "seq,p,kwargs",
@@ -420,9 +437,29 @@ class TestParityRule:
     )
     def test_parity_rule_loses_no_class(self, seq, p, kwargs):
         spec = SearchSpec(seq=seq, vertex_count=p, **kwargs)
-        parity = _codes(replace(spec, require_bipartite=True))
+        parity = _codes(replace(spec, orientable=True))
         assert parity
-        assert parity == _codes(spec, keep=is_bipartite)
+        assert parity == _codes(spec, is_bipartite)
+        cut = _codes(replace(spec, orientable=False))
+        assert cut == _codes(spec, lambda g: not is_bipartite(g))
+
+    @pytest.mark.parametrize(
+        "spec,nodes,candidates,cut",
+        [
+            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 3257, 1116, 8),
+            (SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_3manifold=True,
+                        max_solutions=1), 568, 35, 1),
+        ],
+    )
+    def test_non_orientable_cut_follows_the_orbit_test(self, spec, nodes, candidates, cut):
+        # bipartite candidates are cut only after the orbit test and the
+        # filter's last part, so duplicates still count as ``duplicate`` and
+        # each bipartite class that passes the filter is cut once: 8 of the
+        # 44 classes of (4,4,6,6);12
+        out = search_gems(replace(spec, orientable=False))
+        assert (out.stats.nodes, out.stats.candidates) == (nodes, candidates)
+        assert out.stats.prunes["orientable"] == cut
+        assert not any(map(is_bipartite, out.solutions))
 
 
 def _built_search(monkeypatch, spec):
@@ -568,8 +605,9 @@ class TestLastColorOrbits:
         "seq,p,kwargs,classes",
         [
             ((12, 12, 12), 12, {}, 125),
-            ((12, 12, 12), 12, {"require_bipartite": True}, 0),
-            ((10, 10, 10), 10, {"require_bipartite": True}, 4),
+            ((12, 12, 12), 12, {"orientable": True}, 0),
+            ((10, 10, 10), 10, {"orientable": True}, 4),
+            ((10, 10, 10), 10, {"orientable": False}, 20),
         ],
     )
     def test_single_block_matches_oracle(self, seq, p, kwargs, classes):
@@ -593,7 +631,7 @@ class TestLastColorOrbits:
         # and (8,8,8);16 has a {0,1}-residue of two blocks; each prefix of
         # colors 0..2 is described once, for its key and its orbit test
         # (the 6 of (4,4,8,8);8 once got canonical codes), and the fixed
-        # {0,1}-residue once, at its second candidate
+        # {0,1}-residue once, for its orbit test
         out, built = _built_search(monkeypatch, SearchSpec(seq=seq, vertex_count=p))
         assert out.stats.exhausted and len(out.solutions) == classes
         assert built == builds
@@ -625,7 +663,7 @@ class TestLastColorOrbits:
         # (1,337 candidates when such prefixes were never skipped); each of
         # its 32 prefixes of colors 0..2 is described once, and 21 of them
         # are skipped
-        spec = SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_bipartite=True,
+        spec = SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, orientable=True,
                           require_3manifold=True)
         out, built = _built_search(monkeypatch, spec)
         assert out.stats.exhausted and len(out.solutions) == 20
@@ -699,13 +737,23 @@ class TestLastColorOrbits:
     def test_group_waits_for_the_second_candidate(self, monkeypatch):
         # the first candidate below a prefix is the least in its orbit, so
         # it needs no group; a 3-colored search has no keyed prefix, and its
-        # fixed {0,1}-residue is described once, at the second candidate
+        # fixed {0,1}-residue is described once, when color 2 starts, but
+        # walked for its group only at the second candidate
+        walks = 0
+        original = gemtk.search._walk
+
+        def counted(*args):
+            nonlocal walks
+            walks += 1
+            return original(*args)
+
+        monkeypatch.setattr(gemtk.search, "_walk", counted)
         spec = SearchSpec(seq=(200,) * 3, vertex_count=200, max_solutions=1)
         out, built = _built_search(monkeypatch, spec)
-        assert (len(out.solutions), out.stats.candidates, built) == (1, 1, 0)
+        assert (len(out.solutions), out.stats.candidates, built, walks) == (1, 1, 1, 0)
         out, built = _built_search(monkeypatch, SearchSpec(seq=(12,) * 3, vertex_count=12))
         assert out.stats.exhausted and len(out.solutions) == 125
-        assert built == 1
+        assert built == 1 and walks > 0
 
     def test_connected_group_memory(self):
         # the group of the single 200-vertex block is kept as its 199
@@ -734,7 +782,7 @@ class TestSearchOrder:
                                     require_residues_sphere=True),
                          142, 27, 3, 0, id="residues"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12,
-                                    require_bipartite=True, require_residues_sphere=True),
+                                    orientable=True, require_residues_sphere=True),
                          456, 53, 26, 32, id="bipartite-residues"),
         ],
     )
@@ -799,14 +847,19 @@ class TestLimitsAndCounting:
             ((4, 4, 4, 8), 16, {"require_3manifold": True}, 6),
             ((8, 8, 8), 16, {}, 61),
             ((4, 8, 8), 16, {}, 7),
-            ((4, 4, 4, 4), 16, {"require_bipartite": True}, 6),
+            ((4, 4, 4, 4), 16, {"orientable": True}, 6),
             ((4, 4, 4, 4, 6), 12,
-             {"require_residues_sphere": True, "require_bipartite": True}, 7),
-            ((4, 6, 18), 72, {"require_bipartite": True}, 24),
-            ((4, 8, 10), 80, {"require_bipartite": True}, 51),
+             {"require_residues_sphere": True, "orientable": True}, 7),
+            ((4, 6, 18), 72, {"orientable": True}, 24),
+            ((4, 8, 10), 80, {"orientable": True}, 51),
             # each loses classes if the orbit test ignores the parity flag
-            ((8, 8, 8), 16, {"require_bipartite": True}, 6),
-            ((6, 6, 6), 18, {"require_bipartite": True}, 2),
+            ((8, 8, 8), 16, {"orientable": True}, 6),
+            ((6, 6, 6), 18, {"orientable": True}, 2),
+            ((4, 4, 6, 6), 12, {"orientable": False}, 36),
+            ((8, 8, 8), 16, {"orientable": False}, 55),
+            ((6, 6, 6), 18, {"orientable": False}, 2),
+            ((4, 4, 4, 6), 24, {"require_3manifold": True, "orientable": False}, 8),
+            ((4, 6, 36), 36, {"orientable": False}, 144),
         ],
     )
     def test_multi_block_counts_exhaust(self, seq, p, kwargs, classes):
@@ -820,18 +873,6 @@ class TestLimitsAndCounting:
                        budget_seconds=1)
         )
         assert out.stats.nodes > 0
-
-    def test_keep_filter(self):
-        target = sphere_profile(3)
-        out = search_gems(
-            SearchSpec(
-                seq=(4, 8, 4, 8), vertex_count=8, require_3manifold=True,
-                max_solutions=1,
-            ),
-            keep=lambda g: graph_homology(g) == target,
-        )
-        assert len(out.solutions) == 1
-        assert graph_homology(out.solutions[0]) == target
 
 
 class TestEmittedSolutionChecks:

@@ -30,7 +30,6 @@ from .complexes import (
     check_surface,
     free_profile,
     graph_homology,
-    homology,
     smith_normal_form,
     sphere_profile,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "embedding_report",
     "free_profile",
     "graph_homology",
-    "homology",
     "is_bipartite",
     "is_connected",
     "normalize",

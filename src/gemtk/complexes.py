@@ -6,21 +6,29 @@ simplex vertices.  The cells labeled by a color subset B then correspond to
 the connected components of the residue on the complementary colors, and the
 boundary maps follow the label order, so the chain complex is exact integer
 linear algebra.  Each boundary is a list of sparse rows, one dict of nonzero
-entries per (k-1)-cell, so memory grows with the nonzeros.  Each column of
-d1 and row of dd has two entries +-1, so :func:`incidence_factors` reads
-their invariant factors off a signed graph; Smith normal form, for d2 ..
-d(d-1), mostly pivots on +-1 entries, and the few rows left, which hold all
-torsion, on entries of least absolute value.
+entries per (k-1)-cell, so memory grows with the nonzeros.
+
+:func:`graph_homology` builds only d2 .. d(d-1).  d1 and dd are incidence
+matrices of signed graphs, so for k components, of which ``odd`` hold an
+odd cycle, rank d1 = c0 - k with no torsion, and dd has p - k invariant
+factors 1 and a factor 2 per odd component.  Before each Smith normal form
+the rows of d2 on a spanning forest of the 1-skeleton and the columns of
+d(d-1) on a spanning forest of the graph are left out: d1 d2 = 0 and
+d(d-1) dd = 0 make each a unimodular combination of the lines that remain
+(Kaczynski, Mrozek & Slusarek, Comput. Math. Appl. 35, 1998), so the
+invariant factors stay the same.  The Smith normal form mostly pivots on
++-1 entries, and the few rows left, which hold all torsion, on entries of
+least absolute value.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .embeddings import embedding_report
-from .graphs import ColoredGraph
+from .graphs import ColoredGraph, ResidueTable, odd_components, spanning_forest
 
 Matrix = list[dict[int, int]]
 
@@ -126,46 +134,6 @@ def _add_row(
         del rows[i]
 
 
-def incidence_factors(lines: Iterable[Mapping[int, int]]) -> tuple[int, ...]:
-    """Invariant factors of a matrix given by its lines (rows, or columns:
-    the transpose has the same factors), each with exactly two entries +-1.
-
-    They are the edges of a signed graph.  Negating a node's entries is
-    unimodular, and so makes every edge of a spanning tree (+1, -1); on a
-    component of q nodes the tree then spans the vectors of sum 0, with
-    q - 1 factors 1.  Another edge is outside that span only if its cycle
-    holds an odd number of same-sign edges (negation keeps the parity);
-    then it is +-(1, 1) and the span grows to the vectors of even sum: one
-    factor 2.  The union-find keeps each node's negation relative to its
-    parent and hangs the smaller tree under the larger: O(log n) finds.
-    """
-    parent: dict[int, int] = {}
-    flip: dict[int, bool] = {}  # a node's negation relative to its parent
-    size: dict[int, int] = {}
-    odd: set[int] = set()  # roots, now or once, of components with an odd cycle
-    for line in lines:
-        if len(line) != 2 or any(v not in (1, -1) for v in line.values()):
-            raise ValueError(f"line {dict(line)} does not have two entries +-1")
-        rel = len(set(line.values())) == 1  # same signs need opposite negations
-        roots = []
-        for x in line:
-            while parent.setdefault(x, x) != x:
-                rel ^= flip[x]
-                x = parent[x]
-            roots.append(x)
-        small, big = sorted(roots, key=lambda r: size.setdefault(r, 1))
-        if small == big:
-            if rel:
-                odd.add(big)
-        else:
-            parent[small], flip[small] = big, rel
-            size[big] += size[small]
-            if small in odd:
-                odd.add(big)
-    roots = {x for x in parent if parent[x] == x}
-    return (1,) * (len(parent) - len(roots)) + (2,) * len(odd & roots)
-
-
 # ---------------------------------------------------------------------------
 # Cell complex
 # ---------------------------------------------------------------------------
@@ -213,38 +181,80 @@ class CellComplex:
         return sum((-1) ** k * len(cs) for k, cs in enumerate(self.cells))
 
 
+def _rest(colors: tuple[int, ...], subset: tuple[int, ...]) -> tuple[int, ...]:
+    """The colors not in ``subset``: the residue of a cell from its labels,
+    and the labels from the residue."""
+    return tuple(c for c in colors if c not in subset)
+
+
+def _numbering(
+    table: ResidueTable, rests: Iterable[tuple[int, ...]]
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Where the components of each residue start when they are numbered on
+    from residue to residue, keyed by the residue's colors, and how many
+    there are."""
+    starts = {}
+    count = 0
+    for rest in rests:
+        starts[rest] = count
+        count += len(table.components(rest))
+    return starts, count
+
+
+def _layer(
+    table: ResidueTable, colors: tuple[int, ...], size: int
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """The cells whose labels have ``size`` colors, in label order, as
+    :func:`_numbering` gives them: keyed by the colors not in the labels."""
+    sets = itertools.combinations(colors, size)
+    return _numbering(table, (_rest(colors, labels) for labels in sets))
+
+
+def _boundary(
+    table: ResidueTable,
+    colors: tuple[int, ...],
+    low: dict[tuple[int, ...], int],
+    high: dict[tuple[int, ...], int],
+    height: int,
+    skip: Callable[..., bool] | None = None,
+) -> Matrix:
+    """The boundary from the cells of the layer ``high`` to the ``height``
+    cells of the layer ``low`` below it, both as :func:`_layer` gives them.
+    A column whose cell's vertices ``skip`` accepts is left out."""
+    mat: Matrix = [{} for _ in range(height)]
+    for rest, start in high.items():
+        # the facet without the label a is the residue on rest + a, so each
+        # facet has its own residue and no entry is set twice
+        facets = [
+            (low[sub], table.index(sub), (-1) ** pos)
+            for pos, sub in enumerate(tuple(sorted(rest + (a,))) for a in _rest(colors, rest))
+        ]
+        for col, comp in enumerate(table.components(rest), start):
+            if skip is None or not skip(*comp):
+                for base, lookup, sign in facets:
+                    mat[base + lookup[comp[0]]][col] = sign
+    return mat
+
+
 def build_complex(graph: ColoredGraph) -> CellComplex:
     """Cells and boundary matrices of the induced simplicial cell complex."""
     colors = tuple(graph.colors)
     n = graph.color_count
     table = graph.residues
-    rest: dict[tuple[int, ...], tuple[int, ...]] = {}  # the colors not in labels
-
-    cells: list[tuple[Cell, ...]] = []
-    offsets: dict[tuple[int, ...], int] = {}
-    for k in range(n):
-        layer: list[Cell] = []
-        for labels in itertools.combinations(colors, k + 1):
-            rest[labels] = tuple(c for c in colors if c not in labels)
-            offsets[labels] = len(layer)
-            for idx, comp in enumerate(table.components(rest[labels])):
-                layer.append(Cell(labels, idx, comp))
-        cells.append(tuple(layer))
-
+    layers = [_layer(table, colors, size) for size in range(1, n + 1)]
+    cells = tuple(
+        tuple(
+            Cell(_rest(colors, rest), idx, comp)
+            for rest in starts
+            for idx, comp in enumerate(table.components(rest))
+        )
+        for starts, _ in layers
+    )
     boundaries: list[Matrix] = [[]]  # dimension 0 maps to zero
     for k in range(1, n):
-        mat: Matrix = [{} for _ in cells[k - 1]]
-        for labels in itertools.combinations(colors, k + 1):
-            # each facet has its own label set, so no entry is set twice
-            facets = []
-            for pos in range(k + 1):
-                sub = labels[:pos] + labels[pos + 1 :]
-                facets.append((offsets[sub], table.index(rest[sub]), (-1) ** pos))
-            for col, comp in enumerate(table.components(rest[labels]), offsets[labels]):
-                for base, lookup, sign in facets:
-                    mat[base + lookup[comp[0]]][col] = sign
-        boundaries.append(mat)
-    return CellComplex(n, graph.vertex_count, tuple(cells), tuple(boundaries))
+        (low, height), (high, _) = layers[k - 1], layers[k]
+        boundaries.append(_boundary(table, colors, low, high, height))
+    return CellComplex(n, graph.vertex_count, cells, tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -288,33 +298,58 @@ def sphere_profile(dim: int) -> HomologyProfile:
     return free_profile(*betti)
 
 
-def homology(complex_: CellComplex) -> HomologyProfile:
-    """Integer homology from the boundary ranks and invariant factors."""
-    d = complex_.dim
-    sizes = [len(cs) for cs in complex_.cells]
-    ranks = [0] * (d + 2)
-    torsions: list[tuple[int, ...]] = [()] * (d + 1)
-    for k, mat in enumerate(complex_.boundaries[1:], 1):
-        if k == 1:  # a column per 1-cell: its two ends, +1 and -1
-            columns: dict[int, dict[int, int]] = {}
-            for i, row in enumerate(mat):
-                for j, v in row.items():
-                    columns.setdefault(j, {})[i] = v
-            factors = incidence_factors(columns.values())
-        elif k == d:  # a row per edge of color b: (-1)^b at both ends
-            factors = incidence_factors(mat)
-        else:
-            factors = smith_normal_form(mat)
-        ranks[k] = len(factors)
-        torsions[k - 1] = tuple(f for f in factors if f > 1)
-    groups = tuple(
-        (sizes[k] - ranks[k] - ranks[k + 1], torsions[k]) for k in range(d + 1)
-    )
-    return HomologyProfile(groups)
+def _skeleton_forest(
+    table: ResidueTable,
+    colors: tuple[int, ...],
+    zero: dict[tuple[int, ...], int],
+    count: int,
+    one: dict[tuple[int, ...], int],
+) -> Iterator[bool]:
+    """For each 1-cell, in the order of ``one``, whether it is an edge of a
+    spanning forest of the 1-skeleton.  Cells are keyed here by the colors
+    of their residue: a 1-cell on the colors R joins the 0-cells on R + a
+    and R + b that contain it, a and b being the other two colors.  ``zero``
+    and ``one`` say where the cells of each residue start in layers 0 (of
+    ``count`` cells) and 1."""
+    joins = spanning_forest(count)
+    for rest in one:
+        (sa, ia), (sb, ib) = [
+            (zero[t], table.index(t))
+            for t in (tuple(sorted(rest + (c,))) for c in colors if c not in rest)
+        ]
+        for comp in table.components(rest):
+            v = comp[0]
+            yield joins(sa + ia[v], sb + ib[v])
 
 
 def graph_homology(graph: ColoredGraph) -> HomologyProfile:
-    return homology(build_complex(graph))
+    """Integer homology of the induced complex, with a Smith normal form of
+    each middle boundary only, reduced along two spanning forests (see the
+    module docstring)."""
+    colors = tuple(graph.colors)
+    d, p = graph.color_count - 1, graph.vertex_count
+    table = graph.residues
+    flags = list(odd_components(graph))
+    k, odd = len(flags), sum(flags)
+    layers = [_layer(table, colors, size) for size in range(1, d + 1)]
+    sizes = [count for _, count in layers] + [p]
+    ranks = [0] * (d + 2)
+    torsions: list[tuple[int, ...]] = [()] * (d + 1)
+    ranks[1] = sizes[0] - k
+    # for d = 1 the same rank: a 2-colored graph has no odd cycle
+    ranks[d], torsions[d - 1] = p - k + odd, (2,) * odd
+    for j in range(2, d):
+        skip = spanning_forest(p) if j == d - 1 else None  # the columns of edges
+        mat = _boundary(table, colors, layers[j - 1][0], layers[j][0], sizes[j - 1], skip)
+        if j == 2:
+            tree = _skeleton_forest(table, colors, *layers[0], layers[1][0])
+            mat = [row for row, t in zip(mat, tree) if not t]
+        factors = smith_normal_form(mat)
+        ranks[j] = len(factors)
+        torsions[j - 1] = tuple(f for f in factors if f > 1)
+    return HomologyProfile(
+        tuple((sizes[j] - ranks[j] - ranks[j + 1], torsions[j]) for j in range(d + 1))
+    )
 
 
 def homology_spheres(
@@ -325,38 +360,40 @@ def homology_spheres(
 
     Every triple count of ``colors`` must hold, so each component is a
     closed 3-manifold gem: chi = 0, and its q vertices (3-cells) and 2q
-    edges (2-cells) give c0 = c1 - q.  It is connected, so rank d1 = c0 - 1
+    edges (2-cells) give c1 = c0 + q.  It is connected, so rank d1 = c0 - 1
     and b1 = q + 1 - rank d2 >= 0.  H1 = 0 forces orientability (a
     non-orientable closed 3-manifold has b3 = 0, so b1 = 1 + b2 >= 1),
     hence H3 = Z and, by Poincare duality, H2 = Hom(H1, Z) = 0.  So only d2
-    is built: its rows are the bicolored cycles, and an edge of color d is
-    the 2-cell labeled by the other three colors.  It is block-diagonal by
-    component: the rank adds over the blocks, each of rank at most q + 1,
-    and the cokernel is the sum of theirs.  So every component has H1 = 0
-    exactly when d2 has p + k invariant factors, all 1, p being the
-    components' total vertex count.
+    is built, block-diagonal by component: the rank adds over the blocks,
+    each of rank at most q + 1, and the cokernel is the sum of theirs.
+    Without its rows on a spanning forest of the 1-skeleton (c0 - k of
+    them) and its columns on a spanning forest of the components (q - k,
+    q now their total vertex count) it is (q + k) x (q + k) with the same
+    invariant factors, so every component has H1 = 0 exactly when it has
+    q + k invariant factors, all 1.
     """
     table = graph.residues
     p = graph.vertex_count
-    offset: dict[tuple[int, ...], int] = {}
-    rows = 0
-    for pair in itertools.combinations(colors, 2):
-        offset[pair] = rows
-        rows += len(table.components(pair))
-    d2: Matrix = [{} for _ in range(rows)]
+    zero, count = _numbering(table, itertools.combinations(colors, 3))
+    one, height = _numbering(table, itertools.combinations(colors, 2))
+    d2: Matrix = [{} for _ in range(height)]
+    joins = spanning_forest(p)
     for d in colors:
         inv = graph.pairings[d]
         # the facet without label b is the {b, d}-cycle through the edge
         faces = [
-            (offset[pair], table.index(pair), (-1) ** pos)
+            (one[pair], table.index(pair), (-1) ** pos)
             for pos, pair in enumerate(tuple(sorted((b, d))) for b in colors if b != d)
         ]
         for comp in comps:
             for v in comp:
-                if v < inv[v]:
+                u = inv[v]
+                if v < u and not joins(v, u):
                     for base, cycle, sign in faces:
                         d2[base + cycle[v]][d * p + v] = sign
-    factors = smith_normal_form([row for row in d2 if row])
+    # a cycle keeps an edge off the forest, so only rows outside comps are empty
+    tree = _skeleton_forest(table, colors, zero, count, one)
+    factors = smith_normal_form([row for row, t in zip(d2, tree) if row and not t])
     return len(factors) == sum(map(len, comps)) + len(comps) and factors[-1] == 1
 
 

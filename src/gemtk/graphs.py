@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 PairList = Sequence[tuple[int, int]]
 
@@ -303,7 +303,10 @@ class ResidueTable:
     def components(self, colors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         comps = self._components.get(colors)
         if comps is None:
-            comps = _bfs_components(self.pairings, self.vertex_count, colors)
+            if len(colors) == 1:  # the edges of one color
+                comps = tuple((v, u) for v, u in enumerate(self.pairings[colors[0]]) if v < u)
+            else:
+                comps = _bfs_components(self.pairings, self.vertex_count, colors)
             self._components[colors] = comps
         return comps
 
@@ -364,8 +367,13 @@ def residue_stats(graph: ColoredGraph) -> ResidueStats:
     return ResidueStats(counts)
 
 
-def is_bipartite(graph: ColoredGraph) -> bool:
-    """Whether the underlying multigraph admits a proper 2-coloring of vertices."""
+def odd_components(graph: ColoredGraph) -> Iterator[bool]:
+    """For each component, by least vertex, whether it has an odd cycle.
+
+    A breadth-first walk gives the vertices alternate sides and yields True
+    at a component's first edge between two vertices of one side, so a
+    caller can stop there; a component without one yields False when done.
+    """
     p = graph.vertex_count
     side = [-1] * p
     for start in range(p):
@@ -373,15 +381,44 @@ def is_bipartite(graph: ColoredGraph) -> bool:
             continue
         side[start] = 0
         queue = [start]
+        odd = False
         for v in queue:
             for inv in graph.pairings:
                 u = inv[v]
                 if side[u] < 0:
                     side[u] = side[v] ^ 1
                     queue.append(u)
-                elif side[u] == side[v]:
-                    return False
-    return True
+                elif side[u] == side[v] and not odd:
+                    odd = True
+                    yield True
+        if not odd:
+            yield False
+
+
+def is_bipartite(graph: ColoredGraph) -> bool:
+    """Whether the underlying multigraph admits a proper 2-coloring of vertices."""
+    return not any(odd_components(graph))
+
+
+def spanning_forest(size: int) -> Callable[[int, int], bool]:
+    """A union-find on the nodes 0..size-1, as a function ``joins(x, y)``
+    that adds the link x-y and says whether it joined two trees.  The links
+    that join form a spanning forest of all the links given so far."""
+    parent = list(range(size))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def joins(x: int, y: int) -> bool:
+        x, y = root(x), root(y)
+        if x == y:
+            return False
+        parent[x] = y
+        return True
+
+    return joins
 
 
 # ---------------------------------------------------------------------------

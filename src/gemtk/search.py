@@ -114,8 +114,9 @@ skipped partner of v to the smaller one tried.  So the least member of
 each class is enumerated, and the test accepts exactly it, the first
 candidate met in the class: no candidate gets a canonical code.  The first
 connected candidate below P is the least in its class, so it passes without
-the test.  The test runs after the connectivity cut and before the filter's
-last part and the orientability cut, both isomorphism-invariant.
+the test.  The test runs after the connectivity cut, a union of P's
+components along the last color's edges, and before the filter's last part
+and the orientability cut, both isomorphism-invariant.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -168,7 +169,7 @@ from .graphs import (
     _component_key,
     connected_components,
     is_bipartite,
-    is_connected,
+    spanning_forest,
     validate,
 )
 
@@ -371,18 +372,17 @@ class _Search:
             raise _Stop
         spec, inv, n, p, prunes = self.spec, self.inv, self.n, self.p, self.prunes
         self.stats.candidates += 1
+        last = self.last
         # a connected prefix makes every candidate connected
-        graph = None if len(self.last.members) == 1 else _view(inv, n)
-        if graph is not None and not is_connected(graph):
+        if len(last.members) > 1 and not last.connects(inv[-1]):
             prunes["not_connected"] += 1
             return
         if self.first:
             self.first = False
-        elif not self.last.least(inv[-1]):
+        elif not last.least(inv[-1]):
             prunes["duplicate"] += 1
             return
-        if graph is None:
-            graph = _view(inv, n)
+        graph = _view(inv, n)
         if self.filter_key and not _new_part(graph, self.spheres):
             prunes[self.filter_key] += 1
             return
@@ -546,13 +546,14 @@ def _dead_closure(track, other, v: int, u: int) -> bool:
 
 
 class _Components:
-    """A prefix P, given by its components: its key, and the orbit test of
-    the last color below it.  An automorphism of P maps each component onto
-    an isomorphic one, where it is fixed by the image of one vertex, so Aut(P)
-    is never listed.  A component map with a -> b is found by one walk that
-    sends the c-neighbor of each reached x to the c-neighbor of its image and
-    stops at its first conflict; a walk without one between components of
-    one size is a bijection.  Found maps are kept, by (a, b), as the images of
+    """A prefix P, given by its components: its key, whether the last color
+    connects it, and the orbit test of the last color below it.  An
+    automorphism of P maps each component onto an isomorphic one, where it
+    is fixed by the image of one vertex, so Aut(P) is never listed.  A
+    component map with a -> b is found by one walk that sends the
+    c-neighbor of each reached x to the c-neighbor of its image and stops
+    at its first conflict; a walk without one between components of one
+    size is a bijection.  Found maps are kept, by (a, b), as the images of
     the component's sorted vertices.
 
     ``key`` is P's code, computed when first read, since only prefixes of
@@ -605,6 +606,20 @@ class _Components:
             return str(min(self.marks))
         label = [-1] * len(self.comp)
         return str(sorted(_component_key(self.rows, part, label) for part in self.members))
+
+    def connects(self, m: Sequence[int]) -> bool:
+        """Do P and the involution m together form a connected graph?  A
+        union-find of P's components along the m-edges decides it, with no
+        view of the graph and no walk."""
+        comp = self.comp
+        joins = spanning_forest(len(self.members))
+        left = len(self.members) - 1  # the joins still missing
+        for x, y in enumerate(m):
+            if x < y and joins(comp[x], comp[y]):
+                left -= 1
+                if not left:
+                    return True
+        return not left
 
     def _fits(self, a: int, b: int, flag) -> bool:
         """Is there a component map with a -> b, of the flag of the maps

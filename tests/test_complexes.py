@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,6 @@ from gemtk import (
     embedding_report,
     free_profile,
     graph_homology,
-    homology,
     is_bipartite,
     is_connected,
     residue_components,
@@ -24,8 +24,8 @@ from gemtk import (
     validate,
 )
 from gemtk import complexes
-from gemtk.complexes import incidence_factors
-from gemtk.graphs import ColoredGraph
+from gemtk.gemio import parse_gem
+from gemtk.graphs import ColoredGraph, spanning_forest
 from gemtk.search import SearchSpec, search_gems
 
 from helpers import (
@@ -119,7 +119,7 @@ class TestSmithNormalForm:
             assert smith_normal_form(sparse_rows(mat)) == expected
 
     def test_argument_is_not_modified(self):
-        # homology passes the lists inside the frozen CellComplex.boundaries
+        # the boundaries of a frozen CellComplex may be passed as they are
         rng = random.Random(83)
         mats = [
             [[rng.choice((0, 1, -1, 2, -2, 3, 6)) for _ in range(6)] for _ in range(5)]
@@ -132,7 +132,7 @@ class TestSmithNormalForm:
             assert mat == before
         complex_ = build_complex(k4_graph())
         before = [[dict(row) for row in mat] for mat in complex_.boundaries]
-        assert homology(complex_).torsion(1) == (2,)
+        assert smith_normal_form(complex_.boundaries[2]) == (1, 1, 1, 2)
         assert [[dict(row) for row in mat] for mat in complex_.boundaries] == before
 
     def test_known_textbook_case(self):
@@ -201,15 +201,39 @@ class TestSmithNormalForm:
             assert smith_normal_form(sparse_rows(a)) == (1, 1, 2, 6)
 
 
-def _columns(mat):
-    columns = {}
-    for i, row in enumerate(mat):
-        for j, v in row.items():
-            columns.setdefault(j, {})[i] = v
-    return list(columns.values())
+def _snf_profile(g):
+    """The homology read off the Smith normal form of every full boundary
+    of ``build_complex``: the reference that ``graph_homology`` must equal."""
+    k = build_complex(g)
+    factors = [()] + [smith_normal_form(mat) for mat in k.boundaries[1:]] + [()]
+    return HomologyProfile(tuple(
+        (len(k.cells[i]) - len(factors[i]) - len(factors[i + 1]),
+         tuple(f for f in factors[i + 1] if f > 1))
+        for i in range(k.dim + 1)
+    ))
+
+
+def _snf_arguments(monkeypatch):
+    """The matrices that ``complexes`` passes to ``smith_normal_form``, as
+    (rows, distinct columns), collected from the patch on."""
+    calls = []
+
+    def recording(matrix):
+        calls.append((len(matrix), len(set().union(*matrix))))
+        return smith_normal_form(matrix)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", recording)
+    return calls
+
+
+GEM_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "gems"
 
 
 class TestIncidenceFactors:
+    """d1 and dd are incidence matrices of signed graphs, so graph_homology
+    takes their invariant factors in closed form; it reduces the middle
+    boundaries along two spanning forests before their Smith normal form."""
+
     def test_equals_snf_on_first_and_last_boundary(self):
         rng = random.Random(97)
         kinds = set()
@@ -219,10 +243,7 @@ class TestIncidenceFactors:
             if i % 3 == 0:  # the 2-vertex gem keeps g bipartite or not
                 g = disjoint_union(g, random_colored_graph(rng, 2, colors))
             kinds.add((colors, is_connected(g), is_bipartite(g)))
-            k = build_complex(g)
-            d1, dd = k.boundaries[1], k.boundaries[k.dim]
-            assert incidence_factors(_columns(d1)) == smith_normal_form(d1)
-            assert incidence_factors(dd) == smith_normal_form(dd)
+            assert graph_homology(g) == _snf_profile(g)
         # every color count was drawn connected and not, bipartite and not,
         # but a 2-colored graph is a union of even cycles
         assert kinds == {
@@ -233,33 +254,43 @@ class TestIncidenceFactors:
             if c > 2 or bip
         }
 
-    def test_signed_cycles_and_chains(self):
-        def cycle(n, same):
-            return [{i: 1, (i + 1) % n: 1 if i < same else -1} for i in range(n)]
+    def test_equals_snf_on_benchmark_gems_and_sums(self):
+        gems = {f.stem: parse_gem(f.read_text()) for f in sorted(GEM_DIR.glob("*.gem"))}
+        assert set(gems) == {"l31", "rp3", "s3", "s4"}
+        l31, rp3 = gems["l31"], gems["rp3"]
+        sums = [
+            connected_sum(l31, rp3, 0, 0),
+            connected_sum(connected_sum(l31, l31, 3, 5), rp3, 7, 2),
+            connected_sum(gems["s4"], gems["s4"], 1, 6),
+            disjoint_union(l31, connected_sum(rp3, l31, 4, 4)),
+        ]
+        for g in [*gems.values(), *sums]:
+            assert graph_homology(g) == _snf_profile(g)
+        assert str(graph_homology(l31)) == "(Z, Z/3, 0, Z)"
+        assert str(graph_homology(sums[1])) == "(Z, Z/3 + Z/6, 0, Z)"
+        assert str(graph_homology(sums[3])) == "(Z^2, Z/3 + Z/6, 0, Z^2)"
 
-        assert incidence_factors(cycle(5, 1)) == (1,) * 4 + (2,)
-        assert incidence_factors(cycle(5, 2)) == (1,) * 4
-        assert incidence_factors(cycle(4, 3)) == (1,) * 3 + (2,)
-        assert incidence_factors(cycle(3, 1) + cycle(3, 1)) == (1, 1, 2)
-        # an odd triangle whose tree then hangs under a larger one
-        path = [{i: 1, i + 1: -1} for i in range(10, 14)]
-        assert incidence_factors(cycle(3, 1) + path + [{0: 1, 10: 1}]) == (1,) * 7 + (2,)
-        # a star whose center a tree without union by size would bury ever
-        # deeper: each find from it would walk the whole chain
+    def test_signed_cycles_and_chains(self):
+        # dd of a 3-colored gem has one equal-signed row per edge, so a
+        # component adds a 2 to H1 exactly when it has an odd cycle
+        for parts, twos in [
+            ((k4_graph(),), 1),
+            ((cube_graph(),), 0),
+            ((k4_graph(), k4_graph()), 2),
+            ((theta_graph(), k4_graph(), cube_graph()), 1),
+        ]:
+            assert graph_homology(disjoint_union(*parts)).torsion(1) == (2,) * twos
+        # the forests' union-find: a cycle closes once, and a star whose
+        # center ends up deep in the tree costs no long walks
+        joins = spanning_forest(5)
+        assert [joins(i, (i + 1) % 5) for i in range(5)] == [True] * 4 + [False]
         n = 20000
-        star = [{0: 1, i: -1} for i in range(1, n + 1)]
-        assert incidence_factors(star) == (1,) * n
-        assert incidence_factors(star + [{1: -1, 2: -1}]) == (1,) * n + (2,)
-        assert incidence_factors([]) == ()
+        joins = spanning_forest(n + 1)
+        assert all(joins(0, i) for i in range(1, n + 1))
+        assert all(joins(i, n) is False for i in range(n))
 
     def test_smith_normal_form_only_between_first_and_last_boundary(self, monkeypatch):
-        calls = []
-
-        def counting(matrix):
-            calls.append(len(matrix))
-            return smith_normal_form(matrix)
-
-        monkeypatch.setattr(complexes, "smith_normal_form", counting)
+        calls = _snf_arguments(monkeypatch)
         rng = random.Random(101)
         for colors, snfs in [(2, 0), (3, 0), (4, 1), (5, 2)]:
             calls.clear()
@@ -268,12 +299,38 @@ class TestIncidenceFactors:
             assert len(calls) == snfs
         assert graph_homology(k4_graph()).torsion(1) == (2,)  # with no SNF
 
-    @pytest.mark.parametrize(
-        "line", [{0: 1}, {0: 1, 1: -1, 2: 1}, {0: 2, 1: -1}, {0: 1, 1: 0}]
-    )
-    def test_line_that_is_not_two_unit_entries_is_refused(self, line):
-        with pytest.raises(ValueError):
-            incidence_factors([{3: 1, 4: -1}, line])
+    def test_reduced_second_boundary_is_square(self, monkeypatch):
+        # a connected closed 3-manifold gem has c1 = c0 + p: without c0 - 1
+        # forest rows and p - 1 forest columns, d2 is (p + 1) x (p + 1)
+        calls = _snf_arguments(monkeypatch)
+        rng = random.Random(103)
+        gems = [parse_gem((GEM_DIR / f"{name}.gem").read_text()) for name in ("l31", "rp3", "s3")]
+        while len(gems) < 20:
+            g = random_connected_graph(rng, rng.choice([4, 6, 8, 10, 12]), 4)
+            if check_3manifold(g).holds:
+                gems.append(g)
+        for g in gems:
+            calls.clear()
+            k = build_complex(g)
+            graph_homology(g)
+            p = g.vertex_count
+            assert calls == [(p + 1, p + 1)]
+            assert (len(k.cells[1]), len(k.cells[2])) == (len(k.cells[0]) + p, 2 * p)
+
+    def test_residue_boundary_is_square(self, monkeypatch):
+        # homology_spheres on k components of q vertices in all: (q + k) x (q + k)
+        calls = _snf_arguments(monkeypatch)
+        l31 = parse_gem((GEM_DIR / "l31.gem").read_text())
+        for g in [S3_2, RP3_8, l31, disjoint_union(S3_2, RP3_12), disjoint_union(l31, S3_2, S2_X_S1)]:
+            comps = connected_components(g)
+            calls.clear()
+            one_boundary_spheres(g)
+            q, k = g.vertex_count, len(comps)
+            assert calls == [(q + k, q + k)]
+            for comp in comps:  # one component at a time, as check_residues_sphere does
+                calls.clear()
+                complexes.homology_spheres(g, (0, 1, 2, 3), [comp])
+                assert calls == [(len(comp) + 1, len(comp) + 1)]
 
 
 class TestBuildComplex:
@@ -371,7 +428,7 @@ class TestHomology:
         graphs += [random_colored_graph(rng, 8, 4) for _ in range(5)]
         for g in graphs:
             k = build_complex(g)
-            profile = homology(k)
+            profile = graph_homology(g)
             alternating = sum(
                 (-1) ** i * profile.betti(i) for i in range(g.color_count)
             )
@@ -507,7 +564,7 @@ class TestCheck3Manifold:
         assert collected
         for g in collected:
             k = build_complex(g)
-            profile = homology(k)
+            profile = graph_homology(g)
             assert k.chi == 0
             assert profile.betti(0) == 1
             if is_bipartite(g):

@@ -20,7 +20,14 @@ from gemtk import (
     validate,
     validation_defects,
 )
-from gemtk.graphs import COLOR_GAP, LOOP_EDGE, NOT_A_MATCHING, ODD_VERTEX_COUNT
+from gemtk.graphs import (
+    COLOR_GAP,
+    LOOP_EDGE,
+    NOT_A_MATCHING,
+    ODD_VERTEX_COUNT,
+    ColoredGraph,
+    odd_components,
+)
 
 from helpers import (
     brute_force_isomorphic,
@@ -194,6 +201,41 @@ class TestBipartite:
         for _ in range(50):
             g = random_colored_graph(rng, rng.choice([4, 6, 8, 10]), rng.choice([3, 4]))
             assert is_bipartite(g) == oracle(g)
+
+    def test_odd_components_per_component(self):
+        # one flag per component, by least vertex: is it not bipartite?
+        rng = random.Random(5)
+        flags = set()
+        for _ in range(60):
+            parts = [
+                random_colored_graph(rng, rng.choice([2, 4, 6]), 3)
+                for _ in range(rng.randint(1, 3))
+            ]
+            g = disjoint_union(*parts)
+            expected = [
+                not is_bipartite(residue_subgraph(g, g.colors, comp))
+                for comp in connected_components(g)
+            ]
+            assert list(odd_components(g)) == expected
+            flags.update(expected)
+        assert flags == {False, True}
+
+    def test_walk_stops_at_the_first_odd_edge(self):
+        # is_bipartite reads no vertex of a component after the first odd one
+        class Counted(tuple):
+            reads = 0
+
+            def __getitem__(self, v):
+                Counted.reads += 1
+                return tuple.__getitem__(self, v)
+
+        g = disjoint_union(k4_graph(), cube_graph(), cube_graph())
+        g = ColoredGraph(3, g.vertex_count, tuple(map(Counted, g.pairings)))
+        assert not is_bipartite(g)
+        assert Counted.reads <= 3 * 4
+        Counted.reads = 0
+        assert list(odd_components(g)) == [True, False, False]
+        assert Counted.reads == 3 * g.vertex_count
 
 
 class TestCanonicalCode:

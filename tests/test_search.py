@@ -755,6 +755,37 @@ class TestLastColorOrbits:
         assert out.stats.exhausted and len(out.solutions) == 125
         assert built == 1 and walks > 0
 
+    @pytest.mark.parametrize(
+        "spec,tested,disconnected",
+        [
+            (SearchSpec(seq=(4, 4, 8, 8), vertex_count=8), 92, 0),
+            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 992, 0),
+            (SearchSpec(seq=(8, 8, 8), vertex_count=16, orientable=True), 29, 0),
+            (SearchSpec(seq=(8, 8, 8), vertex_count=16), 925, 400),
+        ],
+        ids=["4488-8", "4466-12", "888-16-orientable", "888-16"],
+    )
+    def test_candidate_connectivity_without_a_view(self, monkeypatch, spec, tested,
+                                                   disconnected):
+        # below a disconnected last-color prefix, a candidate's connectivity
+        # is a union of the prefix's components along the last color's
+        # edges; it must agree with a walk of the whole candidate
+        original = gemtk.search._Components.connects
+        seen = {True: 0, False: 0}
+
+        def checked(comps, m):
+            got = original(comps, m)
+            rows = [*comps.rows, tuple(m)]
+            assert got == is_connected(ColoredGraph(len(rows), len(m), tuple(rows)))
+            seen[got] += 1
+            return got
+
+        monkeypatch.setattr(gemtk.search._Components, "connects", checked)
+        out = search_gems(spec)
+        assert out.stats.exhausted
+        assert (seen[True] + seen[False], seen[False]) == (tested, disconnected)
+        assert seen[False] == out.stats.prunes.get("not_connected", 0)
+
     def test_connected_group_memory(self):
         # the group of the single 200-vertex block is kept as its 199
         # non-identity maps, each the inverse of another: about 0.5 MB at

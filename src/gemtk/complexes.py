@@ -148,7 +148,7 @@ class Cell:
 
     labels: tuple[int, ...]
     index: int
-    vertices: tuple[int, ...]
+    vertices: tuple[int, ...]  # sorted
 
     @property
     def dim(self) -> int:
@@ -244,7 +244,7 @@ def build_complex(graph: ColoredGraph) -> CellComplex:
     layers = [_layer(table, colors, size) for size in range(1, n + 1)]
     cells = tuple(
         tuple(
-            Cell(_rest(colors, rest), idx, comp)
+            Cell(_rest(colors, rest), idx, tuple(sorted(comp)))
             for rest in starts
             for idx, comp in enumerate(table.components(rest))
         )

@@ -1,9 +1,10 @@
 """Regular embeddings: bi-colored face tracing and surface invariants.
 
 For a cyclic order eps of the colors, the faces of the regular embedding are
-exactly the bi-colored cycles of consecutive colors (eps_i, eps_{i+1}).
-Tracing them gives V, E, F and hence the Euler characteristic of the carrier
-surface; bipartiteness decides orientability.
+exactly the bi-colored cycles of consecutive colors (eps_i, eps_{i+1}), the
+pair residues that ``graphs.bicolored_cycles`` walks.  Their count gives V,
+E, F and hence the Euler characteristic of the carrier surface;
+bipartiteness decides orientability.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .census import TypeSequence, canonical_cycle, distinct_arrangements, normalize
-from .graphs import ColoredGraph, is_bipartite, is_connected
+from .graphs import ColoredGraph, bicolored_cycles, is_bipartite, is_connected
 
 
 @dataclass(frozen=True, order=True)
@@ -54,32 +55,6 @@ class CyclicOrder:
         return "(" + ",".join(map(str, self.order)) + ")"
 
 
-def _bicolored_cycles(graph: ColoredGraph, a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """Cycles of the {a, b}-residue; each starts at its least vertex and steps
-    along the smaller color first, which makes the output deterministic."""
-    lo, hi = (a, b) if a < b else (b, a)
-    inv_lo = graph.pairings[lo]
-    inv_hi = graph.pairings[hi]
-    p = graph.vertex_count
-    seen = bytearray(p)
-    cycles = []
-    for start in range(p):
-        if seen[start]:
-            continue
-        cyc = []
-        v = start
-        take_lo = True
-        while True:
-            cyc.append(v)
-            seen[v] = 1
-            v = inv_lo[v] if take_lo else inv_hi[v]
-            take_lo = not take_lo
-            if v == start and take_lo:
-                break
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
-
-
 @dataclass(frozen=True)
 class FaceTrace:
     """Per consecutive color pair, the bi-colored cycles bounding the faces."""
@@ -98,7 +73,7 @@ def trace_faces(graph: ColoredGraph, eps: CyclicOrder | None = None) -> FaceTrac
         eps = CyclicOrder.identity(graph.color_count)
     if eps.color_count != graph.color_count:
         raise ValueError("cyclic order length does not match the color count")
-    cycles = tuple(_bicolored_cycles(graph, a, b) for a, b in eps.pairs())
+    cycles = tuple(bicolored_cycles(graph.pairings, a, b) for a, b in eps.pairs())
     return FaceTrace(eps, cycles)
 
 
@@ -204,14 +179,14 @@ def all_embeddings(graph: ColoredGraph) -> dict[CyclicOrder, EmbeddingReport]:
 
     There are d!/2 classes for d+1 >= 3 colors and a single class for 2.
     Connectivity and orientability do not depend on the order, and each
-    color pair's faces are traced once for every order that uses the pair.
+    color pair's faces are read once, off ``graph.residues``.
     """
     if not is_connected(graph):
         raise ValueError("embedding reports need a connected graph")
     orientable = is_bipartite(graph)
     faces = {}
-    for a, b in itertools.combinations(graph.colors, 2):
-        faces[a, b] = faces[b, a] = _faces(_bicolored_cycles(graph, a, b))
+    for pair in itertools.combinations(graph.colors, 2):
+        faces[pair] = faces[pair[::-1]] = _faces(graph.residues.components(pair))
     return {
         eps: _report(graph, eps, [faces[pair] for pair in eps.pairs()], orientable)
         for eps in _cyclic_orders(graph.color_count)

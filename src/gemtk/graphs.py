@@ -281,18 +281,40 @@ def _bfs_components(
                 if not seen[u]:
                     seen[u] = 1
                     comp.append(u)
-        classes.append(tuple(sorted(comp)))
+        classes.append(tuple(comp))
     return tuple(classes)
+
+
+def bicolored_cycles(
+    pairings: Sequence[Sequence[int]], a: int, b: int
+) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the {a, b}-residue, ordered by least vertex; each starts
+    at it and steps along the smaller color first."""
+    inv_lo, inv_hi = (pairings[a], pairings[b]) if a < b else (pairings[b], pairings[a])
+    seen = bytearray(len(inv_lo))
+    cycles = []
+    for start in range(len(inv_lo)):
+        if seen[start]:
+            continue
+        cyc = []
+        v = start
+        while not seen[v]:  # the first vertex seen again is the start
+            u = inv_lo[v]
+            seen[v] = seen[u] = 1
+            cyc += (v, u)
+            v = inv_hi[u]
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
 
 
 class ResidueTable:
     """The residues of one graph, each color subset's components computed
     once; reach it as ``graph.residues``.  ``colors`` is always a sorted
-    tuple; ``components`` gives the components as a tuple in the order of
-    :func:`residue_components`, and ``index`` maps each vertex to the
-    position of its component there.  It holds the pairings, not the graph,
-    so a graph and its table form no reference cycle and are freed as soon
-    as the graph is."""
+    tuple; ``components`` gives the components as a tuple ordered by least
+    vertex, each starting at it but unsorted (a color pair's are its cycles
+    from :func:`bicolored_cycles`), and ``index`` maps each vertex to its
+    component's position there.  It holds the pairings, not the graph, so a
+    graph and its table form no reference cycle and are freed together."""
 
     def __init__(self, graph: ColoredGraph):
         self.pairings = graph.pairings
@@ -305,6 +327,8 @@ class ResidueTable:
         if comps is None:
             if len(colors) == 1:  # the edges of one color
                 comps = tuple((v, u) for v, u in enumerate(self.pairings[colors[0]]) if v < u)
+            elif len(colors) == 2:
+                comps = bicolored_cycles(self.pairings, *colors)
             else:
                 comps = _bfs_components(self.pairings, self.vertex_count, colors)
             self._components[colors] = comps
@@ -329,11 +353,13 @@ def residue_components(
     returned as sorted vertex tuples, ordered by least vertex, in a new list
     read from ``graph.residues``.
     """
-    return list(graph.residues.components(tuple(_color_subset(graph, colors))))
+    comps = graph.residues.components(tuple(_color_subset(graph, colors)))
+    return [tuple(sorted(c)) for c in comps]
 
 
 def connected_components(graph: ColoredGraph) -> list[tuple[int, ...]]:
-    return list(graph.residues.components(tuple(graph.colors)))
+    """The components as sorted vertex tuples, ordered by least vertex."""
+    return [tuple(sorted(c)) for c in graph.residues.components(tuple(graph.colors))]
 
 
 def is_connected(graph: ColoredGraph) -> bool:
@@ -360,8 +386,6 @@ def residue_stats(graph: ColoredGraph) -> ResidueStats:
     table = graph.residues
     counts: dict[tuple[int, ...], int] = {}
     for size in sorted(sizes):
-        if size > graph.color_count:
-            continue
         for subset in itertools.combinations(range(graph.color_count), size):
             counts[subset] = len(table.components(subset))
     return ResidueStats(counts)

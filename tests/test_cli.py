@@ -190,13 +190,21 @@ def counted(monkeypatch, module, name) -> list:
 
 
 class TestWorkCounts:
-    """Each residue is computed once per gem, each color pair's faces traced
-    once, and connectivity and orientability decided once for all orders."""
+    """Each residue is walked once per gem, a color pair's as cycles by the
+    one cycle walker and every other as a breadth-first walk, and
+    connectivity and orientability are decided once for all orders."""
 
     def gem_file(self, tmp_path, graph):
         path = tmp_path / "g.gem"
         path.write_text(write_gem(graph))
         return str(path)
+
+    def walks(self, monkeypatch):
+        """The calls of ``graphs.bicolored_cycles``, wherever it is reached
+        from, and of ``graphs._bfs_components``."""
+        cycles = counted(monkeypatch, graphs, "bicolored_cycles")
+        monkeypatch.setattr(embeddings, "bicolored_cycles", graphs.bicolored_cycles)
+        return cycles, counted(monkeypatch, graphs, "_bfs_components")
 
     @pytest.mark.parametrize(
         "graph, residues, pairs",
@@ -209,26 +217,27 @@ class TestWorkCounts:
     )
     def test_verify(self, capsys, tmp_path, monkeypatch, graph, residues, pairs):
         path = self.gem_file(tmp_path, graph)
-        walks = counted(monkeypatch, graphs, "_bfs_components")
-        traces = counted(monkeypatch, embeddings, "_bicolored_cycles")
+        cycles, bfs = self.walks(monkeypatch)
         # orientability is decided once, for the check and every embedding
         bipartite = [counted(monkeypatch, m, "is_bipartite") for m in (gemtk.cli, embeddings)]
         run(capsys, "verify", "--json", path)
-        assert len(walks) == len({colors for _, _, colors in walks}) == residues
-        assert len(traces) == pairs
+        walked = [(a, b) for _, a, b in cycles] + [tuple(colors) for _, _, colors in bfs]
+        assert (len(cycles), len(bfs)) == (pairs, residues - pairs)
+        assert len(set(walked)) == residues
         assert sum(map(len, bipartite)) == 1
 
     def test_embed_all_perms(self, capsys, tmp_path, monkeypatch):
         path = self.gem_file(tmp_path, rp3_double())
-        traces = counted(monkeypatch, embeddings, "_bicolored_cycles")
+        cycles, bfs = self.walks(monkeypatch)
         bipartite = counted(monkeypatch, embeddings, "is_bipartite")
         connected = counted(monkeypatch, embeddings, "is_connected")
         code, out, _ = run(capsys, "embed", "--all-perms", "--json", path)
         assert code == 0
         assert len(out.splitlines()) == 12
-        assert sorted((a, b) for _, a, b in traces) == [
+        assert sorted((a, b) for _, a, b in cycles) == [
             (a, b) for a in range(5) for b in range(a + 1, 5)
         ]
+        assert [colors for _, _, colors in bfs] == [(0, 1, 2, 3, 4)]  # connectivity
         assert (len(bipartite), len(connected)) == (1, 1)
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import timeit
 import weakref
@@ -20,6 +21,7 @@ from gemtk import (
     validate,
     validation_defects,
 )
+from gemtk.embeddings import CyclicOrder, trace_faces
 from gemtk.graphs import (
     COLOR_GAP,
     LOOP_EDGE,
@@ -170,6 +172,98 @@ class TestResidues:
                 classes = residue_components(g, pair)
                 assert sum(len(c) for c in classes) == 8
                 assert all(len(c) % 2 == 0 for c in classes)
+
+
+def oracle_components(graph, colors):
+    """Sorted components by a stack walk over the edges of ``colors``."""
+    seen, comps = set(), []
+    for start in range(graph.vertex_count):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for c in colors:
+                u = graph.pairings[c][v]
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def contract_graphs():
+    """Seeded 2-5-colored graphs on 2-10 vertices, with disjoint unions
+    shuffled so that their components interleave, and the 2-vertex graph
+    whose every pair residue is a bigon."""
+    rng = random.Random(28)
+    graphs = []
+    for colors in range(2, 6):
+        graphs.append(ColoredGraph.from_involutions([[1, 0]] * colors))
+        for _ in range(25):
+            graphs.append(random_colored_graph(rng, rng.choice([2, 4, 6, 8, 10]), colors))
+            union = disjoint_union(
+                random_colored_graph(rng, rng.choice([2, 4, 6]), colors),
+                random_colored_graph(rng, rng.choice([2, 4, 6]), colors),
+            )
+            graphs.append(shuffled(rng, union))
+    return graphs
+
+
+class TestResidueTable:
+    """Components of ``graph.residues`` are ordered by least vertex and each
+    starts at it; a color pair's are its cycles, and only the public
+    wrappers sort."""
+
+    graphs = contract_graphs()
+
+    def test_graphs_cover_bigons_and_disconnected(self):
+        assert sum(not is_connected(g) for g in self.graphs) > 50
+        bigons = [
+            g for g in self.graphs
+            if any(len(c) == 2 for c in g.residues.components((0, 1)))
+        ]
+        assert len(bigons) > 50
+
+    def test_pair_components_are_cycles_from_the_least_vertex(self):
+        for g in self.graphs:
+            for lo, hi in itertools.combinations(g.colors, 2):
+                cycles = g.residues.components((lo, hi))
+                assert sorted(v for c in cycles for v in c) == list(range(g.vertex_count))
+                for c in cycles:
+                    assert c[0] == min(c)
+                    steps = [g.pairings[lo if i % 2 == 0 else hi] for i in range(len(c))]
+                    assert [inv[v] for inv, v in zip(steps, c)] == [*c[1:], c[0]]
+
+    def test_pair_components_equal_traced_faces(self):
+        for g in self.graphs:
+            n = g.color_count
+            for a, b in itertools.combinations(g.colors, 2):
+                rest = [c for c in range(n) if c not in (a, b)]
+                trace = trace_faces(g, CyclicOrder.from_sequence([a, b, *rest]))
+                pairs = [tuple(sorted(pair)) for pair in trace.eps.pairs()]
+                assert trace.cycles[pairs.index((a, b))] == g.residues.components((a, b))
+
+    def test_components_start_at_their_least_vertex_in_order(self):
+        for g in self.graphs:
+            for size in range(g.color_count + 1):
+                for colors in itertools.combinations(g.colors, size):
+                    comps = g.residues.components(colors)
+                    assert all(c[0] == min(c) for c in comps)
+                    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+
+    def test_wrappers_return_sorted_components(self):
+        unsorted = 0
+        for g in self.graphs:
+            for size in range(g.color_count + 1):
+                for colors in itertools.combinations(g.colors, size):
+                    expected = oracle_components(g, colors)
+                    assert residue_components(g, colors) == expected
+                    unsorted += g.residues.components(colors) != tuple(expected)
+            assert connected_components(g) == oracle_components(g, g.colors)
+        assert unsorted > 100  # the table itself does not sort
 
 
 class TestBipartite:

@@ -22,7 +22,6 @@ from .complexes import (
     CellComplex,
     HomologyProfile,
     ResidueSphereReport,
-    SurfaceDescriptor,
     ThreeManifoldReport,
     build_complex,
     check_3manifold,
@@ -38,6 +37,7 @@ from .embeddings import (
     EmbeddingReport,
     FaceTrace,
     SeType,
+    SurfaceDescriptor,
     all_embeddings,
     embedding_report,
     semi_equivelar_type,

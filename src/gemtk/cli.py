@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .census import enumerate_types
 from .complexes import (
-    SurfaceDescriptor,
     check_3manifold,
     check_residues_sphere,
     graph_homology,
@@ -111,7 +110,7 @@ def cmd_verify(args) -> int:
     if graph.color_count == 3:
         if connected:  # the surface of the only cyclic order
             (rep,) = embeddings.values()
-            checks["surface"] = SurfaceDescriptor(rep.orientable, rep.genus)
+            checks["surface"] = rep.surface()
     elif graph.color_count == 4:
         report = check_3manifold(graph)
         checks["criterion_3manifold"] = report.holds

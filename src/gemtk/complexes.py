@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .embeddings import embedding_report
+from .embeddings import SurfaceDescriptor, embedding_report
 from .graphs import ColoredGraph, ResidueTable, odd_components, spanning_forest
 
 Matrix = list[dict[int, int]]
@@ -354,29 +354,29 @@ def graph_homology(graph: ColoredGraph) -> HomologyProfile:
 
 def homology_spheres(
     graph: ColoredGraph, colors: tuple[int, ...], comps: Sequence[Sequence[int]]
-) -> bool:
-    """Whether the given k components of the residue on four ``colors``
-    all have the integer homology of S^3.
+) -> Iterator[bool]:
+    """Whether each of the given components of the residue on four
+    ``colors`` has the integer homology of S^3, one verdict per component.
 
-    Every triple count of ``colors`` must hold, so each component is a
-    closed 3-manifold gem: chi = 0, and its q vertices (3-cells) and 2q
+    Every triple count of ``colors`` must hold on each component, so it is
+    a closed 3-manifold gem: chi = 0, and its q vertices (3-cells) and 2q
     edges (2-cells) give c1 = c0 + q.  It is connected, so rank d1 = c0 - 1
     and b1 = q + 1 - rank d2 >= 0.  H1 = 0 forces orientability (a
     non-orientable closed 3-manifold has b3 = 0, so b1 = 1 + b2 >= 1),
     hence H3 = Z and, by Poincare duality, H2 = Hom(H1, Z) = 0.  So only d2
-    is built, block-diagonal by component: the rank adds over the blocks,
-    each of rank at most q + 1, and the cokernel is the sum of theirs.
-    Without its rows on a spanning forest of the 1-skeleton (c0 - k of
-    them) and its columns on a spanning forest of the components (q - k,
-    q now their total vertex count) it is (q + k) x (q + k) with the same
-    invariant factors, so every component has H1 = 0 exactly when it has
-    q + k invariant factors, all 1.
+    is built, once for all the components, block-diagonal by component.
+    Without its rows on a spanning forest of the 1-skeleton (c0 - 1 per
+    component) and its columns on a spanning forest of the components
+    (q - 1 each), a component's block is (q + 1) x (q + 1) with the same
+    invariant factors, so the component has H1 = 0 exactly when its block
+    has q + 1 invariant factors, all 1.  Blocks are reduced on demand.
     """
     table = graph.residues
     p = graph.vertex_count
     zero, count = _numbering(table, itertools.combinations(colors, 3))
     one, height = _numbering(table, itertools.combinations(colors, 2))
     d2: Matrix = [{} for _ in range(height)]
+    block = [0] * height  # the position in comps of each row's component
     joins = spanning_forest(p)
     for d in colors:
         inv = graph.pairings[d]
@@ -385,16 +385,22 @@ def homology_spheres(
             (one[pair], table.index(pair), (-1) ** pos)
             for pos, pair in enumerate(tuple(sorted((b, d))) for b in colors if b != d)
         ]
-        for comp in comps:
+        for i, comp in enumerate(comps):
             for v in comp:
                 u = inv[v]
                 if v < u and not joins(v, u):
                     for base, cycle, sign in faces:
-                        d2[base + cycle[v]][d * p + v] = sign
+                        r = base + cycle[v]
+                        block[r] = i
+                        d2[r][d * p + v] = sign
     # a cycle keeps an edge off the forest, so only rows outside comps are empty
+    blocks: list[Matrix] = [[] for _ in comps]
     tree = _skeleton_forest(table, colors, zero, count, one)
-    factors = smith_normal_form([row for row, t in zip(d2, tree) if row and not t])
-    return len(factors) == sum(map(len, comps)) + len(comps) and factors[-1] == 1
+    for row, i, t in zip(d2, block, tree):
+        if row and not t:
+            blocks[i].append(row)
+    for comp, rows in zip(comps, blocks):
+        yield smith_normal_form(rows) == (1,) * (len(comp) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +408,11 @@ def homology_spheres(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceDescriptor:
-    orientable: bool
-    genus: int  # genus when orientable, crosscap number otherwise
-
-    def __str__(self) -> str:
-        kind = "orientable genus" if self.orientable else "non-orientable crosscap"
-        return f"{kind} {self.genus}"
-
-
 def check_surface(graph: ColoredGraph) -> SurfaceDescriptor:
     """The surface a connected 3-colored graph encodes (always succeeds)."""
     if graph.color_count != 3:
         raise ValueError("surface check needs exactly 3 colors")
-    report = embedding_report(graph)
-    return SurfaceDescriptor(report.orientable, report.genus)
+    return embedding_report(graph).surface()
 
 
 @dataclass(frozen=True)
@@ -499,8 +494,9 @@ class ResidueSphereReport:
 def check_residues_sphere(graph: ColoredGraph) -> ResidueSphereReport:
     """Check every 4-colored residue component of a 5-colored graph.
 
-    A component's criterion is :func:`check_3manifold` on its own counts,
-    and its homology is decided by :func:`homology_spheres` on it alone."""
+    A component's criterion is :func:`check_3manifold` on its own counts;
+    those that pass share one :func:`homology_spheres` call per residue,
+    and those that fail get no Smith normal form."""
     if graph.color_count != 5:
         raise ValueError("residue sphere check needs exactly 5 colors")
     table = graph.residues
@@ -514,13 +510,16 @@ def check_residues_sphere(graph: ColoredGraph) -> ResidueSphereReport:
             g[s] = [0] * len(comps)
             for sub in table.components(s):
                 g[s][index[sub[0]]] += 1
-        for idx, comp in enumerate(comps):
-            q = len(comp)
-            criterion = all(
+        criteria = [
+            all(
                 sum(g[pair][idx] for pair in itertools.combinations(t, 2))
-                == 2 * g[t][idx] + q // 2
+                == 2 * g[t][idx] + len(comp) // 2
                 for t in triples
             )
-            homology_ok = criterion and homology_spheres(graph, kept, [comp])
-            verdicts.append(ResidueVerdict(dropped, idx, q, criterion, homology_ok))
+            for idx, comp in enumerate(comps)
+        ]
+        spheres = homology_spheres(graph, kept, [c for c, ok in zip(comps, criteria) if ok])
+        for idx, (comp, criterion) in enumerate(zip(comps, criteria)):
+            homology_ok = criterion and next(spheres)
+            verdicts.append(ResidueVerdict(dropped, idx, len(comp), criterion, homology_ok))
     return ResidueSphereReport(all(v.ok for v in verdicts), tuple(verdicts))

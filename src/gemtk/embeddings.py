@@ -4,13 +4,13 @@ For a cyclic order eps of the colors, the faces of the regular embedding are
 exactly the bi-colored cycles of consecutive colors (eps_i, eps_{i+1}), the
 pair residues that ``graphs.bicolored_cycles`` walks.  Their count gives V,
 E, F and hence the Euler characteristic of the carrier surface;
-bipartiteness decides orientability.
+bipartiteness decides orientability.  The reports read the cycles off
+``graph.residues``; :func:`trace_faces` walks them without the table.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -87,6 +87,16 @@ class SeType:
 
 
 @dataclass(frozen=True)
+class SurfaceDescriptor:
+    orientable: bool
+    genus: int  # genus when orientable, crosscap number otherwise
+
+    def __str__(self) -> str:
+        kind = "orientable genus" if self.orientable else "non-orientable crosscap"
+        return f"{kind} {self.genus}"
+
+
+@dataclass(frozen=True)
 class EmbeddingReport:
     """Surface invariants of one regular embedding."""
 
@@ -100,10 +110,8 @@ class EmbeddingReport:
     has_bigons: bool
     se_type: SeType | None
 
-    def surface(self) -> str:
-        if self.orientable:
-            return f"orientable genus {self.genus}"
-        return f"non-orientable crosscap {self.genus}"
+    def surface(self) -> SurfaceDescriptor:
+        return SurfaceDescriptor(self.orientable, self.genus)
 
 
 def semi_equivelar_type(
@@ -115,12 +123,6 @@ def semi_equivelar_type(
     bigon (face sizes below 4 carry no type), or with fewer than 3 colors.
     """
     return _se_type_of({len(c) for c in cycles} for cycles in trace_faces(graph, eps).cycles)
-
-
-def _faces(cycles: tuple[tuple[int, ...], ...]) -> tuple[int, set[int]]:
-    """The number of faces that the cycles of one color pair bound, and
-    their sizes."""
-    return len(cycles), {len(c) for c in cycles}
 
 
 def _se_type_of(sizes: Iterable[set[int]]) -> SeType | None:
@@ -138,59 +140,56 @@ def _se_type_of(sizes: Iterable[set[int]]) -> SeType | None:
     return SeType(tuple(raw), normalize(raw))
 
 
-def _report(
-    graph: ColoredGraph,
-    eps: CyclicOrder,
-    faces: list[tuple[int, set[int]]],
-    orientable: bool,
-) -> EmbeddingReport:
-    """The report of ``eps`` from the ``_faces`` of its consecutive color pairs."""
+def _reports(
+    graph: ColoredGraph, orders: Iterable[CyclicOrder]
+) -> dict[CyclicOrder, EmbeddingReport]:
+    """The report of each order.  Connectivity and orientability are decided
+    once, and each color pair's faces are read once, off ``graph.residues``."""
+    if not is_connected(graph):
+        raise ValueError("embedding reports need a connected graph")
+    orientable = is_bipartite(graph)
     p = graph.vertex_count
     e = p * graph.color_count // 2
-    f = sum(count for count, _ in faces)
-    chi = p - e + f
-    return EmbeddingReport(
-        eps=eps,
-        vertex_count=p,
-        edge_count=e,
-        face_count=f,
-        chi=chi,
-        orientable=orientable,
-        genus=(2 - chi) // 2 if orientable else 2 - chi,
-        has_bigons=any(2 in sizes for _, sizes in faces),
-        se_type=_se_type_of(sizes for _, sizes in faces),
-    )
+    faces: dict[tuple[int, int], tuple[int, set[int]]] = {}  # count, sizes
+    reports = {}
+    for eps in orders:
+        for a, b in eps.pairs():
+            if (a, b) not in faces:
+                cycles = graph.residues.components((a, b) if a < b else (b, a))
+                faces[a, b] = faces[b, a] = len(cycles), {len(c) for c in cycles}
+        own = [faces[pair] for pair in eps.pairs()]
+        f = sum(count for count, _ in own)
+        chi = p - e + f
+        reports[eps] = EmbeddingReport(
+            eps=eps,
+            vertex_count=p,
+            edge_count=e,
+            face_count=f,
+            chi=chi,
+            orientable=orientable,
+            genus=(2 - chi) // 2 if orientable else 2 - chi,
+            has_bigons=any(2 in sizes for _, sizes in own),
+            se_type=_se_type_of(sizes for _, sizes in own),
+        )
+    return reports
 
 
 def embedding_report(
     graph: ColoredGraph, eps: CyclicOrder | None = None
 ) -> EmbeddingReport:
     """Surface invariants for one cyclic order; rejects disconnected graphs."""
-    if not is_connected(graph):
-        raise ValueError("embedding reports need a connected graph")
-    trace = trace_faces(graph, eps)
-    faces = [_faces(cycles) for cycles in trace.cycles]
-    return _report(graph, trace.eps, faces, is_bipartite(graph))
+    if eps is None:
+        eps = CyclicOrder.identity(graph.color_count)
+    if eps.color_count != graph.color_count:
+        raise ValueError("cyclic order length does not match the color count")
+    return _reports(graph, [eps])[eps]
 
 
 def all_embeddings(graph: ColoredGraph) -> dict[CyclicOrder, EmbeddingReport]:
     """One report per rotation/reflection class of cyclic orders, the same
-    as :func:`embedding_report` gives each.
-
-    There are d!/2 classes for d+1 >= 3 colors and a single class for 2.
-    Connectivity and orientability do not depend on the order, and each
-    color pair's faces are read once, off ``graph.residues``.
-    """
-    if not is_connected(graph):
-        raise ValueError("embedding reports need a connected graph")
-    orientable = is_bipartite(graph)
-    faces = {}
-    for pair in itertools.combinations(graph.colors, 2):
-        faces[pair] = faces[pair[::-1]] = _faces(graph.residues.components(pair))
-    return {
-        eps: _report(graph, eps, [faces[pair] for pair in eps.pairs()], orientable)
-        for eps in _cyclic_orders(graph.color_count)
-    }
+    as :func:`embedding_report` gives each: d!/2 classes for d+1 >= 3
+    colors and a single class for 2."""
+    return _reports(graph, _cyclic_orders(graph.color_count))
 
 
 @functools.cache

@@ -73,7 +73,7 @@ def parse_gem(text: str) -> ColoredGraph:
     while pos < len(lines):
         lineno, body = lines[pos]
         pos += 1
-        m = re.fullmatch(r"color\s+(\d+)\s*:(.*)", body.strip())
+        m = re.fullmatch(r"\s*color\s+(\d+)\s*:(.*)", body)
         if not m:
             fail(lineno, body, body.strip(), "expected 'color <c>: a-b a-b ...'")
         color = int(m.group(1))
@@ -87,10 +87,11 @@ def parse_gem(text: str) -> ColoredGraph:
         if color in pairings:
             fail(lineno, body, m.group(1), f"duplicate pairing line for color {color}")
         pairs = []
-        for token in m.group(2).split():
+        for k, token in enumerate(m.group(2).split()):
             a, _, b = token.partition("-")
             if not (a.isdecimal() and b.isdecimal()):  # what \d+-\d+ matches
-                fail(lineno, body, token, f"malformed pair {token!r}, expected 'a-b'")
+                at = list(re.compile(r"\S+").finditer(body, m.start(2)))[k].start()
+                raise GemParseError(lineno, at + 1, f"malformed pair {token!r}, expected 'a-b'")
             pairs.append((int(a), int(b)))
         pairings[color] = pairs
 

@@ -135,13 +135,13 @@ prunes the whole subtree and nothing passes that the check rejects, so the
 depth-first order and the solutions are those of the unsplit search.  The
 last part runs on the complete candidate, after the connectivity check and
 the orbit test and before the orientability cut.
-A residue is tested only once its four triples hold, so its k components
+A residue is tested only once its four triples hold, so its components
 are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
-(``complexes.homology_spheres``): a component on q vertices has H1 = 0,
-which forces H2 = 0 and H3 = Z, exactly when its block of the
-block-diagonal d2 has q + 1 invariant factors, all 1.  Each block has rank
-at most q + 1, since b1 >= 0, so all pass exactly when d2 has p + k
-invariant factors, all 1.  The residue table of each view
+(``complexes.homology_spheres``): d2 is built once per residue,
+block-diagonal by component, and a component on q vertices has H1 = 0,
+which forces H2 = 0 and H3 = Z, exactly when its block has q + 1
+invariant factors, all 1.  The blocks are reduced one at a time, and the
+first that fails ends the part.  The residue table of each view
 (``ColoredGraph.residues``) computes each residue the part reads once.
 Emitted solutions alone are re-verified through the public validation,
 face tracing, bipartiteness and the filter's whole check, which reads the
@@ -254,7 +254,7 @@ def _new_part(prefix: ColoredGraph, spheres: bool) -> bool:
         return True
     table = prefix.residues
     return all(
-        homology_spheres(prefix, r, table.components(r))
+        all(homology_spheres(prefix, r, table.components(r)))
         for r in (kept + (new,) for kept in itertools.combinations(range(new), 3))
     )
 

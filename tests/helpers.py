@@ -394,12 +394,13 @@ def reference_residues_sphere(graph: ColoredGraph) -> tuple[tuple, ...]:
     return tuple(verdicts)
 
 
-def one_boundary_spheres(graph: ColoredGraph) -> bool:
+def one_boundary_spheres(graph: ColoredGraph) -> tuple[bool, ...]:
     """``complexes.homology_spheres`` on every component of a 4-colored gem
-    whose four triple counts hold: the library's one-boundary verdict that
-    each component has the integer homology of S^3."""
+    whose four triple counts hold: the library's one-boundary verdicts,
+    one per component in the order of ``connected_components``, that it
+    has the integer homology of S^3."""
     colors = (0, 1, 2, 3)
-    return homology_spheres(graph, colors, graph.residues.components(colors))
+    return tuple(homology_spheres(graph, colors, graph.residues.components(colors)))
 
 
 def counting_relation_holds(seq: tuple[int, ...], chi: int, p: int) -> bool:

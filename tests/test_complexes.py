@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import gemtk
 from gemtk import (
     HomologyProfile,
     build_complex,
@@ -318,19 +319,21 @@ class TestIncidenceFactors:
             assert (len(k.cells[1]), len(k.cells[2])) == (len(k.cells[0]) + p, 2 * p)
 
     def test_residue_boundary_is_square(self, monkeypatch):
-        # homology_spheres on k components of q vertices in all: (q + k) x (q + k)
+        # homology_spheres reduces one (q + 1) x (q + 1) block per component
+        # of q vertices, in the order of the components, and only once its
+        # verdict is asked for
         calls = _snf_arguments(monkeypatch)
         l31 = parse_gem((GEM_DIR / "l31.gem").read_text())
         for g in [S3_2, RP3_8, l31, disjoint_union(S3_2, RP3_12), disjoint_union(l31, S3_2, S2_X_S1)]:
             comps = connected_components(g)
             calls.clear()
             one_boundary_spheres(g)
-            q, k = g.vertex_count, len(comps)
-            assert calls == [(q + k, q + k)]
-            for comp in comps:  # one component at a time, as check_residues_sphere does
-                calls.clear()
-                complexes.homology_spheres(g, (0, 1, 2, 3), [comp])
-                assert calls == [(len(comp) + 1, len(comp) + 1)]
+            assert calls == [(len(comp) + 1, len(comp) + 1) for comp in comps]
+            calls.clear()
+            verdicts = complexes.homology_spheres(g, (0, 1, 2, 3), comps)
+            assert calls == []
+            next(verdicts)
+            assert calls == [(len(comps[0]) + 1, len(comps[0]) + 1)]
 
 
 class TestBuildComplex:
@@ -470,6 +473,17 @@ class TestCheckSurface:
         with pytest.raises(ValueError):
             check_surface(validate(4, 2, [[(0, 1)]] * 4))
 
+    def test_one_descriptor_with_the_embedding_report(self):
+        # check_surface is the report's own surface, which alone spells out
+        # the two kinds; both modules still export the one class
+        for g, text in [(theta_graph(), "orientable genus 0"),
+                        (k4_graph(), "non-orientable crosscap 1")]:
+            d = check_surface(g)
+            assert d == embedding_report(g).surface()
+            assert str(d) == text
+        assert complexes.SurfaceDescriptor is gemtk.SurfaceDescriptor
+        assert type(d) is gemtk.SurfaceDescriptor
+
 
 class TestCheck3Manifold:
     def test_doubled_hexagon_parameters(self):
@@ -607,7 +621,7 @@ class TestIsHomology3Sphere:
 
     def _agrees(self, g):
         assert is_connected(g) and check_3manifold(g).holds
-        verdict = one_boundary_spheres(g)
+        (verdict,) = one_boundary_spheres(g)
         assert verdict == (graph_homology(g) == sphere_profile(3))
         return verdict
 
@@ -642,19 +656,18 @@ class TestIsHomology3Sphere:
 
 class TestBlockDiagonalBoundary:
     """On a disconnected closed 3-manifold gem the one second boundary is
-    block-diagonal by component, and its verdict (p + k invariant factors,
-    all 1, for k components) says whether every component is a homology
-    3-sphere."""
+    block-diagonal by component, and each block's verdict (q + 1 invariant
+    factors, all 1, for a component on q vertices) says whether that
+    component is a homology 3-sphere."""
 
     def _agrees(self, g):
         assert check_3manifold(g).holds
-        comps = connected_components(g)
-        expected = all(
+        expected = tuple(
             graph_homology(residue_subgraph(g, range(4), comp)) == sphere_profile(3)
-            for comp in comps
+            for comp in connected_components(g)
         )
         assert one_boundary_spheres(g) == expected
-        return expected, len(comps)
+        return expected
 
     @pytest.mark.parametrize(
         "other",
@@ -662,13 +675,14 @@ class TestBlockDiagonalBoundary:
         ids=["s2xs1", "s2-twisted-s1", "rp3-8", "rp3-12"],
     )
     def test_one_non_sphere_component_fails_the_residue(self, other):
-        for g in (disjoint_union(S3_2, other), disjoint_union(other, S3_2)):
-            assert self._agrees(g) == (False, 2)
+        assert self._agrees(disjoint_union(S3_2, other)) == (True, False)
+        assert self._agrees(disjoint_union(other, S3_2)) == (False, True)
+        assert self._agrees(disjoint_union(other, S3_2, other)) == (False, True, False)
 
     def test_two_sphere_components(self):
         sphere = _sphere_gem_8()
         for g in (disjoint_union(S3_2, sphere), disjoint_union(sphere, sphere)):
-            assert self._agrees(g) == (True, 2)
+            assert self._agrees(g) == (True, True)
 
     def test_random_unions(self):
         rng = random.Random(20)
@@ -677,12 +691,14 @@ class TestBlockDiagonalBoundary:
             g = random_connected_graph(rng, rng.choice([4, 6, 8, 10]), 4)
             if check_3manifold(g).holds:
                 pool.append(g)
-        spheres = 0
+        pool += [S2_X_S1, S2_TWISTED_S1, RP3_8, RP3_12]  # the pool's non-spheres
+        mixed = spheres = 0
         for _ in range(80):
             parts = [rng.choice(pool) for _ in range(rng.choice([2, 3]))]
-            holds, k = self._agrees(disjoint_union(*parts))
-            spheres += holds and k >= 2
-        assert spheres >= 40
+            verdicts = self._agrees(disjoint_union(*parts))
+            spheres += all(verdicts)
+            mixed += len(set(verdicts)) == 2
+        assert spheres >= 40 and mixed >= 10
 
 
 class TestCheckResiduesSphere:
@@ -715,6 +731,50 @@ class TestCheckResiduesSphere:
             outcomes.update((v[3], v[4]) for v in reference)
         assert outcomes == {(True, True), (True, False), (False, False)}
         assert sum(not is_connected(g) for g in graphs) >= 30
+
+    def test_sphere_and_projective_space_joined_by_color_4(self, monkeypatch):
+        # the 8-vertex S^3 and RP^3 gems side by side, color 4 joining v and
+        # v + 8: of the residue without color 4, exactly the RP^3 component
+        # fails, on homology; the residues with color 4 are connected and
+        # fail their counts, so they get no Smith normal form
+        calls = _snf_arguments(monkeypatch)
+        sphere = _sphere_gem_8()
+        for parts, rp3_index in [((sphere, RP3_8), 1), ((RP3_8, sphere), 0)]:
+            union = disjoint_union(*parts)
+            g = ColoredGraph.from_involutions([*union.pairings, [v ^ 8 for v in range(16)]])
+            calls.clear()
+            report = check_residues_sphere(g)
+            assert calls == [(9, 9), (9, 9)]
+            verdicts = tuple(
+                (v.color, v.component_index, v.vertex_count, v.criterion_holds,
+                 v.homology_ok)
+                for v in report.verdicts
+            )
+            assert verdicts == reference_residues_sphere(g)
+            assert verdicts == (
+                *((c, 0, 16, False, False) for c in range(4)),
+                *((4, i, 8, True, i != rp3_index) for i in range(2)),
+            )
+
+    def test_one_boundary_per_residue(self, monkeypatch):
+        # four S^4 gems in a connected sum have 9 residue components in 5
+        # residues: d2 is built once per residue, not once per component
+        builds = []
+        forest = complexes._skeleton_forest
+
+        def counting(*args):
+            builds.append(args[1])
+            return forest(*args)
+
+        monkeypatch.setattr(complexes, "_skeleton_forest", counting)
+        s4 = parse_gem((GEM_DIR / "s4.gem").read_text())
+        g = s4
+        for v in (0, 3, 5):
+            g = connected_sum(g, s4, v, 2)
+        report = check_residues_sphere(g)
+        assert report.holds and len(report.verdicts) == 9
+        assert sorted(builds) == sorted(tuple(c for c in range(5) if c != d) for d in range(5))
+
     def test_non_sphere_residues_fail_on_homology_only(self):
         # the two residues without color 4 are copies of S2 x S1: they pass
         # every residue count, but their H1 is Z

@@ -12,7 +12,6 @@ from gemtk import (
     embedding_report,
     is_bipartite,
     is_connected,
-    residue_components,
     semi_equivelar_type,
     trace_faces,
     validate,
@@ -223,7 +222,8 @@ class TestAllEmbeddings:
     def test_reports_match_direct_calls(self):
         # the cube and 200 connected graphs of 2 to 5 colors, bipartite and
         # not, with and without bigons: every report, field by field, is the
-        # one that embedding_report gives its order alone
+        # one that embedding_report gives its order alone, and its faces are
+        # those that trace_faces walks without the residue table
         g = cube_graph()
         for eps, rep in all_embeddings(g).items():
             assert rep == embedding_report(g, eps)
@@ -241,10 +241,11 @@ class TestAllEmbeddings:
             assert {eps: asdict(r) for eps, r in reports.items()} == {
                 eps: asdict(embedding_report(g, eps)) for eps in reports
             }
-            for eps, rep in reports.items():  # faces counted by the residue walk
-                faces = [c for pair in eps.pairs() for c in residue_components(g, pair)]
+            for eps, rep in reports.items():
+                faces = [c for cycles in trace_faces(g, eps).cycles for c in cycles]
                 assert rep.face_count == len(faces)
                 assert rep.has_bigons == any(len(c) == 2 for c in faces)
+                assert rep.se_type == semi_equivelar_type(g, eps)
             seen.add((n, is_bipartite(g), any(r.has_bigons for r in reports.values())))
         flags = (True, False)
         assert seen >= {(n, b, f) for n in (3, 4, 5) for b in flags for f in flags}

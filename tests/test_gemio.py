@@ -93,8 +93,25 @@ class TestParse:
             return
         with pytest.raises(GemParseError) as err:
             parse_gem(text)
-        assert (err.value.line, err.value.column) == (5, body.index(token) + 1)
+        assert (err.value.line, err.value.column) == (5, len(body) - len(token) + 1)
         assert f"malformed pair {token!r}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "body,column",
+        [
+            ("color 0: 1-2 1-", 14),
+            ("color 1: 0-1 -1", 14),
+            ("color 1: 0-1 1-0 0-1 0-", 22),
+            ("  color 1:\t0-1  x-1", 17),
+        ],
+    )
+    def test_malformed_pair_column_is_the_tokens_own(self, body, column):
+        # a token whose text also occurs earlier on the line, even inside
+        # another pair, is reported where it stands
+        other = "color 1: 0-1" if "color 0" in body else "color 0: 0-1"
+        with pytest.raises(GemParseError) as err:
+            parse_gem(f"gem 1\ncolors 2\nvertices 2\n{other}\n{body}\n")
+        assert (err.value.line, err.value.column) == (5, column)
 
     def test_bad_version(self):
         with pytest.raises(GemParseError):

@@ -929,9 +929,10 @@ class TestEmittedSolutionChecks:
 
     def test_filter_check_runs_once_per_solution(self, monkeypatch):
         # every filter part is decided once per prefix, by whole-graph counts
-        # and one second boundary per 4-colored residue; the whole check,
-        # with one boundary per residue component, runs only on the emitted
-        # solutions, and no residue is copied nor full homology computed
+        # and one second boundary per 4-colored residue, reduced one
+        # component block at a time; the whole check runs only on the
+        # emitted solutions, and no residue is copied nor full homology
+        # computed
         calls = {
             "check_residues_sphere": 0,
             "smith_normal_form": 0,
@@ -963,11 +964,11 @@ class TestEmittedSolutionChecks:
         )
         assert (out.stats.candidates, len(out.solutions)) == (27, 5)
         assert calls["check_residues_sphere"] == 5
-        # 32 residue boundaries in the parts (duplicates below disconnected
-        # prefixes are rejected by the orbit test before the filter's last
-        # part, so they make none) and 30 component boundaries in the 5
-        # whole checks
-        assert calls["smith_normal_form"] == 62
+        # 37 component blocks of 32 residue boundaries in the parts
+        # (duplicates below disconnected prefixes are rejected by the orbit
+        # test before the filter's last part, so they make none) and 30 in
+        # the 5 whole checks
+        assert calls["smith_normal_form"] == 67
         assert calls["residue_subgraph"] == 0
         assert calls["graph_homology"] == 0
         assert calls["check_3manifold"] == 0

@@ -11,6 +11,7 @@ bipartiteness decides orientability.  The reports read the cycles off
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -185,11 +186,21 @@ def embedding_report(
     return _reports(graph, [eps])[eps]
 
 
+_MAX_LISTED_COLORS = 8  # 2,520 cyclic orders
+
+
 def all_embeddings(graph: ColoredGraph) -> dict[CyclicOrder, EmbeddingReport]:
     """One report per rotation/reflection class of cyclic orders, the same
     as :func:`embedding_report` gives each: d!/2 classes for d+1 >= 3
-    colors and a single class for 2."""
-    return _reports(graph, _cyclic_orders(graph.color_count))
+    colors and a single class for 2.  Raises ``ValueError`` above
+    ``_MAX_LISTED_COLORS`` colors, before any order is made."""
+    n = graph.color_count
+    if n > _MAX_LISTED_COLORS:
+        raise ValueError(
+            f"{n} colors have {math.factorial(n - 1) // 2:,} cyclic orders, too many to list"
+            f" (at most {_MAX_LISTED_COLORS} colors); report one order with embed --perm"
+        )
+    return _reports(graph, _cyclic_orders(n))
 
 
 @functools.cache

@@ -35,57 +35,48 @@ def _significant_lines(text: str):
             yield lineno, body
 
 
+# the header lines, in order: the pattern of each and what an error calls it
+_HEADER = (
+    (re.compile(r"gem\s+(\d+)"), "gem <version>"),
+    (re.compile(r"colors\s+(\d+)"), "colors <count>"),
+    (re.compile(r"vertices\s+(\d+)"), "vertices <count>"),
+)
+_COLOR_LINE = re.compile(r"\s*color\s+(\d+)\s*:(.*)")
+
+
 def parse_gem(text: str) -> ColoredGraph:
     """Parse a gem file; syntax errors carry line/column, semantic defects
     are raised by validation."""
     lines = list(_significant_lines(text))
     if not lines:
         raise GemParseError(1, 1, "empty file")
-
-    def fail(lineno: int, body: str, token: str, message: str):
-        column = body.find(token) + 1 if token and token in body else 1
-        raise GemParseError(lineno, column, message)
-
-    pos = 0
-
-    def expect(pattern: str, description: str) -> tuple[int, str, re.Match]:
-        nonlocal pos
-        if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise GemParseError(last, 1, f"unexpected end of file, expected {description}")
-        lineno, body = lines[pos]
-        match = re.fullmatch(pattern, body.strip())
-        if not match:
-            fail(lineno, body, body.strip(), f"expected {description!r}, got {body.strip()!r}")
-        pos += 1
-        return lineno, body, match
-
-    _, _, m = expect(r"gem\s+(\d+)", "gem <version>")
-    version = int(m.group(1))
-    if version != 1:
-        raise GemParseError(lines[0][0], 1, f"unsupported format version {version}")
-    _, _, m = expect(r"colors\s+(\d+)", "colors <count>")
-    color_count = int(m.group(1))
-    _, _, m = expect(r"vertices\s+(\d+)", "vertices <count>")
-    vertex_count = int(m.group(1))
+    header = []
+    for (pattern, description), (lineno, body) in zip(_HEADER, lines):
+        m = pattern.fullmatch(body.strip())
+        if not m:
+            column = len(body) - len(body.lstrip()) + 1
+            raise GemParseError(lineno, column, f"expected {description!r}, got {body.strip()!r}")
+        header.append(int(m.group(1)))
+        if header[0] != 1:  # reported before a missing header line
+            raise GemParseError(lineno, 1, f"unsupported format version {header[0]}")
+    if len(header) < len(_HEADER):
+        expected = _HEADER[len(header)][1]
+        raise GemParseError(lines[-1][0], 1, f"unexpected end of file, expected {expected}")
+    _, color_count, vertex_count = header
 
     pairings: dict[int, list[tuple[int, int]]] = {}
-    while pos < len(lines):
-        lineno, body = lines[pos]
-        pos += 1
-        m = re.fullmatch(r"\s*color\s+(\d+)\s*:(.*)", body)
+    for lineno, body in lines[len(_HEADER) :]:
+        m = _COLOR_LINE.fullmatch(body)
         if not m:
-            fail(lineno, body, body.strip(), "expected 'color <c>: a-b a-b ...'")
+            column = len(body) - len(body.lstrip()) + 1
+            raise GemParseError(lineno, column, "expected 'color <c>: a-b a-b ...'")
         color = int(m.group(1))
         if color >= color_count:
-            fail(
-                lineno,
-                body,
-                m.group(1),
-                f"color {color} but the header declares colors {color_count}",
-            )
+            message = f"color {color} but the header declares colors {color_count}"
+            raise GemParseError(lineno, m.start(1) + 1, message)
         if color in pairings:
-            fail(lineno, body, m.group(1), f"duplicate pairing line for color {color}")
+            message = f"duplicate pairing line for color {color}"
+            raise GemParseError(lineno, m.start(1) + 1, message)
         pairs = []
         for k, token in enumerate(m.group(2).split()):
             a, _, b = token.partition("-")

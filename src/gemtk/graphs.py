@@ -95,9 +95,9 @@ class ColoredGraph:
         return self.pairings[color][vertex]
 
     def pairs(self, color: int) -> list[tuple[int, int]]:
-        """Edges of one color as sorted (low, high) pairs."""
+        """Edges of one color as (low, high) pairs, sorted: they are read in vertex order."""
         inv = self.pairings[color]
-        return sorted((v, inv[v]) for v in range(self.vertex_count) if v < inv[v])
+        return [(v, inv[v]) for v in range(self.vertex_count) if v < inv[v]]
 
     def __str__(self) -> str:
         body = "; ".join(
@@ -116,7 +116,10 @@ def validation_defects(
     vertex_count: int,
     pairings: Mapping[int, PairList] | Sequence[PairList],
 ) -> list[GraphDefect]:
-    """Collect every violation in raw pairing data (empty list means valid)."""
+    """Collect every violation in raw pairing data (empty list means valid).
+
+    A sequence of pairing lists is read as the mapping of its indices, so one
+    gap rule covers both forms."""
     defects: list[GraphDefect] = []
     if color_count < 2:
         defects.append(
@@ -130,33 +133,21 @@ def validation_defects(
             )
         )
 
-    if isinstance(pairings, Mapping):
-        inside = sorted(c for c in pairings if 0 <= c < color_count)
-        # one defect per maximal run first..last of missing colors
-        first = 0
-        for c in inside + [color_count]:
-            if first < c:
-                run = "color has" if first == c - 1 else f"colors {first}..{c - 1} have"
-                defects.append(
-                    GraphDefect(COLOR_GAP, color=first, detail=f"{run} no pairing")
-                )
-            first = c + 1
-        for c in sorted(c for c in pairings if not 0 <= c < color_count):
-            defects.append(
-                GraphDefect(COLOR_GAP, color=c, detail="color outside 0..color_count-1")
-            )
-        by_color = {c: pairings[c] for c in inside}
-    else:
-        if len(pairings) != color_count:
-            defects.append(
-                GraphDefect(
-                    COLOR_GAP,
-                    detail=f"{len(pairings)} pairing lists for {color_count} colors",
-                )
-            )
-        by_color = {c: pairs for c, pairs in enumerate(pairings) if c < color_count}
+    if not isinstance(pairings, Mapping):
+        pairings = dict(enumerate(pairings))
+    inside = sorted(c for c in pairings if 0 <= c < color_count)
+    # one defect per maximal run first..last of missing colors
+    first = 0
+    for c in inside + [color_count]:
+        if first < c:
+            run = "color has" if first == c - 1 else f"colors {first}..{c - 1} have"
+            defects.append(GraphDefect(COLOR_GAP, color=first, detail=f"{run} no pairing"))
+        first = c + 1
+    for c in sorted(c for c in pairings if not 0 <= c < color_count):
+        defects.append(GraphDefect(COLOR_GAP, color=c, detail="color outside 0..color_count-1"))
 
-    for c, pairs in by_color.items():
+    for c in inside:
+        pairs = pairings[c]
         seen: dict[int, int] = {}
         for a, b in pairs:
             for v in (a, b):
@@ -215,14 +206,10 @@ def validate(
     defects = validation_defects(color_count, vertex_count, pairings)
     if defects:
         raise GemValidationError(defects)
-    if isinstance(pairings, Mapping):
-        by_color = [pairings[c] for c in range(color_count)]
-    else:
-        by_color = list(pairings)
     involutions = []
-    for pairs in by_color:
+    for c in range(color_count):
         inv = [-1] * vertex_count
-        for a, b in pairs:
+        for a, b in pairings[c]:
             inv[a] = b
             inv[b] = a
         involutions.append(tuple(inv))

@@ -169,6 +169,18 @@ class TestEmbed:
         assert code == 0
         assert record["seq"] == [4, 4, 4]
 
+    @pytest.mark.parametrize("command", [["embed", "--all-perms"], ["verify", "--json"]])
+    def test_too_many_orders_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "nine.gem"
+        lines = "".join(f"color {c}: 0-1\n" for c in range(9))
+        path.write_text(f"gem 1\ncolors 9\nvertices 2\n{lines}")
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 9 colors have 20,160 cyclic orders, too many to list"
+            " (at most 8 colors); report one order with embed --perm\n"
+        )
+
     def test_bad_perm(self, capsys, tmp_path):
         path = tmp_path / "cube.gem"
         path.write_text(write_gem(cube_graph()))

@@ -208,6 +208,16 @@ class TestAllEmbeddings:
         five = ColoredGraph.from_involutions([[1, 0]] * 5)
         assert len(all_embeddings(five)) == 12
 
+    def test_orders_listed_up_to_eight_colors(self):
+        # 7!/2 = 2,520 orders for 8 colors; 9 colors (20,160 orders) raise
+        # before any order is made, while a single order works at any count
+        assert len(all_embeddings(ColoredGraph.from_involutions([[1, 0]] * 8))) == 2520
+        nine = ColoredGraph.from_involutions([[1, 0]] * 9)
+        with pytest.raises(ValueError, match="9 colors have 20,160 cyclic orders"):
+            all_embeddings(nine)
+        twelve = ColoredGraph.from_involutions([[1, 0]] * 12)
+        assert (embedding_report(nine).chi, embedding_report(twelve).chi) == (2, 2)
+
     def test_six_colors_with_parallel_classes(self):
         # three parallel pairs of matchings; every consecutive class is a
         # quadrilateral, so the trace must cope with heavy parallel edges

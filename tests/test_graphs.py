@@ -90,6 +90,33 @@ class TestValidate:
         assert LOOP_EDGE in kinds
         assert NOT_A_MATCHING in kinds
 
+    @pytest.mark.parametrize(
+        "lists, expected",
+        [
+            ([[(0, 1), (2, 3)]], ["ColorGap color=1 colors 1..2 have no pairing"]),
+            (
+                [[(0, 1), (2, 3)]] * 5,
+                [f"ColorGap color={c} color outside 0..color_count-1" for c in (3, 4)],
+            ),
+            (
+                [[(0, 1), (1, 2)], [(0, 1), (2, 2)], [(0, 2), (1, 3)]],
+                [
+                    "NotAMatching color=0 vertex=1 vertex paired more than once",
+                    "NotAMatching color=0 vertex=3 vertex left unpaired",
+                    "LoopEdge color=1 vertex=2",
+                    "NotAMatching color=1 vertex=2 vertex left unpaired",
+                    "NotAMatching color=1 vertex=3 vertex left unpaired",
+                ],
+            ),
+        ],
+        ids=["too-short", "too-long", "loop-and-twice-paired"],
+    )
+    def test_both_pairing_forms_give_one_defect_list(self, lists, expected):
+        # a sequence is read as the mapping of its indices: one gap rule
+        defects = validation_defects(3, 4, lists)
+        assert defects == validation_defects(3, 4, dict(enumerate(lists)))
+        assert [str(d) for d in defects] == expected
+
     def test_validate_raises_with_defect_list(self):
         with pytest.raises(GemValidationError) as err:
             validate(3, 4, [[(0, 1), (2, 2)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]])

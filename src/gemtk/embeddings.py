@@ -11,11 +11,12 @@ bipartiteness decides orientability.  The reports read the cycles off
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .census import TypeSequence, canonical_cycle, distinct_arrangements, normalize
+from .census import TypeSequence, canonical_cycle, normalize
 from .graphs import ColoredGraph, bicolored_cycles, is_bipartite, is_connected
 
 
@@ -205,4 +206,9 @@ def all_embeddings(graph: ColoredGraph) -> dict[CyclicOrder, EmbeddingReport]:
 
 @functools.cache
 def _cyclic_orders(n: int) -> tuple[CyclicOrder, ...]:
-    return tuple(map(CyclicOrder, distinct_arrangements(range(n))))
+    """Every canonical order of n colors, in increasing order: color 0
+    first and, from 3 colors on, the second entry below the last."""
+    if n < 3:
+        return (CyclicOrder(tuple(range(n))),)
+    rests = itertools.permutations(range(1, n))
+    return tuple(CyclicOrder((0,) + rest) for rest in rests if rest[0] < rest[-1])

@@ -82,41 +82,44 @@ color, is rejected as a duplicate when g.M < M lexicographically for some g
 in Aut(P), where (g.M)[g(v)] = g(M[v]).  Two completions of one prefix are
 isomorphic exactly when some g in Aut(P) carries one to the other.
 
-The ``_Components`` that keys P runs the test (for n = 3, the unkeyed one of
-the fixed {0,1}-residue).  Aut(P) is never listed: it can be huge (the
-{0,1}-residue of k blocks has k!*q0^k elements).  An automorphism maps each
-component onto an isomorphic one, where it is fixed by the image of one
-vertex, and matches the components of each isomorphism type one to one.  The
-test backtracks over positions w = 0, 1, ... and fixes a component's map the
-first time the comparison of (g.M)[w] = g(M[g^-1(w)]) with M[w] touches that
-component.  It stops at the first position where g.M and M differ: past it
-any partial map extends to a whole automorphism, since the components left
-of each type still match one to one.  A connected P is the case of one
-component, where the preimage of vertex 0 fixes all of g: the test is a loop
-over at most p - 1 maps.  Under the parity rule only even-odd images count.
-A component map keeps the parity flag g(x) - x mod 2 on its whole component,
-so on a connected candidate g.M is even-odd exactly when all flags agree.  A
-partial map of flag 0 always extends, and one of flag 1 exactly when P has a
-parity-swapping automorphism: its two sorted lists of marks are equal, as on
-every {0,1}-residue (rotations by 2, reflections x -> 1-x).  Only then may a
-map of flag 1 start.
+On a connected P each g is fixed by the preimage of vertex 0, so Aut(P) has
+at most p elements, and the test runs edge by edge on the partial involution
+m: each g live above an edge compares (g.m)[w] = g(m[g^-1(w)]) with m[w],
+from the w before which g.m = m on, while both are set.  A smaller image
+cuts the edge (``duplicate_partial``), as set entries never change below it;
+a larger one drops g for the subtree; an unset one keeps g at w.  On a
+disconnected P, whose group can be huge (k!*q0^k elements for k
+{0,1}-blocks), the ``_Components`` that keys P (for n = 3, of the fixed
+{0,1}-residue) tests each candidate without listing it.  An automorphism
+maps each component onto an isomorphic one, where it is fixed by the image
+of one vertex.  The test backtracks over w = 0, 1, ... and fixes a
+component's map the first time the comparison of (g.M)[w] with M[w] touches
+that component.  It stops at the first position where g.M and M differ: past
+it any partial map extends to a whole automorphism, since the components
+left of each type still match one to one.  Under the parity rule only
+even-odd images count.  A component map keeps the parity flag g(x) - x mod 2
+on its whole component, so on a connected candidate g.M is even-odd exactly
+when all flags agree.  A partial map of flag 0 always extends, and one of
+flag 1 exactly when P has a parity-swapping automorphism: its two sorted
+lists of marks are equal, as on every {0,1}-residue (rotations by 2,
+reflections x -> 1-x).  Only then may a map of flag 1 start, or be listed.
 
 This is exact.  Explored prefixes are pairwise non-isomorphic (under the
-parity rule, by maps that keep or swap parity everywhere): for n >= 4 by
-the prefix rule, and for n = 3 P is the fixed {0,1}-residue.  The trackers
-are invariant under Aut(P), and on the last color the depth-first order is
-the lexicographic order of M.  For n >= 4 every matching that the trackers
-and the parity rule allow is enumerated below P.  For n = 3 the fresh-block
-rule skips only matchings M with an image g.M < M: g permutes and rotates
-fresh blocks (by even steps under the parity rule) and fixes the rest, so
-it fixes every vertex below v and the partner of each, and maps the
-skipped partner of v to the smaller one tried.  So the least member of
-each class is enumerated, and the test accepts exactly it, the first
-candidate met in the class: no candidate gets a canonical code.  The first
-connected candidate below P is the least in its class, so it passes without
-the test.  The test runs after the connectivity cut, a union of P's
-components along the last color's edges, and before the filter's last part
-and the orientability cut, both isomorphism-invariant.
+parity rule, by maps that keep or swap parity everywhere): for n >= 4 by the
+prefix rule, and for n = 3 P is the fixed {0,1}-residue.  The trackers are
+invariant under Aut(P), and on the last color the depth-first order is the
+lexicographic order of M.  For n >= 4 every matching that the trackers and
+the parity rule allow is enumerated below P.  For n = 3 the fresh-block rule
+skips only matchings M with an image g.M < M: g permutes and rotates fresh
+blocks (by even steps under the parity rule) and fixes the rest, so it fixes
+every vertex below v and the partner of each, and maps the skipped partner
+of v to the smaller one tried.  So the least member of each class is
+enumerated, and the test accepts exactly it, the first candidate met in the
+class: no candidate gets a canonical code, and an edge cuts only candidates
+that the test rejects.  The first connected candidate below P is the least
+in its class and passes untested, before any map is found.  The test runs
+after the connectivity cut and before the filter's last part and the
+orientability cut, both isomorphism-invariant.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -218,8 +221,8 @@ class SearchStats:
       met before.
     - ``not_connected``, ``orientable``: a complete candidate that is
       disconnected, or bipartite under ``orientable=False`` (one per class).
-    - ``duplicate``: a complete candidate isomorphic to an earlier
-      candidate, counted before the filter's last part.
+    - ``duplicate_partial``, ``duplicate``: a last-color edge below a connected
+      prefix, or a candidate below a disconnected one, that repeats a class.
     """
 
     nodes: int = 0
@@ -324,9 +327,9 @@ def search_gems(spec: SearchSpec) -> SearchOutcome:
 class _Search:
     """The state of one search: the involutions ``inv`` of the colors, color
     2's edges per {0,1}-block, the counters, the solutions, the keys of the
-    explored prefixes and the last color's prefix P.  Each ``node``
-    generator is one entry of the stack in ``search_gems``; ``descend`` and
-    ``finalize`` run below an edge."""
+    explored prefixes, the last color's prefix P and the maps of Aut(P)
+    live below each edge.  Each ``node`` generator is one entry of the stack
+    in ``search_gems``; ``descend``, ``lowers`` and ``finalize`` run below its edges."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
@@ -341,8 +344,8 @@ class _Search:
         self.stats = SearchStats()
         self.prunes = dict.fromkeys(
             ("wrong_cycle_length", "path_too_long", "dead_closure", "not_connected",
-             "criterion_3manifold", "criterion_residues", "duplicate_prefix", "duplicate",
-             "orientable"),
+             "criterion_3manifold", "criterion_residues", "duplicate_prefix",
+             "duplicate_partial", "duplicate", "orientable"),
             0,
         )
         self.solutions: list[ColoredGraph] = []
@@ -362,9 +365,10 @@ class _Search:
             self.check = check_residues_sphere
         # the last color's prefix P: ``last`` describes it (for n = 3, the fixed
         # {0,1}-residue); ``first`` holds until its first connected candidate,
-        # the least in its orbit
+        # the least in its orbit; ``live`` is the stack of ``lowers``
         self.last = None
         self.first = True
+        self.live = [None]
 
     def finalize(self) -> None:
         """Test, filter and emit the complete candidate."""
@@ -373,13 +377,13 @@ class _Search:
         spec, inv, n, p, prunes = self.spec, self.inv, self.n, self.p, self.prunes
         self.stats.candidates += 1
         last = self.last
-        # a connected prefix makes every candidate connected
+        # below a connected prefix every candidate is connected and tested
         if len(last.members) > 1 and not last.connects(inv[-1]):
             prunes["not_connected"] += 1
             return
         if self.first:
             self.first = False
-        elif not last.least(inv[-1]):
+        elif len(last.members) > 1 and not last.least(inv[-1]):
             prunes["duplicate"] += 1
             return
         graph = _view(inv, n)
@@ -440,8 +444,8 @@ class _Search:
 
     def node(self, c: int, v: int, tracks: list):
         """Pair v with each allowed partner in turn: yield the child node of
-        each edge, and undo the edge when resumed.  On the last color an
-        edge that fails ``_dead_closure`` is undone at once."""
+        each edge, and undo the edge when resumed.  On the last color an edge
+        that fails ``_dead_closure`` or ``lowers`` is undone at once."""
         stats = self.stats
         stats.nodes += 1
         if self.deadline is not None and (stats.nodes & 0x3FF) == 0:  # every 1,024 nodes
@@ -462,6 +466,7 @@ class _Search:
         on_last = len(tracks) == 2
         if on_last:
             t0, t1 = tracks
+        walks = on_last and len(self.last.members) == 1
         for u in partners:
             if invc[u] >= 0:
                 continue
@@ -493,10 +498,14 @@ class _Search:
                         plen[a] = plen[b] = plen[v] + plen[u]
                 if on_last and (_dead_closure(t0, t1, v, u) or _dead_closure(t1, t0, v, u)):
                     prunes["dead_closure"] += 1
+                elif walks and self.lowers(invc):
+                    prunes["duplicate_partial"] += 1
                 else:
                     child = descend(c, v + 1, tracks)
                     if child is not None:
                         yield child
+                    if walks:
+                        self.live.pop()
                 for pend, plen, _ in tracks:
                     a = pend[v]
                     if a != u:
@@ -509,6 +518,30 @@ class _Search:
                     touched[v // q0] -= 1
                     touched[u // q0] -= 1
                 invc[v] = invc[u] = -1
+
+    def lowers(self, m: list[int]) -> bool:
+        """Below a connected P: does a live g lower every completion of the
+        partial involution m?  If not, push the (g, g^-1, w) still live, or
+        None (all of Aut(P)) before P's first candidate, which lists none."""
+        if self.first:
+            self.live.append(None)
+            return False
+        kept, top, p = [], self.live[-1], len(m)
+        for g, g_inv, w in self.last.auts if top is None else top:
+            mw, x = m[w], m[g_inv[w]]
+            while mw >= 0 and x >= 0:  # g.m = m before w, and both are set at w
+                if g[x] != mw:
+                    if g[x] < mw:
+                        return True
+                    break
+                w += 1
+                if w == p:
+                    break
+                mw, x = m[w], m[g_inv[w]]
+            else:  # unset at w: g may still lower a completion
+                kept.append((g, g_inv, w))
+        self.live.append(kept)
+        return False
 
 
 def _dead_closure(track, other, v: int, u: int) -> bool:
@@ -547,14 +580,15 @@ def _dead_closure(track, other, v: int, u: int) -> bool:
 
 class _Components:
     """A prefix P, given by its components: its key, whether the last color
-    connects it, and the orbit test of the last color below it.  An
-    automorphism of P maps each component onto an isomorphic one, where it
-    is fixed by the image of one vertex, so Aut(P) is never listed.  A
-    component map with a -> b is found by one walk that sends the
-    c-neighbor of each reached x to the c-neighbor of its image and stops
-    at its first conflict; a walk without one between components of one
-    size is a bijection.  Found maps are kept, by (a, b), as the images of
-    the component's sorted vertices.
+    connects it, and its automorphisms.  An automorphism of P maps each
+    component onto an isomorphic one, where it is fixed by the image of one
+    vertex: ``auts`` lists them on a connected P, and on a disconnected P
+    ``least``, the last color's orbit test, backtracks over component maps
+    without listing them.  A component map with a -> b is found by one walk
+    that sends the c-neighbor of each reached x to the c-neighbor of its
+    image and stops at its first conflict; a walk without one between
+    components of one size is a bijection.  Found maps are kept, by (a, b),
+    as the images of the component's sorted vertices.
 
     ``key`` is P's code, computed when first read, since only prefixes of
     3 <= c < n colors are keyed: the sorted lex-least labelings of its
@@ -581,7 +615,6 @@ class _Components:
                 self.comp[x] = k
         self.maps: dict[tuple[int, int], list[int]] = {}
         self.roots = None  # the preimages of vertex 0, found at the first test
-        self.auts = None  # on a connected P, Aut(P) as (g, g^-1) pairs
         self.g, self.g_inv = [0] * p, [0] * p  # the map being built
         self.img = [-1] * p  # a walk's images, all -1 between walks
         self.first_flag = None  # the flag of the first map, None for either
@@ -606,6 +639,13 @@ class _Components:
             return str(min(self.marks))
         label = [-1] * len(self.comp)
         return str(sorted(_component_key(self.rows, part, label) for part in self.members))
+
+    @cached_property
+    def auts(self) -> list:
+        """On a connected P, Aut(P) less the identity, as the (g, g^-1, 0)
+        of the last color's first walk: g is the map x -> 0, g^-1 the map g(0) -> 0."""
+        maps, roots = self.maps, self._preimages(0, [False], self.first_flag)
+        return [(maps[x, 0], maps[maps[x, 0][0], 0], 0) for x in roots if x]
 
     def connects(self, m: Sequence[int]) -> bool:
         """Do P and the involution m together form a connected graph?  A
@@ -655,25 +695,10 @@ class _Components:
         first position where g.m and m differ: components of each type are
         matched one to one (and with one flag under ``parity``), so the
         partial map extends to an automorphism.  The preimages of vertex 0
-        are found once; on a connected P each fixes all of g, and the
-        identity, which never lowers m, is left out.
+        are found once.  The search calls it on a disconnected P only.
         """
         if self.roots is None:
             self.roots = self._preimages(0, [False] * len(self.members), self.first_flag)
-            if len(self.members) == 1:
-                # each map x -> 0 is all of g, and its inverse is the map
-                # g(0) -> 0; the identity never lowers m
-                maps = self.maps
-                self.auts = [(maps[x, 0], maps[maps[x, 0][0], 0]) for x in self.roots if x]
-        if self.auts is not None:
-            for g, g_inv in self.auts:
-                for w, mw in enumerate(m):
-                    y = g[m[g_inv[w]]]
-                    if y != mw:
-                        if y < mw:
-                            return False
-                        break
-            return True
         comp, members = self.comp, self.members
         g, g_inv = self.g, self.g_inv
         p = len(m)

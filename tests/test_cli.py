@@ -356,10 +356,11 @@ class TestSearch:
         )
         assert code == 0
         assert len(out.splitlines()) == 5
-        assert "nodes: 142 candidates: 27 exhausted: yes" in err
-        # the orbit test rejects duplicates before the filter's last part, so
-        # three candidates that failed that part are counted as duplicates
-        assert " criterion_residues=36 duplicate_prefix=3 duplicate=6" in err
+        assert "nodes: 139 candidates: 24 exhausted: yes" in err
+        # the orbit test rejects duplicates before the filter's last part:
+        # below connected prefixes 3 last-color edges are cut in flight, and
+        # below disconnected ones 3 candidates count as duplicates
+        assert " criterion_residues=36 duplicate_prefix=3 duplicate_partial=3 duplicate=3" in err
         assert "orientable" not in err
 
     def test_first_hit_summary_reports_dead_closures(self, capsys):

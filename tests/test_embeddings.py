@@ -16,6 +16,8 @@ from gemtk import (
     trace_faces,
     validate,
 )
+from gemtk.census import distinct_arrangements
+from gemtk.embeddings import _cyclic_orders
 from gemtk.search import SearchSpec, search_gems
 
 from helpers import (
@@ -217,6 +219,15 @@ class TestAllEmbeddings:
             all_embeddings(nine)
         twelve = ColoredGraph.from_involutions([[1, 0]] * 12)
         assert (embedding_report(nine).chi, embedding_report(twelve).chi) == (2, 2)
+
+    def test_cyclic_orders_are_the_distinct_arrangements(self):
+        # the orders are made directly, (n-1)!/2 of them, instead of by
+        # canonicalizing all n! permutations; element for element they are
+        # the census's sorted rotation/reflection classes
+        for n in range(1, 9):
+            orders = [eps.order for eps in _cyclic_orders(n)]
+            assert orders == distinct_arrangements(range(n))
+            assert all(CyclicOrder.from_sequence(order).order == order for order in orders)
 
     def test_six_colors_with_parallel_classes(self):
         # three parallel pairs of matchings; every consecutive class is a

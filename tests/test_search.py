@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -25,6 +26,7 @@ from gemtk import (
     search_gems,
     semi_equivelar_type,
     validate,
+    write_gem,
 )
 
 from helpers import (
@@ -33,9 +35,11 @@ from helpers import (
     disjoint_union,
     naive_type_search,
     random_colored_graph,
+    random_connected_graph,
     random_matching,
     reference_canonical_code,
     rp3_double,
+    standard_residue,
 )
 
 
@@ -237,7 +241,7 @@ class TestNaiveOracleAgreement:
     @pytest.mark.parametrize(
         "seq,p,kwargs,fires",
         [
-            ((8, 4, 8), 8, {}, 2),
+            ((8, 4, 8), 8, {}, 1),
             ((4, 6, 12), 12, {}, 3),
             ((4, 6, 12), 12, {"orientable": True}, 2),
             ((4, 8, 4, 8), 8, {}, 9),
@@ -446,7 +450,7 @@ class TestParityRule:
     @pytest.mark.parametrize(
         "spec,nodes,candidates,cut",
         [
-            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 3257, 1116, 8),
+            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 2935, 1010, 8),
             (SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_3manifold=True,
                         max_solutions=1), 568, 35, 1),
         ],
@@ -539,6 +543,41 @@ def _automorphisms_by_components(rows):
     return auts
 
 
+def _automorphisms(rows):
+    """Every color-preserving permutation g of the vertices, with
+    g[row[x]] == row[g[x]]: all permutations, built one image at a time and
+    dropped at the first x whose neighbor below it is mapped wrongly."""
+    p = len(rows[0])
+    auts, g, used = [], [-1] * p, [False] * p
+
+    def extend(x):
+        if x == p:
+            auts.append(list(g))
+            return
+        for y in range(p):
+            if not used[y] and all(row[x] > x or g[row[x]] == row[y] for row in rows):
+                g[x], used[y] = y, True
+                extend(x + 1)
+                g[x], used[y] = -1, False
+
+    extend(0)
+    return auts
+
+
+def _completions(m, step):
+    """Every involution that agrees with the partial involution m (-1 where
+    unset); with ``step`` 2 only its even-odd ones."""
+    if -1 not in m:
+        yield list(m)
+        return
+    v = m.index(-1)
+    for u in range(v + 1, len(m), step):
+        if m[u] < 0:
+            m[v], m[u] = u, v
+            yield from _completions(m, step)
+            m[v] = m[u] = -1
+
+
 class TestLastColorOrbits:
     """The last color is deduplicated by the automorphisms of its prefix,
     given by component maps (``_Components``), whether the prefix is
@@ -557,7 +596,7 @@ class TestLastColorOrbits:
             assert comps.least(m) == (min(images) == m), m
             lowered += min(images) < m
         assert 0 < lowered < len(matchings)
-        assert sorted(g for g, _ in comps.auts) == translations[1:]
+        assert sorted(g for g, *_ in comps.auts) == translations[1:]
         # two cubes: a disconnected prefix, whose group is given by components
         comps = gemtk.search._Components(disjoint_union(cube, cube), parity=False)
         assert [sorted(part) for part in comps.members] == [list(range(8)), list(range(8, 16))]
@@ -602,6 +641,72 @@ class TestLastColorOrbits:
         assert 10 < seen["connected"] < 70
 
     @pytest.mark.parametrize(
+        "prefix,parity",
+        [
+            ("block-8", False), ("block-8", True), ("block-10", False),
+            ("block-10", True), ("random-4-colored", False),
+        ],
+    )
+    def test_partial_orbit_test_matches_brute_force(self, prefix, parity):
+        # below a connected prefix P every last-color edge walks the maps
+        # still live above it; Aut(P) is listed here by all permutations,
+        # and the partial involutions are built in search order (least
+        # unpaired vertex first, cut edges not descended), as the search
+        # does, with every completion checked by brute force
+        if prefix.startswith("block"):
+            q0 = int(prefix[6:])
+            prefixes = [list(standard_residue(q0, q0))]
+        else:
+            rng = random.Random(7)
+            prefixes = []
+            while len(prefixes) < 3:
+                rows = [list(row) for row in random_connected_graph(rng, 8, 4).pairings]
+                if len(_automorphisms(rows)) > 1:
+                    prefixes.append(rows)
+        step = 2 if parity else 1
+        seen = {"cut": 0, "none_live": 0, "complete_least": 0, "complete_lowered": 0}
+        for rows in prefixes:
+            p = len(rows[0])
+            auts = _automorphisms(rows)
+            comps = gemtk.search._Components(ColoredGraph.from_involutions(rows), parity)
+            assert len(comps.members) == 1 and len(comps.auts) == len(auts) - 1
+            state = SimpleNamespace(first=False, live=[None], last=comps)
+            m = [-1] * p
+
+            def lowered(full):
+                images = _images(auts, full)
+                if parity:
+                    images = [x for x in images if all((v + x[v]) & 1 for v in range(p))]
+                return min(images) < full
+
+            def place():
+                v = m.index(-1)
+                for u in range(v + 1, p, step):
+                    if m[u] >= 0:
+                        continue
+                    m[v], m[u] = u, v
+                    cut = gemtk.search._Search.lowers(state, m)
+                    below = [lowered(full) for full in _completions(m, step)]
+                    if cut:
+                        assert all(below), m
+                        seen["cut"] += 1
+                    elif not state.live[-1]:
+                        assert not any(below), m
+                        seen["none_live"] += 1
+                    if -1 not in m:
+                        assert cut == below[0], m
+                        seen["complete_lowered" if cut else "complete_least"] += 1
+                    elif not cut:
+                        place()
+                    if not cut:
+                        state.live.pop()
+                    m[v] = m[u] = -1
+
+            place()
+            assert state.live == [None]
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize(
         "seq,p,kwargs,classes",
         [
             ((12, 12, 12), 12, {}, 125),
@@ -612,13 +717,15 @@ class TestLastColorOrbits:
     )
     def test_single_block_matches_oracle(self, seq, p, kwargs, classes):
         # one {0,1}-block: the prefix is connected, so every duplicate among
-        # the last color's matchings is rejected by the orbit test
+        # the last color's matchings is cut in flight, edge by edge, and
+        # none is left for the test of complete candidates
         out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
         assert out.stats.exhausted
         got = _class_codes(out.solutions)
         assert got == naive_type_search(seq, p, fix_residue=True, **kwargs)
         assert len(got) == classes
-        assert (out.stats.prunes.get("duplicate", 0) > 0) == (classes > 0)
+        assert out.stats.prunes.get("duplicate", 0) == 0
+        assert (out.stats.prunes.get("duplicate_partial", 0) > 0) == (classes > 0)
 
     @pytest.mark.parametrize(
         "seq,p,builds,classes",
@@ -667,7 +774,7 @@ class TestLastColorOrbits:
                           require_3manifold=True)
         out, built = _built_search(monkeypatch, spec)
         assert out.stats.exhausted and len(out.solutions) == 20
-        assert (out.stats.candidates, built) == (1031, 32)
+        assert (out.stats.candidates, built) == (1017, 32)
         assert out.stats.prunes["duplicate_prefix"] == 21
 
     def test_plain_key_matches_reference_code(self):
@@ -804,17 +911,17 @@ class TestSearchOrder:
     @pytest.mark.parametrize(
         "spec,nodes,candidates,prefixes,closures",
         [
-            pytest.param(SearchSpec(seq=(10, 10, 10), vertex_count=10), 306, 148, 0, 0,
+            pytest.param(SearchSpec(seq=(10, 10, 10), vertex_count=10), 82, 24, 0, 0,
                          id="decagons"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 6), vertex_count=24,
                                     require_3manifold=True, max_solutions=1),
                          511, 26, 3, 972, id="first-3manifold"),
             pytest.param(SearchSpec(seq=(4,) * 5, vertex_count=8,
                                     require_residues_sphere=True),
-                         142, 27, 3, 0, id="residues"),
+                         139, 24, 3, 0, id="residues"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12,
                                     orientable=True, require_residues_sphere=True),
-                         456, 53, 26, 32, id="bipartite-residues"),
+                         403, 40, 26, 31, id="bipartite-residues"),
         ],
     )
     def test_node_and_candidate_counts_are_pinned(
@@ -828,6 +935,35 @@ class TestSearchOrder:
         assert (out.stats.nodes, out.stats.candidates) == (nodes, candidates)
         assert out.stats.prunes.get("duplicate_prefix", 0) == prefixes
         assert out.stats.prunes.get("dead_closure", 0) == closures
+
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            pytest.param(SearchSpec(seq=(10, 10, 10), vertex_count=10), "0b4f1aa3f875ec8a",
+                         id="(10^3);10"),
+            pytest.param(SearchSpec(seq=(10, 10, 10), vertex_count=10, orientable=False),
+                         "55cd1cfa8c4f447d", id="non-orientable-(10^3);10"),
+            pytest.param(SearchSpec(seq=(12, 12, 12), vertex_count=12), "9a7cc215b888ffa8",
+                         id="(12^3);12"),
+            pytest.param(SearchSpec(seq=(4, 4, 8, 8), vertex_count=8), "2366301e8fcbfd07",
+                         id="(4,4,8,8);8"),
+            pytest.param(SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), "abb2af8f3780e942",
+                         id="(4,4,6,6);12"),
+            pytest.param(SearchSpec(seq=(6, 6, 6, 6), vertex_count=12, require_3manifold=True),
+                         "437101005d3136c6", id="3-manifold-(6^4);12"),
+            pytest.param(SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True),
+                         "4b58077850afd99d", id="residue-sphere-(4^5);8"),
+            pytest.param(SearchSpec(seq=(8, 8, 8), vertex_count=16), "2cea1c7cc74af333",
+                         id="(8^3);16"),
+        ],
+    )
+    def test_emitted_graphs_are_pinned(self, spec, digest):
+        # the emitted graphs themselves, in their order, not only their
+        # number: a change to how duplicates are cut must keep the first
+        # candidate of each class, which is what these digests hold
+        out = search_gems(spec)
+        text = "".join(write_gem(g) for g in out.solutions)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestLimitsAndCounting:
@@ -924,7 +1060,7 @@ class TestEmittedSolutionChecks:
 
             monkeypatch.setattr(gemtk.search, name, counted)
         out = search_gems(SearchSpec(seq=(10, 10, 10), vertex_count=10))
-        assert (out.stats.candidates, len(out.solutions)) == (148, 24)
+        assert (out.stats.candidates, len(out.solutions)) == (24, 24)
         assert calls == {"validate": 24, "semi_equivelar_type": 24, "_Components": 1}
 
     def test_filter_check_runs_once_per_solution(self, monkeypatch):
@@ -962,12 +1098,12 @@ class TestEmittedSolutionChecks:
         out = search_gems(
             SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True)
         )
-        assert (out.stats.candidates, len(out.solutions)) == (27, 5)
+        assert (out.stats.candidates, len(out.solutions)) == (24, 5)
         assert calls["check_residues_sphere"] == 5
-        # 37 component blocks of 32 residue boundaries in the parts
-        # (duplicates below disconnected prefixes are rejected by the orbit
-        # test before the filter's last part, so they make none) and 30 in
-        # the 5 whole checks
+        # 37 component blocks of 32 residue boundaries in the parts and 30 in
+        # the 5 whole checks; duplicates make none: below connected prefixes
+        # their last-color edges are cut in flight, and below disconnected
+        # ones the orbit test rejects them before the filter's last part
         assert calls["smith_normal_form"] == 67
         assert calls["residue_subgraph"] == 0
         assert calls["graph_homology"] == 0

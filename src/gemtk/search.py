@@ -77,49 +77,61 @@ keys are never isomorphic.
 
 The last color n-1 is deduplicated by the orbit test of orderly
 generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978) below
-the prefix P of colors 0..n-2.  A candidate, the involution M of the last
-color, is rejected as a duplicate when g.M < M lexicographically for some g
-in Aut(P), where (g.M)[g(v)] = g(M[v]).  Two completions of one prefix are
-isomorphic exactly when some g in Aut(P) carries one to the other.
+the prefix P of colors 0..n-2, run edge by edge.  A candidate, the
+involution M of the last color, is a duplicate when g.M < M
+lexicographically for some g in Aut(P), where (g.M)[g(v)] = g(M[v]).  Two
+completions of one prefix are isomorphic exactly when some g in Aut(P)
+carries one to the other.
 
-On a connected P each g is fixed by the preimage of vertex 0, so Aut(P) has
-at most p elements, and the test runs edge by edge on the partial involution
-m: each g live above an edge compares (g.m)[w] = g(m[g^-1(w)]) with m[w],
-from the w before which g.m = m on, while both are set.  A smaller image
-cuts the edge (``duplicate_partial``), as set entries never change below it;
-a larger one drops g for the subtree; an unset one keeps g at w.  On a
-disconnected P, whose group can be huge (k!*q0^k elements for k
-{0,1}-blocks), the ``_Components`` that keys P (for n = 3, of the fixed
-{0,1}-residue) tests each candidate without listing it.  An automorphism
-maps each component onto an isomorphic one, where it is fixed by the image
-of one vertex.  The test backtracks over w = 0, 1, ... and fixes a
-component's map the first time the comparison of (g.M)[w] with M[w] touches
-that component.  It stops at the first position where g.M and M differ: past
-it any partial map extends to a whole automorphism, since the components
-left of each type still match one to one.  Under the parity rule only
-even-odd images count.  A component map keeps the parity flag g(x) - x mod 2
-on its whole component, so on a connected candidate g.M is even-odd exactly
-when all flags agree.  A partial map of flag 0 always extends, and one of
-flag 1 exactly when P has a parity-swapping automorphism: its two sorted
-lists of marks are equal, as on every {0,1}-residue (rotations by 2,
-reflections x -> 1-x).  Only then may a map of flag 1 start, or be listed.
+An automorphism maps each component of P onto an isomorphic one, where it
+is fixed by the image of one vertex (``_Components``).  The walk follows
+branches (g, g^-1, w): partial maps, fixed on some components, with g.m = m
+before w on the partial involution m.  Each last-color edge resumes the
+branches live above it at their w and compares (g.m)[w] = g(m[g^-1(w)])
+with m[w].  A branch waits, unchanged, while either is unset.  Where w's
+component has no preimage yet it splits, one branch per preimage.  Where g
+is not fixed on the component of y = m[g^-1(w)] yet, a component that no
+map reaches yet may take y below m[w]; if none does, g is fixed there by
+y -> m[w], on a copy, so the branches live above the edge stay valid on
+backtrack.  A smaller image, by a fixed map or a free component, cuts the
+edge (``duplicate``); a larger one, or w = p, drops the branch for the
+subtree.  The roots, one branch per preimage of vertex 0, are found once per
+prefix; on a connected P each is all of g, so Aut(P) has at most p
+elements and its branches only compare.
 
-This is exact.  Explored prefixes are pairwise non-isomorphic (under the
-parity rule, by maps that keep or swap parity everywhere): for n >= 4 by the
-prefix rule, and for n = 3 P is the fixed {0,1}-residue.  The trackers are
-invariant under Aut(P), and on the last color the depth-first order is the
+This is exact, below connected and disconnected prefixes alike.  The
+components left of each type still match one to one, so a branch extends to
+a whole automorphism, and entries that are set never change below the edge:
+when a branch lowers m at a set position, every completion of m is
+lowered.  A branch is dropped only where no extension lowers a completion,
+so on a complete M, which leaves nothing unset, the walk is a whole
+backtrack over Aut(P), and an edge is cut only when every candidate below
+it is a duplicate.  Under the parity rule only even-odd images count.  A
+component map keeps the parity flag g(x) - x mod 2 on its whole component,
+so on a connected candidate g.M is even-odd exactly when all flags agree,
+and a branch keeps its root's flag.  A partial map of flag 0 always
+extends, and one of flag 1 exactly when P has a parity-swapping
+automorphism: its two sorted lists of marks are equal, as on every
+{0,1}-residue (rotations by 2, reflections x -> 1-x).  Only then is a root
+of flag 1 made.
+
+Explored prefixes are pairwise non-isomorphic (under the parity rule, by
+maps that keep or swap parity everywhere): for n >= 4 by the prefix rule,
+and for n = 3 P is the fixed {0,1}-residue.  The trackers are invariant
+under Aut(P), and on the last color the depth-first order is the
 lexicographic order of M.  For n >= 4 every matching that the trackers and
 the parity rule allow is enumerated below P.  For n = 3 the fresh-block rule
 skips only matchings M with an image g.M < M: g permutes and rotates fresh
 blocks (by even steps under the parity rule) and fixes the rest, so it fixes
 every vertex below v and the partner of each, and maps the skipped partner
 of v to the smaller one tried.  So the least member of each class is
-enumerated, and the test accepts exactly it, the first candidate met in the
-class: no candidate gets a canonical code, and an edge cuts only candidates
-that the test rejects.  The first connected candidate below P is the least
-in its class and passes untested, before any map is found.  The test runs
-after the connectivity cut and before the filter's last part and the
-orientability cut, both isomorphism-invariant.
+enumerated and never cut, and every later connected member is cut, at the
+latest by the edge that completes it: each connected candidate met is the
+first of its class, and no candidate gets a canonical code.  The walk
+starts after P's first connected candidate, the least in its class, so a
+first hit builds no map.  Disconnected candidates are cut by a union of P's
+components along M; the filter's last part and the orientability cut, both
+isomorphism-invariant, run after.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -137,7 +149,7 @@ their highest color and together are exactly the public check: a failure
 prunes the whole subtree and nothing passes that the check rejects, so the
 depth-first order and the solutions are those of the unsplit search.  The
 last part runs on the complete candidate, after the connectivity check and
-the orbit test and before the orientability cut.
+before the orientability cut.
 A residue is tested only once its four triples hold, so its components
 are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
 (``complexes.homology_spheres``): d2 is built once per residue,
@@ -221,8 +233,8 @@ class SearchStats:
       met before.
     - ``not_connected``, ``orientable``: a complete candidate that is
       disconnected, or bipartite under ``orientable=False`` (one per class).
-    - ``duplicate_partial``, ``duplicate``: a last-color edge below a connected
-      prefix, or a candidate below a disconnected one, that repeats a class.
+    - ``duplicate``: a last-color edge all of whose completions repeat a
+      class, below a connected or a disconnected prefix.
     """
 
     nodes: int = 0
@@ -327,9 +339,10 @@ def search_gems(spec: SearchSpec) -> SearchOutcome:
 class _Search:
     """The state of one search: the involutions ``inv`` of the colors, color
     2's edges per {0,1}-block, the counters, the solutions, the keys of the
-    explored prefixes, the last color's prefix P and the maps of Aut(P)
-    live below each edge.  Each ``node`` generator is one entry of the stack
-    in ``search_gems``; ``descend``, ``lowers`` and ``finalize`` run below its edges."""
+    explored prefixes, the last color's prefix P and the branches of its
+    orbit walk live below each edge.  Each ``node`` generator is one entry
+    of the stack in ``search_gems``; ``descend``, ``lowers`` and
+    ``finalize`` run below its edges."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
@@ -345,7 +358,7 @@ class _Search:
         self.prunes = dict.fromkeys(
             ("wrong_cycle_length", "path_too_long", "dead_closure", "not_connected",
              "criterion_3manifold", "criterion_residues", "duplicate_prefix",
-             "duplicate_partial", "duplicate", "orientable"),
+             "duplicate", "orientable"),
             0,
         )
         self.solutions: list[ColoredGraph] = []
@@ -377,20 +390,16 @@ class _Search:
         spec, inv, n, p, prunes = self.spec, self.inv, self.n, self.p, self.prunes
         self.stats.candidates += 1
         last = self.last
-        # below a connected prefix every candidate is connected and tested
+        # below a connected prefix every candidate is connected
         if len(last.members) > 1 and not last.connects(inv[-1]):
             prunes["not_connected"] += 1
             return
-        if self.first:
-            self.first = False
-        elif len(last.members) > 1 and not last.least(inv[-1]):
-            prunes["duplicate"] += 1
-            return
+        self.first = False
         graph = _view(inv, n)
         if self.filter_key and not _new_part(graph, self.spheres):
             prunes[self.filter_key] += 1
             return
-        # after the orbit test and the filter: one cut per bipartite class
+        # after the orbit walk and the filter: one cut per bipartite class
         if spec.orientable is False and is_bipartite(graph):
             prunes["orientable"] += 1
             return
@@ -466,7 +475,6 @@ class _Search:
         on_last = len(tracks) == 2
         if on_last:
             t0, t1 = tracks
-        walks = on_last and len(self.last.members) == 1
         for u in partners:
             if invc[u] >= 0:
                 continue
@@ -498,13 +506,13 @@ class _Search:
                         plen[a] = plen[b] = plen[v] + plen[u]
                 if on_last and (_dead_closure(t0, t1, v, u) or _dead_closure(t1, t0, v, u)):
                     prunes["dead_closure"] += 1
-                elif walks and self.lowers(invc):
-                    prunes["duplicate_partial"] += 1
+                elif on_last and self.lowers(invc):
+                    prunes["duplicate"] += 1
                 else:
                     child = descend(c, v + 1, tracks)
                     if child is not None:
                         yield child
-                    if walks:
+                    if on_last:
                         self.live.pop()
                 for pend, plen, _ in tracks:
                     a = pend[v]
@@ -520,26 +528,42 @@ class _Search:
                 invc[v] = invc[u] = -1
 
     def lowers(self, m: list[int]) -> bool:
-        """Below a connected P: does a live g lower every completion of the
-        partial involution m?  If not, push the (g, g^-1, w) still live, or
-        None (all of Aut(P)) before P's first candidate, which lists none."""
+        """Does some g in Aut(P) lower every completion of the partial
+        involution m?  If not, push the branches (g, g^-1, w) still live, or
+        None (all of them) before P's first candidate, which builds none."""
         if self.first:
             self.live.append(None)
             return False
-        kept, top, p = [], self.live[-1], len(m)
-        for g, g_inv, w in self.last.auts if top is None else top:
-            mw, x = m[w], m[g_inv[w]]
-            while mw >= 0 and x >= 0:  # g.m = m before w, and both are set at w
-                if g[x] != mw:
-                    if g[x] < mw:
+        last, top, p = self.last, self.live[-1], len(m)
+        todo = list(last.roots if top is None else top)
+        kept = []
+        for g, g_inv, w in todo:  # grows by the branches at unmapped targets
+            while w < p:  # g.m = m before w
+                mw, x = m[w], g_inv[w]
+                if mw < 0:  # unset at w: g may still lower a completion
+                    kept.append((g, g_inv, w))
+                    break
+                if x < 0:  # w's component has no preimage yet
+                    todo += last._branches(g, g_inv, w)
+                    break
+                y = m[x]
+                if y < 0:
+                    kept.append((g, g_inv, w))
+                    break
+                gy = g[y]
+                if gy < 0:  # g is not fixed on y's component yet
+                    if last._lowers(y, mw, g_inv):
+                        return True
+                    # y - x and mw - w are odd: under parity y -> mw has g's flag
+                    if g_inv[mw] >= 0 or not last._fits(y, mw, None):
+                        break
+                    g, g_inv = last._fix(g, g_inv, y, mw)
+                    gy = mw
+                if gy != mw:
+                    if gy < mw:
                         return True
                     break
                 w += 1
-                if w == p:
-                    break
-                mw, x = m[w], m[g_inv[w]]
-            else:  # unset at w: g may still lower a completion
-                kept.append((g, g_inv, w))
         self.live.append(kept)
         return False
 
@@ -580,15 +604,26 @@ def _dead_closure(track, other, v: int, u: int) -> bool:
 
 class _Components:
     """A prefix P, given by its components: its key, whether the last color
-    connects it, and its automorphisms.  An automorphism of P maps each
-    component onto an isomorphic one, where it is fixed by the image of one
-    vertex: ``auts`` lists them on a connected P, and on a disconnected P
-    ``least``, the last color's orbit test, backtracks over component maps
-    without listing them.  A component map with a -> b is found by one walk
-    that sends the c-neighbor of each reached x to the c-neighbor of its
-    image and stops at its first conflict; a walk without one between
-    components of one size is a bijection.  Found maps are kept, by (a, b),
-    as the images of the component's sorted vertices.
+    connects it, and the branches of the last color's orbit walk.  An
+    automorphism of P maps each component onto an isomorphic one, where it
+    is fixed by the image of one vertex.  A component map with a -> b is
+    found by one walk that sends the c-neighbor of each reached x to the
+    c-neighbor of its image and stops at its first conflict; a walk without
+    one between components of one size is a bijection.  Found maps are kept,
+    by (a, b), as the images of the component's sorted vertices.
+
+    A branch (g, g^-1, w) is a partial automorphism, -1 off the components
+    it is fixed on and off their images, with g.m = m before w.  It extends
+    to a whole automorphism: the components left of each type still match
+    one to one (with the branch's flag under ``parity``).  On a connected P
+    that holds trivially, so one exactness argument covers both kinds of
+    prefix.  ``roots`` are the branches at w = 0, one per preimage of vertex
+    0; on a connected P each fixes all of g, and the identity is left out.
+    The orbit walk (``_Search.lowers``) extends a branch with ``_branches``
+    at a component that has no preimage yet and with ``_fix`` at one whose
+    map is not fixed yet, and ``_lowers`` tells whether a free component
+    takes a vertex below a given one.  Each extension copies g, so the
+    branches live above an edge stay valid on backtrack.
 
     ``key`` is P's code, computed when first read, since only prefixes of
     3 <= c < n colors are keyed: the sorted lex-least labelings of its
@@ -597,11 +632,12 @@ class _Components:
     parity flag (g(x) - x) mod 2 of a component map is constant on the
     component, so g.m is even-odd exactly when the flags agree at both ends
     of each m-edge; when P and m together are connected, that is one flag
-    for all.  A component's mark is then its least labeling from an even
-    start and from an odd start, and ``key``, the lesser of the sorted
-    (even, odd) and (odd, even) ``marks``, is P's parity-marked code.  Maps
-    of flag 0 always extend, maps of flag 1 exactly when the two lists are
-    equal; else ``first_flag`` is 0 and no map of flag 1 starts.
+    for all.  A branch keeps the flag of its root, g^-1(0) mod 2, on every
+    component.  A component's mark is its least labeling from an even start
+    and from an odd start, and ``key``, the lesser of the sorted (even, odd)
+    and (odd, even) ``marks``, is P's parity-marked code.  Maps of flag 0
+    always extend, maps of flag 1 exactly when the two lists are equal;
+    else ``first_flag`` is 0 and no root of flag 1 is made.
     """
 
     def __init__(self, graph: ColoredGraph, parity: bool):
@@ -614,10 +650,8 @@ class _Components:
             for x in part:
                 self.comp[x] = k
         self.maps: dict[tuple[int, int], list[int]] = {}
-        self.roots = None  # the preimages of vertex 0, found at the first test
-        self.g, self.g_inv = [0] * p, [0] * p  # the map being built
         self.img = [-1] * p  # a walk's images, all -1 between walks
-        self.first_flag = None  # the flag of the first map, None for either
+        self.first_flag = None  # the flag of a root, None for either
         self.marks = None  # with ``parity``, the sorted (even, odd) and (odd, even) marks
         if not parity:
             return
@@ -641,11 +675,15 @@ class _Components:
         return str(sorted(_component_key(self.rows, part, label) for part in self.members))
 
     @cached_property
-    def auts(self) -> list:
-        """On a connected P, Aut(P) less the identity, as the (g, g^-1, 0)
-        of the last color's first walk: g is the map x -> 0, g^-1 the map g(0) -> 0."""
-        maps, roots = self.maps, self._preimages(0, [False], self.first_flag)
-        return [(maps[x, 0], maps[maps[x, 0][0], 0], 0) for x in roots if x]
+    def roots(self) -> list:
+        """The branches at w = 0: g fixed on the component of each x with a
+        map x -> 0.  On a connected P that is all of g, g^-1 is the map
+        g(0) -> 0, and the identity, which lowers nothing, is left out."""
+        maps, unset = self.maps, [-1] * len(self.comp)
+        xs = self._preimages(0, unset, self.first_flag)
+        if len(self.members) == 1:
+            return [(maps[x, 0], maps[maps[x, 0][0], 0], 0) for x in xs if x]
+        return [(*self._fix(unset, unset, x, 0), 0) for x in xs]
 
     def connects(self, m: Sequence[int]) -> bool:
         """Do P and the involution m together form a connected graph?  A
@@ -662,8 +700,8 @@ class _Components:
         return not left
 
     def _fits(self, a: int, b: int, flag) -> bool:
-        """Is there a component map with a -> b, of the flag of the maps
-        made so far (None before the first)?"""
+        """Is there a component map with a -> b, of parity flag ``flag``
+        (None for either)?"""
         if self.parity and flag is not None and (b - a) & 1 != flag:
             return False
         if (a, b) in self.maps:
@@ -682,83 +720,29 @@ class _Components:
             img[x] = -1
         return found
 
-    def least(self, m: Sequence[int]) -> bool:
-        """Is no image g.m of the involution m, for g in Aut(P) (even-odd
-        under ``parity``, where P and m together must be connected), smaller
-        than m lexicographically?
-
-        A backtrack over positions w = 0, 1, ... compares (g.m)[w] =
-        g(m[g^-1(w)]) with m[w].  It chooses g^-1(w) when w's component has
-        no preimage yet, and fixes g on the component of y = m[g^-1(w)] the
-        first time it meets it: if some free component takes y below m[w],
-        g.m < m; otherwise g(y) = m[w] is the only way on.  It stops at the
-        first position where g.m and m differ: components of each type are
-        matched one to one (and with one flag under ``parity``), so the
-        partial map extends to an automorphism.  The preimages of vertex 0
-        are found once.  The search calls it on a disconnected P only.
-        """
-        if self.roots is None:
-            self.roots = self._preimages(0, [False] * len(self.members), self.first_flag)
-        comp, members = self.comp, self.members
-        g, g_inv = self.g, self.g_inv
-        p = len(m)
-        src = [False] * len(members)  # components that g is fixed on
-        dst = [False] * len(members)  # components that g maps onto
-        trail = []  # (source, target, flag) of each component map, in order
-        stack = [[0, self.roots, 0, 0]]  # choice points [w, preimages of w, next one, len(trail)]
-        while True:
-            # g.m = m up to w, or it failed at w: try the next preimage
-            while stack:
-                top = stack[-1]
-                while len(trail) > top[3]:
-                    c, d, _ = trail.pop()
-                    src[c] = dst[d] = False
-                if top[2] < len(top[1]):
-                    w = top[0]
-                    self._map(top[1][top[2]], w, src, dst, trail)
-                    top[2] += 1
-                    break
-                stack.pop()
-            else:
-                return True
-            while w < p:
-                flag = trail[0][2] if trail else self.first_flag
-                if not dst[comp[w]]:
-                    stack.append([w, self._preimages(w, src, flag), 0, len(trail)])
-                    break
-                mw = m[w]
-                y = m[g_inv[w]]
-                if src[comp[y]]:
-                    if g[y] != mw:
-                        if g[y] < mw:
-                            return False
-                        break
-                elif self._lowers(y, mw, dst, flag):
-                    return False
-                elif dst[comp[mw]] or not self._fits(y, mw, flag):
-                    break
-                else:
-                    self._map(y, mw, src, dst, trail)
-                w += 1
-
-    def _preimages(self, w: int, src: list[bool], flag) -> list[int]:
+    def _preimages(self, w: int, g: list[int], flag) -> list[int]:
         """The x in components that g is not fixed on with a map x -> w."""
         size = len(self.members[self.comp[w]])
         return [
             x
-            for c, part in enumerate(self.members)
-            if not src[c] and len(part) == size
+            for part in self.members
+            if g[part[0]] < 0 and len(part) == size
             for x in part
             if self._fits(x, w, flag)
         ]
 
-    def _lowers(self, y: int, mw: int, dst: list[bool], flag) -> bool:
-        """Can y go below mw in a component that no map reaches yet?"""
-        size = len(self.members[self.comp[y]])
-        for d, part in enumerate(self.members):
+    def _branches(self, g: list[int], g_inv: list[int], w: int) -> list:
+        """The branch (g, g^-1) extended by each preimage of w, at w."""
+        flag = g_inv[0] & 1
+        return [(*self._fix(g, g_inv, x, w), w) for x in self._preimages(w, g, flag)]
+
+    def _lowers(self, y: int, mw: int, g_inv: list[int]) -> bool:
+        """Can y go below mw in a component that no map of g reaches yet?"""
+        size, flag = len(self.members[self.comp[y]]), g_inv[0] & 1
+        for part in self.members:
             if part[0] >= mw:
                 break
-            if not dst[d] and len(part) == size:
+            if g_inv[part[0]] < 0 and len(part) == size:
                 for z in part:
                     if z >= mw:
                         break
@@ -766,15 +750,13 @@ class _Components:
                         return True
         return False
 
-    def _map(self, a: int, b: int, src: list[bool], dst: list[bool], trail: list) -> None:
-        """Fix g on the component of a by g(a) = b."""
-        g, g_inv = self.g, self.g_inv
-        c, d = self.comp[a], self.comp[b]
-        for x, y in zip(self.members[c], self.maps[a, b]):
+    def _fix(self, g: list[int], g_inv: list[int], a: int, b: int):
+        """Copies of g and g^-1, fixed on the component of a by g(a) = b."""
+        g, g_inv = g[:], g_inv[:]
+        for x, y in zip(self.members[self.comp[a]], self.maps[a, b]):
             g[x] = y
             g_inv[y] = x
-        src[c] = dst[d] = True
-        trail.append((c, d, (b - a) & 1))
+        return g, g_inv
 
 
 def _walk(rows: Sequence[Sequence[int]], img: list[int], a: int, b: int):

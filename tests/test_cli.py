@@ -356,11 +356,11 @@ class TestSearch:
         )
         assert code == 0
         assert len(out.splitlines()) == 5
-        assert "nodes: 139 candidates: 24 exhausted: yes" in err
-        # the orbit test rejects duplicates before the filter's last part:
-        # below connected prefixes 3 last-color edges are cut in flight, and
-        # below disconnected ones 3 candidates count as duplicates
-        assert " criterion_residues=36 duplicate_prefix=3 duplicate_partial=3 duplicate=3" in err
+        assert "nodes: 130 candidates: 21 exhausted: yes" in err
+        # the orbit walk cuts duplicates edge by edge, below connected and
+        # disconnected prefixes alike, before the filter's last part: 6
+        # last-color edges count as duplicates
+        assert " criterion_residues=36 duplicate_prefix=3 duplicate=6\n" in err
         assert "orientable" not in err
 
     def test_first_hit_summary_reports_dead_closures(self, capsys):
@@ -371,8 +371,8 @@ class TestSearch:
         )
         assert code == 0
         assert len(out.splitlines()) == 1
-        assert "nodes: 511 candidates: 26 exhausted: no" in err
-        assert " dead_closure=972 " in err
+        assert "nodes: 396 candidates: 6 exhausted: no" in err
+        assert " dead_closure=954 " in err
 
     def test_infeasible_spec(self, capsys):
         code, _, err = run(capsys, "search", "--type", "2,2,2", "--vertices", "2")

@@ -450,16 +450,17 @@ class TestParityRule:
     @pytest.mark.parametrize(
         "spec,nodes,candidates,cut",
         [
-            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 2935, 1010, 8),
+            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 408, 44, 8),
             (SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_3manifold=True,
-                        max_solutions=1), 568, 35, 1),
+                        max_solutions=1), 417, 9, 1),
         ],
+        ids=["4466-12", "first-3manifold"],
     )
     def test_non_orientable_cut_follows_the_orbit_test(self, spec, nodes, candidates, cut):
-        # bipartite candidates are cut only after the orbit test and the
+        # bipartite candidates are cut only after the orbit walk and the
         # filter's last part, so duplicates still count as ``duplicate`` and
         # each bipartite class that passes the filter is cut once: 8 of the
-        # 44 classes of (4,4,6,6);12
+        # 44 classes of (4,4,6,6);12, whose 44 candidates are one per class
         out = search_gems(replace(spec, orientable=False))
         assert (out.stats.nodes, out.stats.candidates) == (nodes, candidates)
         assert out.stats.prunes["orientable"] == cut
@@ -564,6 +565,17 @@ def _automorphisms(rows):
     return auts
 
 
+def _least(comps, m):
+    """The orbit walk of the last color on the complete involution m below
+    the prefix that ``comps`` describes, from its roots: is no image g.m
+    smaller than m?  A complete m leaves no branch waiting."""
+    state = SimpleNamespace(first=False, live=[None], last=comps)
+    if gemtk.search._Search.lowers(state, list(m)):
+        return False
+    assert state.live[-1] == []
+    return True
+
+
 def _completions(m, step):
     """Every involution that agrees with the partial involution m (-1 where
     unset); with ``step`` 2 only its even-odd ones."""
@@ -585,7 +597,7 @@ class TestLastColorOrbits:
 
     def test_automorphisms_match_brute_force(self):
         # the cube: a connected prefix, whose group is the 8 translations
-        # v -> v ^ t; the orbit test keeps the 7 besides the identity
+        # v -> v ^ t; the orbit walk starts from the 7 besides the identity
         cube = cube_graph()
         comps = gemtk.search._Components(cube, parity=False)
         translations = [[v ^ t for v in range(8)] for t in range(8)]
@@ -593,16 +605,18 @@ class TestLastColorOrbits:
         lowered = 0
         for m in matchings:
             images = _images(translations, m)
-            assert comps.least(m) == (min(images) == m), m
+            assert _least(comps, m) == (min(images) == m), m
             lowered += min(images) < m
         assert 0 < lowered < len(matchings)
-        assert sorted(g for g, *_ in comps.auts) == translations[1:]
-        # two cubes: a disconnected prefix, whose group is given by components
+        assert sorted(g for g, *_ in comps.roots) == translations[1:]
+        # two cubes: a disconnected prefix, whose group is given by component
+        # maps; its roots fix g on the cube mapped onto vertex 0's, 16 ways
         comps = gemtk.search._Components(disjoint_union(cube, cube), parity=False)
         assert [sorted(part) for part in comps.members] == [list(range(8)), list(range(8, 16))]
+        assert sorted(g_inv[0] for _, g_inv, _ in comps.roots) == list(range(16))
         straight = [v + 8 for v in range(8)] + list(range(8))
         twisted = [(v ^ 1) + 8 for v in range(8)] + [(v - 8) ^ 1 for v in range(8, 16)]
-        assert comps.least(straight) and not comps.least(twisted)
+        assert _least(comps, straight) and not _least(comps, twisted)
 
     @pytest.mark.parametrize("parity", [False, True])
     def test_component_orbit_test_matches_brute_force(self, parity):
@@ -634,7 +648,7 @@ class TestLastColorOrbits:
                     even_odd = [x for x in images if all((v + x[v]) & 1 for v in range(p))]
                     seen["flag_matters"] += lowered != (min(even_odd) < m)
                     lowered = min(even_odd) < m
-                assert comps.least(m) != lowered, (rows, m)
+                assert _least(comps, m) != lowered, (rows, m)
                 seen["lowered" if lowered else "least"] += 1
         assert seen["lowered"] > 20 and seen["least"] > 20
         assert (seen["flag_matters"] > 0) == parity
@@ -645,39 +659,68 @@ class TestLastColorOrbits:
         [
             ("block-8", False), ("block-8", True), ("block-10", False),
             ("block-10", True), ("random-4-colored", False),
+            ("two-blocks", False), ("two-blocks", True),
+            ("random-disconnected", False),
         ],
     )
     def test_partial_orbit_test_matches_brute_force(self, prefix, parity):
-        # below a connected prefix P every last-color edge walks the maps
-        # still live above it; Aut(P) is listed here by all permutations,
-        # and the partial involutions are built in search order (least
-        # unpaired vertex first, cut edges not descended), as the search
-        # does, with every completion checked by brute force
+        # below a prefix P every last-color edge walks the branches, partial
+        # automorphisms fixed on some components, still live above it;
+        # Aut(P) is listed here by all permutations, and the partial
+        # involutions are built in search order (least unpaired vertex
+        # first, cut edges not descended), as the search does, with every
+        # completion checked by brute force.  Under the parity rule only
+        # even-odd images count, of completions that P and m connect
+        rng = random.Random(7)
         if prefix.startswith("block"):
             q0 = int(prefix[6:])
             prefixes = [list(standard_residue(q0, q0))]
-        else:
-            rng = random.Random(7)
+        elif prefix == "two-blocks":
+            prefixes = [list(standard_residue(4, 8))]
+        elif prefix == "random-4-colored":
             prefixes = []
             while len(prefixes) < 3:
                 rows = [list(row) for row in random_connected_graph(rng, 8, 4).pairings]
                 if len(_automorphisms(rows)) > 1:
                     prefixes.append(rows)
+        else:
+            # 2 or 3 components, some isomorphic to each other and some not,
+            # their vertices shuffled together
+            a = random_connected_graph(rng, 4, 4)
+            b = random_connected_graph(rng, 4, 4)
+            while canonical_code(b) == canonical_code(a):
+                b = random_connected_graph(rng, 4, 4)
+            edge, six = random_connected_graph(rng, 2, 4), random_connected_graph(rng, 6, 4)
+            prefixes = []
+            for parts in ((a, a), (a, b), (edge, six), (edge, edge, a)):
+                perm = list(range(8))
+                rng.shuffle(perm)
+                graph = relabel(disjoint_union(*parts), perm)
+                assert len(connected_components(graph)) == len(parts)
+                prefixes.append([list(row) for row in graph.pairings])
         step = 2 if parity else 1
         seen = {"cut": 0, "none_live": 0, "complete_least": 0, "complete_lowered": 0}
         for rows in prefixes:
             p = len(rows[0])
             auts = _automorphisms(rows)
             comps = gemtk.search._Components(ColoredGraph.from_involutions(rows), parity)
-            assert len(comps.members) == 1 and len(comps.auts) == len(auts) - 1
+            # one root per preimage of vertex 0, less the identity on a connected P
+            origins = {g.index(0) for g in auts} - ({0} if len(comps.members) == 1 else set())
+            assert sorted(g_inv[0] for _, g_inv, _ in comps.roots) == sorted(origins)
             state = SimpleNamespace(first=False, live=[None], last=comps)
             m = [-1] * p
+            verdicts = {}  # complete involution -> lowered, None where it does not count
 
             def lowered(full):
-                images = _images(auts, full)
-                if parity:
-                    images = [x for x in images if all((v + x[v]) & 1 for v in range(p))]
-                return min(images) < full
+                key = tuple(full)
+                if key not in verdicts:
+                    images = _images(auts, full)
+                    if parity:
+                        images = [x for x in images if all((v + x[v]) & 1 for v in range(p))]
+                    verdicts[key] = min(images) < full
+                    if parity and not is_connected(ColoredGraph.from_involutions(rows + [full])):
+                        verdicts[key] = None
+                return verdicts[key]
 
             def place():
                 v = m.index(-1)
@@ -686,7 +729,7 @@ class TestLastColorOrbits:
                         continue
                     m[v], m[u] = u, v
                     cut = gemtk.search._Search.lowers(state, m)
-                    below = [lowered(full) for full in _completions(m, step)]
+                    below = [x for x in map(lowered, _completions(m, step)) if x is not None]
                     if cut:
                         assert all(below), m
                         seen["cut"] += 1
@@ -694,8 +737,9 @@ class TestLastColorOrbits:
                         assert not any(below), m
                         seen["none_live"] += 1
                     if -1 not in m:
-                        assert cut == below[0], m
-                        seen["complete_lowered" if cut else "complete_least"] += 1
+                        if below:
+                            assert cut == below[0], m
+                            seen["complete_lowered" if cut else "complete_least"] += 1
                     elif not cut:
                         place()
                     if not cut:
@@ -716,16 +760,17 @@ class TestLastColorOrbits:
         ],
     )
     def test_single_block_matches_oracle(self, seq, p, kwargs, classes):
-        # one {0,1}-block: the prefix is connected, so every duplicate among
-        # the last color's matchings is cut in flight, edge by edge, and
-        # none is left for the test of complete candidates
+        # one {0,1}-block: the prefix is connected, and every duplicate among
+        # the last color's matchings is cut in flight, edge by edge, so each
+        # candidate met is the first of its class (cut once under
+        # ``orientable`` when it is bipartite)
         out = search_gems(SearchSpec(seq=seq, vertex_count=p, **kwargs))
         assert out.stats.exhausted
         got = _class_codes(out.solutions)
         assert got == naive_type_search(seq, p, fix_residue=True, **kwargs)
         assert len(got) == classes
-        assert out.stats.prunes.get("duplicate", 0) == 0
-        assert (out.stats.prunes.get("duplicate_partial", 0) > 0) == (classes > 0)
+        assert out.stats.candidates == classes + out.stats.prunes.get("orientable", 0)
+        assert (out.stats.prunes.get("duplicate", 0) > 0) == (classes > 0)
 
     @pytest.mark.parametrize(
         "seq,p,builds,classes",
@@ -758,7 +803,7 @@ class TestLastColorOrbits:
         monkeypatch.setattr(gemtk.search, "_component_key", counted)
         out = search_gems(SearchSpec(seq=(8, 8, 8), vertex_count=16))
         assert out.stats.exhausted and len(out.solutions) == 61
-        assert (out.stats.nodes, out.stats.candidates) == (3006, 925)
+        assert (out.stats.nodes, out.stats.candidates) == (506, 87)
         assert calls == 0
         out = search_gems(SearchSpec(seq=(4, 4, 8, 8), vertex_count=8))
         assert out.stats.exhausted and len(out.solutions) == 24
@@ -767,14 +812,15 @@ class TestLastColorOrbits:
     def test_parity_prefixes_get_no_code(self, monkeypatch):
         # under the parity rule the prefixes get parity-marked keys, so the
         # disconnected prefixes of bipartite (4^3,6);24 are deduplicated too
-        # (1,337 candidates when such prefixes were never skipped); each of
-        # its 32 prefixes of colors 0..2 is described once, and 21 of them
-        # are skipped
+        # (1,337 candidates when such prefixes were never skipped, 1,017 when
+        # duplicates below disconnected prefixes were rejected only as
+        # complete candidates); each of its 32 prefixes of colors 0..2 is
+        # described once, and 21 of them are skipped
         spec = SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, orientable=True,
                           require_3manifold=True)
         out, built = _built_search(monkeypatch, spec)
         assert out.stats.exhausted and len(out.solutions) == 20
-        assert (out.stats.candidates, built) == (1017, 32)
+        assert (out.stats.candidates, built) == (30, 32)
         assert out.stats.prunes["duplicate_prefix"] == 21
 
     def test_plain_key_matches_reference_code(self):
@@ -836,7 +882,7 @@ class TestLastColorOrbits:
             images = _images(auts, m)
             even_odd = [x for x in images if all((v + x[v]) & 1 for v in range(p))]
             lowered = min(even_odd) < m
-            assert comps.least(m) != lowered, m
+            assert _least(comps, m) != lowered, m
             seen["lowered" if lowered else "least"] += 1
             seen["flag_matters"] += lowered != (min(images) < m)
         assert seen["lowered"] > 100 and seen["least"] > 100 and seen["flag_matters"] > 0
@@ -865,10 +911,10 @@ class TestLastColorOrbits:
     @pytest.mark.parametrize(
         "spec,tested,disconnected",
         [
-            (SearchSpec(seq=(4, 4, 8, 8), vertex_count=8), 92, 0),
-            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 992, 0),
-            (SearchSpec(seq=(8, 8, 8), vertex_count=16, orientable=True), 29, 0),
-            (SearchSpec(seq=(8, 8, 8), vertex_count=16), 925, 400),
+            (SearchSpec(seq=(4, 4, 8, 8), vertex_count=8), 13, 0),
+            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 26, 0),
+            (SearchSpec(seq=(8, 8, 8), vertex_count=16, orientable=True), 6, 0),
+            (SearchSpec(seq=(8, 8, 8), vertex_count=16), 87, 26),
         ],
         ids=["4488-8", "4466-12", "888-16-orientable", "888-16"],
     )
@@ -906,6 +952,19 @@ class TestLastColorOrbits:
         assert len(out.solutions) == 2
         assert peak < 2 * 2**20
 
+    def test_disconnected_walk_memory(self):
+        # the {0,1}-residue of (4,6,18);72 is 18 blocks, each a component
+        # with maps onto all the others, so every last-color edge may branch
+        # over many preimages; the live branches peak at about 1 MB
+        tracemalloc.start()
+        try:
+            out = search_gems(SearchSpec(seq=(4, 6, 18), vertex_count=72, orientable=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stats.exhausted and len(out.solutions) == 24
+        assert peak < 4 * 2**20
+
 
 class TestSearchOrder:
     @pytest.mark.parametrize(
@@ -915,13 +974,13 @@ class TestSearchOrder:
                          id="decagons"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 6), vertex_count=24,
                                     require_3manifold=True, max_solutions=1),
-                         511, 26, 3, 972, id="first-3manifold"),
+                         396, 6, 3, 954, id="first-3manifold"),
             pytest.param(SearchSpec(seq=(4,) * 5, vertex_count=8,
                                     require_residues_sphere=True),
-                         139, 24, 3, 0, id="residues"),
+                         130, 21, 3, 0, id="residues"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12,
                                     orientable=True, require_residues_sphere=True),
-                         403, 40, 26, 31, id="bipartite-residues"),
+                         318, 21, 26, 31, id="bipartite-residues"),
         ],
     )
     def test_node_and_candidate_counts_are_pinned(
@@ -964,6 +1023,31 @@ class TestSearchOrder:
         out = search_gems(spec)
         text = "".join(write_gem(g) for g in out.solutions)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize(
+        "spec,classes,digest",
+        [
+            pytest.param(SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, require_3manifold=True),
+                         28, "f1f522fd3a83eae25591223f43b265b73ae14becfe72d5b16431913d13c7eaba",
+                         id="3-manifold-(4^3,6);24"),
+            pytest.param(SearchSpec(seq=(4, 4, 8, 8), vertex_count=16, require_3manifold=True),
+                         11, "b5414f8ef6340f0fd4ae387b621f14aad0939d36ec5f7e8c645ece128d9cb8ea",
+                         id="3-manifold-(4,4,8,8);16"),
+            pytest.param(SearchSpec(seq=(4, 6, 36), vertex_count=36, orientable=False),
+                         144, "0a9a11e460d9d2cf3ca7cba25cc247cfbb9f45299eba67a4f003dd8ce0fb057e",
+                         id="non-orientable-(4,6,36);36"),
+        ],
+    )
+    def test_class_codes_are_pinned(self, spec, classes, digest):
+        # the classes themselves, as their sorted canonical codes: these
+        # searches cut most duplicates below disconnected last-color
+        # prefixes, and the digests were taken when such duplicates were
+        # still rejected only as complete candidates
+        out = search_gems(spec)
+        assert out.stats.exhausted
+        codes = sorted(_class_codes(out.solutions))
+        assert len(codes) == classes
+        assert hashlib.sha256("\n".join(codes).encode()).hexdigest() == digest
 
 
 class TestLimitsAndCounting:
@@ -1098,12 +1182,11 @@ class TestEmittedSolutionChecks:
         out = search_gems(
             SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True)
         )
-        assert (out.stats.candidates, len(out.solutions)) == (24, 5)
+        assert (out.stats.candidates, len(out.solutions)) == (21, 5)
         assert calls["check_residues_sphere"] == 5
         # 37 component blocks of 32 residue boundaries in the parts and 30 in
-        # the 5 whole checks; duplicates make none: below connected prefixes
-        # their last-color edges are cut in flight, and below disconnected
-        # ones the orbit test rejects them before the filter's last part
+        # the 5 whole checks; duplicates make none: their last-color edges
+        # are cut in flight, below connected and disconnected prefixes alike
         assert calls["smith_normal_form"] == 67
         assert calls["residue_subgraph"] == 0
         assert calls["graph_homology"] == 0

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``types`` (census for a given Euler characteristic), ``verify``
-(validation plus dimension-appropriate manifold checks and all embeddings),
+(validation plus dimension-appropriate manifold checks and all embeddings,
+up to 8 colors),
 ``embed`` (face tracing for one or all cyclic orders), ``homology``,
 ``search`` (exhaustive or budgeted rediscovery of gems by face-size
 sequence), ``canon`` (canonical code).
@@ -27,7 +28,7 @@ from .complexes import (
     check_residues_sphere,
     graph_homology,
 )
-from .embeddings import CyclicOrder, all_embeddings, embedding_report
+from .embeddings import _MAX_LISTED_COLORS, CyclicOrder, all_embeddings, embedding_report
 from .gemio import GemParseError, parse_gem, write_gem
 from .graphs import (
     GemValidationError,
@@ -102,9 +103,10 @@ def cmd_verify(args) -> int:
     comps = connected_components(graph)
     connected = len(comps) == 1
     failures = []
-    embeddings = all_embeddings(graph) if connected else {}
+    listed = connected and graph.color_count <= _MAX_LISTED_COLORS
+    embeddings = all_embeddings(graph) if listed else {}
     # every report holds the graph's orientability
-    bipartite = next(iter(embeddings.values())).orientable if connected else is_bipartite(graph)
+    bipartite = next(iter(embeddings.values())).orientable if listed else is_bipartite(graph)
 
     checks: dict[str, object] = {}
     if graph.color_count == 3:
@@ -175,6 +177,11 @@ def cmd_verify(args) -> int:
                 )
         if not connected:
             print("warning: disconnected input; embeddings skipped")
+        elif not listed:
+            print(
+                f"note: embeddings skipped above {_MAX_LISTED_COLORS} colors;"
+                " report one order with embed --perm"
+            )
         for failure in failures:
             print(f"FAIL: {failure}")
         if not failures:

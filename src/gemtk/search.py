@@ -152,12 +152,20 @@ last part runs on the complete candidate, after the connectivity check and
 before the orientability cut.
 A residue is tested only once its four triples hold, so its components
 are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
-(``complexes.homology_spheres``): d2 is built once per residue,
-block-diagonal by component, and a component on q vertices has H1 = 0,
-which forces H2 = 0 and H3 = Z, exactly when its block has q + 1
-invariant factors, all 1.  The blocks are reduced one at a time, and the
-first that fails ends the part.  The residue table of each view
-(``ColoredGraph.residues``) computes each residue the part reads once.
+(``complexes.homology_spheres``): d2 is built block-diagonal by component,
+and a component on q vertices has H1 = 0, which forces H2 = 0 and H3 = Z,
+exactly when its block has q + 1 invariant factors, all 1.  The verdict
+depends only on the component as a 4-colored graph, so each search keeps
+the verdict of every component it decided, by the key of a labeled walk
+(``_walk_key``): breadth-first from the least vertex over the residue's
+colors in ascending order.  Equal keys make the map between the two walks
+an isomorphism that sends the i-th color of one residue to the i-th of
+the other, so a lookup is exact whatever the colors' names.  A component
+known to fail ends the part at once; the components with unseen keys get
+one d2 per residue, whose blocks are reduced one at a time until the
+first that fails.  The verdicts live as long as the search.  The residue
+table of each view (``ColoredGraph.residues``) computes each residue the
+part reads once.
 Emitted solutions alone are re-verified through the public validation,
 face tracing, bipartiteness and the filter's whole check, which reads the
 candidate's table that the last part filled; the search state guarantees
@@ -256,22 +264,52 @@ def _view(inv: list[list[int]], k: int) -> ColoredGraph:
     return ColoredGraph(k, len(inv[0]), tuple(tuple(row) for row in inv[:k]))
 
 
-def _new_part(prefix: ColoredGraph, spheres: bool) -> bool:
+def _new_part(prefix: ColoredGraph, spheres: dict | None) -> bool:
     """Colors 0..k-1 complete: does every triple {i, j, k-1} satisfy the
-    3-manifold criterion over the whole graph and, with ``spheres``, every
-    component of each 4-colored residue that contains k-1 have the integer
-    homology of the 3-sphere?"""
+    3-manifold criterion over the whole graph and, with a verdict dict
+    ``spheres``, every component of each 4-colored residue that contains k-1
+    have the integer homology of the 3-sphere?  ``spheres`` maps the
+    ``_walk_key`` of each component decided before to its verdict, and only
+    the residue's components with unseen keys go to ``homology_spheres``."""
     new = prefix.color_count - 1
     triples = [(i, j, new) for i, j in itertools.combinations(range(new), 2)]
     if not all(t.holds for t in triple_checks(prefix, triples)):
         return False
-    if not spheres:
+    if spheres is None:
         return True
     table = prefix.residues
-    return all(
-        all(homology_spheres(prefix, r, table.components(r)))
-        for r in (kept + (new,) for kept in itertools.combinations(range(new), 3))
-    )
+    for kept in itertools.combinations(range(new), 3):
+        r = kept + (new,)
+        rows = [prefix.pairings[c] for c in r]
+        fresh = {}
+        for comp in table.components(r):
+            key = _walk_key(rows, comp[0])
+            holds = spheres.get(key)
+            if holds is False:
+                return False
+            if holds is None:
+                fresh[key] = comp
+        for key, holds in zip(fresh, homology_spheres(prefix, r, list(fresh.values()))):
+            spheres[key] = holds
+            if not holds:
+                return False
+    return True
+
+
+def _walk_key(rows: Sequence[Sequence[int]], start: int) -> tuple[int, ...]:
+    """The breadth-first walk from ``start`` over ``rows``, in row order,
+    labels the vertices as they are reached; the key lists each vertex's
+    row neighbors by label, in that order.  Equal keys of two components
+    make the map between their walks a row-preserving isomorphism."""
+    label, order, key = {start: 0}, [start], []
+    for v in order:
+        for row in rows:
+            u = row[v]
+            if u not in label:
+                label[u] = len(order)
+                order.append(u)
+            key.append(label[u])
+    return tuple(key)
 
 
 def check_spec(spec: SearchSpec) -> None:
@@ -368,13 +406,14 @@ class _Search:
             self.deadline = time.monotonic() + spec.budget_seconds
         # at most one manifold filter: check_spec gives the 3-manifold filter
         # 4 colors and the residue-sphere filter 5.  Its parts are
-        # ``_new_part(view, spheres)``, its whole check re-verifies solutions
+        # ``_new_part(view, spheres)``, its whole check re-verifies solutions;
+        # ``spheres`` holds this search's component verdicts
         self.filter_key = None
         if spec.require_3manifold:
-            self.filter_key, self.spheres = "criterion_3manifold", False
+            self.filter_key, self.spheres = "criterion_3manifold", None
             self.check = check_3manifold
         elif spec.require_residues_sphere:
-            self.filter_key, self.spheres = "criterion_residues", True
+            self.filter_key, self.spheres = "criterion_residues", {}
             self.check = check_residues_sphere
         # the last color's prefix P: ``last`` describes it (for n = 3, the fixed
         # {0,1}-residue); ``first`` holds until its first connected candidate,

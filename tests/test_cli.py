@@ -140,6 +140,31 @@ class TestVerify:
         assert "residues_homology_sphere: False" in out
         assert "(color 0, component 0)" in out
 
+    def test_above_eight_colors_reports_without_embeddings(self, capsys, tmp_path):
+        # 9 colors have 20,160 cyclic orders: verify lists none of them but
+        # still validates the gem and reports its residue counts
+        path = tmp_path / "nine.gem"
+        path.write_text(nine_colored_dipole())
+        code, out, err = run(capsys, "verify", "--json", str(path))
+        record = json.loads(out)
+        assert (code, err) == (0, "")
+        assert record["connected"] is True and record["orientable"] is True
+        assert record["embeddings"] == [] and record["ok"] is True
+        # one component per color set of 2 and 3 colors, and the whole gem
+        assert len(record["g_counts"]) == 36 + 84 + 1
+        assert set(record["g_counts"].values()) == {1}
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (0, "")
+        assert "validation: ok\n" in out and "bipartite: yes (orientable)\n" in out
+        assert out.endswith(
+            "note: embeddings skipped above 8 colors; report one order with embed --perm\nok\n"
+        )
+
+
+def nine_colored_dipole() -> str:
+    lines = "".join(f"color {c}: 0-1\n" for c in range(9))
+    return f"gem 1\ncolors 9\nvertices 2\n{lines}"
+
 
 class TestEmbed:
     def test_default_order(self, capsys, tmp_path):
@@ -169,12 +194,10 @@ class TestEmbed:
         assert code == 0
         assert record["seq"] == [4, 4, 4]
 
-    @pytest.mark.parametrize("command", [["embed", "--all-perms"], ["verify", "--json"]])
-    def test_too_many_orders_is_usage_error(self, capsys, tmp_path, command):
+    def test_too_many_orders_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "nine.gem"
-        lines = "".join(f"color {c}: 0-1\n" for c in range(9))
-        path.write_text(f"gem 1\ncolors 9\nvertices 2\n{lines}")
-        code, out, err = run(capsys, *command, str(path))
+        path.write_text(nine_colored_dipole())
+        code, out, err = run(capsys, "embed", "--all-perms", str(path))
         assert (code, out) == (2, "")
         assert err == (
             "error: 9 colors have 20,160 cyclic orders, too many to list"

@@ -397,13 +397,25 @@ class TestStagedFilters:
     )
     def test_parts_partition_the_check(self, spheres, colors, check, fixed):
         # the parts that colors 2..n-1 complete, each decided on the view of
-        # the colors up to it, together decide exactly the public check
+        # the colors up to it, together decide exactly the public check; one
+        # verdict dict serves every graph, so components met before are
+        # decided by their keys, and those verdicts meet the check too
         rng = random.Random(colors)
+        hits = {True: 0, False: 0}
+
+        class Verdicts(dict):
+            def get(self, key):
+                holds = super().get(key)
+                if holds is not None:
+                    hits[holds] += 1
+                return holds
+
+        memo = Verdicts() if spheres else None
 
         def parts(g):
             inv = [list(row) for row in g.pairings]
             return all(
-                gemtk.search._new_part(gemtk.search._view(inv, k), spheres)
+                gemtk.search._new_part(gemtk.search._view(inv, k), memo)
                 for k in range(3, colors + 1)
             )
 
@@ -416,6 +428,8 @@ class TestStagedFilters:
         assert 0 < held < 2000
         for g in fixed:
             assert (parts(g), check(g)) == (False, False), g
+        if spheres:
+            assert hits[True] > 0 and hits[False] > 0, hits
 
 
 class TestParityRule:
@@ -1184,13 +1198,32 @@ class TestEmittedSolutionChecks:
         )
         assert (out.stats.candidates, len(out.solutions)) == (21, 5)
         assert calls["check_residues_sphere"] == 5
-        # 37 component blocks of 32 residue boundaries in the parts and 30 in
-        # the 5 whole checks; duplicates make none: their last-color edges
-        # are cut in flight, below connected and disconnected prefixes alike
-        assert calls["smith_normal_form"] == 67
+        # the parts reduce one block per distinct residue component, 8 where
+        # they reduced 37 without the search's verdict dict, and the 5 whole
+        # checks reduce their 30 blocks uncached; duplicates make none: their
+        # last-color edges are cut in flight, below connected and
+        # disconnected prefixes alike
+        assert calls["smith_normal_form"] == 38
         assert calls["residue_subgraph"] == 0
         assert calls["graph_homology"] == 0
         assert calls["check_3manifold"] == 0
+
+    def test_sphere_verdicts_do_not_outlive_a_search(self, monkeypatch):
+        # each search keeps its own component verdicts: a second search of
+        # the same spec reduces the same blocks again
+        calls = []
+        original = gemtk.complexes.smith_normal_form
+
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(gemtk.complexes, "smith_normal_form", counted)
+        spec = SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True)
+        for _ in range(2):
+            calls.clear()
+            assert len(search_gems(spec).solutions) == 5
+            assert len(calls) == 38
 
     def test_filter_recheck_still_fires(self, monkeypatch):
         # the parts pass, but the whole check that re-verifies each emitted

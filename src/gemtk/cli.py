@@ -129,7 +129,7 @@ def cmd_verify(args) -> int:
             failures.append(f"residue check fails at {bad}")
 
     g_counts = {
-        "".join(map(str, key)): count
+        ",".join(map(str, key)): count
         for key, count in residue_stats(graph).counts.items()
     }
 

@@ -77,43 +77,27 @@ keys are never isomorphic.
 
 The last color n-1 is deduplicated by the orbit test of orderly
 generation (Read, "Every one a winner", Ann. Discrete Math. 2, 1978) below
-the prefix P of colors 0..n-2, run edge by edge.  A candidate, the
-involution M of the last color, is a duplicate when g.M < M
-lexicographically for some g in Aut(P), where (g.M)[g(v)] = g(M[v]).  Two
-completions of one prefix are isomorphic exactly when some g in Aut(P)
+the prefix P of colors 0..n-2, run edge by edge (``_Components.lowers``).
+A candidate, the involution M of the last color, is a duplicate when
+g.M < M lexicographically for some g in Aut(P), where (g.M)[g(v)] = g(M[v]).
+Two completions of one prefix are isomorphic exactly when some g in Aut(P)
 carries one to the other.
 
-An automorphism maps each component of P onto an isomorphic one, where it
-is fixed by the image of one vertex (``_Components``).  The walk follows
-branches (g, g^-1, w): partial maps, fixed on some components, with g.m = m
-before w on the partial involution m.  Each last-color edge resumes the
-branches live above it at their w and compares (g.m)[w] = g(m[g^-1(w)])
-with m[w].  A branch waits, unchanged, while either is unset.  Where w's
-component has no preimage yet it splits, one branch per preimage.  Where g
-is not fixed on the component of y = m[g^-1(w)] yet, a component that no
-map reaches yet may take y below m[w]; if none does, g is fixed there by
-y -> m[w], on a copy, so the branches live above the edge stay valid on
-backtrack.  A smaller image, by a fixed map or a free component, cuts the
-edge (``duplicate``); a larger one, or w = p, drops the branch for the
-subtree.  The roots, one branch per preimage of vertex 0, are found once per
-prefix; on a connected P each is all of g, so Aut(P) has at most p
-elements and its branches only compare.
-
-This is exact, below connected and disconnected prefixes alike.  The
-components left of each type still match one to one, so a branch extends to
-a whole automorphism, and entries that are set never change below the edge:
-when a branch lowers m at a set position, every completion of m is
-lowered.  A branch is dropped only where no extension lowers a completion,
-so on a complete M, which leaves nothing unset, the walk is a whole
-backtrack over Aut(P), and an edge is cut only when every candidate below
-it is a duplicate.  Under the parity rule only even-odd images count.  A
-component map keeps the parity flag g(x) - x mod 2 on its whole component,
-so on a connected candidate g.M is even-odd exactly when all flags agree,
-and a branch keeps its root's flag.  A partial map of flag 0 always
+This is exact, below connected and disconnected prefixes alike.  The walk
+follows partial automorphisms, fixed on some components of P.  The
+components left of each type still match one to one, so each extends to a
+whole automorphism, and entries that are set never change below the edge:
+when a partial map lowers m at a set position, every completion of m is
+lowered.  A partial map is dropped only where no extension lowers a
+completion, so on a complete M, which leaves nothing unset, the walk is a
+whole backtrack over Aut(P), and an edge is cut only when every candidate
+below it is a duplicate.  Under the parity rule only even-odd images count.
+A component map keeps the parity flag g(x) - x mod 2 on its whole
+component, so on a connected candidate g.M is even-odd exactly when all
+flags agree, and a partial map keeps its root's flag.  One of flag 0 always
 extends, and one of flag 1 exactly when P has a parity-swapping
 automorphism: its two sorted lists of marks are equal, as on every
-{0,1}-residue (rotations by 2, reflections x -> 1-x).  Only then is a root
-of flag 1 made.
+{0,1}-residue (rotations by 2, reflections x -> 1-x).
 
 Explored prefixes are pairwise non-isomorphic (under the parity rule, by
 maps that keep or swap parity everywhere): for n >= 4 by the prefix rule,
@@ -377,10 +361,10 @@ def search_gems(spec: SearchSpec) -> SearchOutcome:
 class _Search:
     """The state of one search: the involutions ``inv`` of the colors, color
     2's edges per {0,1}-block, the counters, the solutions, the keys of the
-    explored prefixes, the last color's prefix P and the branches of its
-    orbit walk live below each edge.  Each ``node`` generator is one entry
-    of the stack in ``search_gems``; ``descend``, ``lowers`` and
-    ``finalize`` run below its edges."""
+    explored prefixes and the last color's prefix P, whose ``_Components``
+    carries its own orbit walk.  Each ``node`` generator is one entry of
+    the stack in ``search_gems``; ``descend`` and ``finalize`` run below
+    its edges."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
@@ -415,12 +399,9 @@ class _Search:
         elif spec.require_residues_sphere:
             self.filter_key, self.spheres = "criterion_residues", {}
             self.check = check_residues_sphere
-        # the last color's prefix P: ``last`` describes it (for n = 3, the fixed
-        # {0,1}-residue); ``first`` holds until its first connected candidate,
-        # the least in its orbit; ``live`` is the stack of ``lowers``
+        # the last color's prefix P and its orbit walk (for n = 3, the fixed
+        # {0,1}-residue)
         self.last = None
-        self.first = True
-        self.live = [None]
 
     def finalize(self) -> None:
         """Test, filter and emit the complete candidate."""
@@ -433,7 +414,7 @@ class _Search:
         if len(last.members) > 1 and not last.connects(inv[-1]):
             prunes["not_connected"] += 1
             return
-        self.first = False
+        last.first = False
         graph = _view(inv, n)
         if self.filter_key and not _new_part(graph, self.spheres):
             prunes[self.filter_key] += 1
@@ -487,13 +468,13 @@ class _Search:
         tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
         if c == self.n - 1:
             tracks.append((list(inv[0]), [2] * p, seq[c]))
-            self.last, self.first = comps, True
+            self.last = comps
         return self.node(c, 0, tracks)
 
     def node(self, c: int, v: int, tracks: list):
         """Pair v with each allowed partner in turn: yield the child node of
         each edge, and undo the edge when resumed.  On the last color an edge
-        that fails ``_dead_closure`` or ``lowers`` is undone at once."""
+        that fails ``_dead_closure`` or P's ``lowers`` is undone at once."""
         stats = self.stats
         stats.nodes += 1
         if self.deadline is not None and (stats.nodes & 0x3FF) == 0:  # every 1,024 nodes
@@ -514,6 +495,7 @@ class _Search:
         on_last = len(tracks) == 2
         if on_last:
             t0, t1 = tracks
+            last = self.last
         for u in partners:
             if invc[u] >= 0:
                 continue
@@ -545,14 +527,14 @@ class _Search:
                         plen[a] = plen[b] = plen[v] + plen[u]
                 if on_last and (_dead_closure(t0, t1, v, u) or _dead_closure(t1, t0, v, u)):
                     prunes["dead_closure"] += 1
-                elif on_last and self.lowers(invc):
+                elif on_last and last.lowers(invc):
                     prunes["duplicate"] += 1
                 else:
                     child = descend(c, v + 1, tracks)
                     if child is not None:
                         yield child
                     if on_last:
-                        self.live.pop()
+                        last.live.pop()
                 for pend, plen, _ in tracks:
                     a = pend[v]
                     if a != u:
@@ -565,46 +547,6 @@ class _Search:
                     touched[v // q0] -= 1
                     touched[u // q0] -= 1
                 invc[v] = invc[u] = -1
-
-    def lowers(self, m: list[int]) -> bool:
-        """Does some g in Aut(P) lower every completion of the partial
-        involution m?  If not, push the branches (g, g^-1, w) still live, or
-        None (all of them) before P's first candidate, which builds none."""
-        if self.first:
-            self.live.append(None)
-            return False
-        last, top, p = self.last, self.live[-1], len(m)
-        todo = list(last.roots if top is None else top)
-        kept = []
-        for g, g_inv, w in todo:  # grows by the branches at unmapped targets
-            while w < p:  # g.m = m before w
-                mw, x = m[w], g_inv[w]
-                if mw < 0:  # unset at w: g may still lower a completion
-                    kept.append((g, g_inv, w))
-                    break
-                if x < 0:  # w's component has no preimage yet
-                    todo += last._branches(g, g_inv, w)
-                    break
-                y = m[x]
-                if y < 0:
-                    kept.append((g, g_inv, w))
-                    break
-                gy = g[y]
-                if gy < 0:  # g is not fixed on y's component yet
-                    if last._lowers(y, mw, g_inv):
-                        return True
-                    # y - x and mw - w are odd: under parity y -> mw has g's flag
-                    if g_inv[mw] >= 0 or not last._fits(y, mw, None):
-                        break
-                    g, g_inv = last._fix(g, g_inv, y, mw)
-                    gy = mw
-                if gy != mw:
-                    if gy < mw:
-                        return True
-                    break
-                w += 1
-        self.live.append(kept)
-        return False
 
 
 def _dead_closure(track, other, v: int, u: int) -> bool:
@@ -643,40 +585,43 @@ def _dead_closure(track, other, v: int, u: int) -> bool:
 
 class _Components:
     """A prefix P, given by its components: its key, whether the last color
-    connects it, and the branches of the last color's orbit walk.  An
-    automorphism of P maps each component onto an isomorphic one, where it
-    is fixed by the image of one vertex.  A component map with a -> b is
-    found by one walk that sends the c-neighbor of each reached x to the
-    c-neighbor of its image and stops at its first conflict; a walk without
-    one between components of one size is a bijection.  Found maps are kept,
-    by (a, b), as the images of the component's sorted vertices.
+    connects it, and the last color's orbit walk below it.  An automorphism
+    of P maps each component onto an isomorphic one, where it is fixed by
+    the image of one vertex.  A component map with a -> b is found by one
+    walk that sends the c-neighbor of each reached x to the c-neighbor of
+    its image and stops at its first conflict; a walk without one between
+    components of one size is a bijection.  Found maps are kept, by (a, b),
+    as the images of the component's sorted vertices.
 
-    A branch (g, g^-1, w) is a partial automorphism, -1 off the components
-    it is fixed on and off their images, with g.m = m before w.  It extends
-    to a whole automorphism: the components left of each type still match
-    one to one (with the branch's flag under ``parity``).  On a connected P
-    that holds trivially, so one exactness argument covers both kinds of
-    prefix.  ``roots`` are the branches at w = 0, one per preimage of vertex
-    0; on a connected P each fixes all of g, and the identity is left out.
-    The orbit walk (``_Search.lowers``) extends a branch with ``_branches``
-    at a component that has no preimage yet and with ``_fix`` at one whose
-    map is not fixed yet, and ``_lowers`` tells whether a free component
-    takes a vertex below a given one.  Each extension copies g, so the
-    branches live above an edge stay valid on backtrack.
+    The walk (``lowers``) follows branches (g, g^-1, w): partial
+    automorphisms, -1 off the components g is fixed on and off their
+    images, with g.m = m before w on the partial involution m.  ``roots``
+    are the branches at w = 0, one per preimage of vertex 0, found once; on
+    a connected P each fixes all of g, so Aut(P) has at most p elements and
+    its branches only compare, and the identity is left out.  Each
+    last-color edge resumes the branches live above it at their w and
+    compares (g.m)[w] = g(m[g^-1(w)]) with m[w].  A branch waits, unchanged,
+    while either is unset.  Where w's component has no preimage yet it
+    splits, one branch per preimage.  Where g is not fixed on the component
+    of y = m[g^-1(w)] yet, a component that no map reaches yet may take y
+    below m[w]; if none does, g is fixed there by y -> m[w].  A smaller
+    image, by a fixed map or a free component, cuts the edge
+    (``duplicate``); a larger one, or w = p, drops the branch for the
+    subtree.  Each extension copies g, so the branches live above an edge
+    stay valid on backtrack: ``live`` stacks the branches kept below each
+    edge, pushed by ``lowers`` and popped when ``_Search.node`` undoes the
+    edge, None for all the roots.
 
     ``key`` is P's code, computed when first read, since only prefixes of
     3 <= c < n colors are keyed: the sorted lex-least labelings of its
     components (``graphs._component_key``, the walk of the canonical code).
-    With ``parity`` P is even-odd and only even-odd images count.  The
-    parity flag (g(x) - x) mod 2 of a component map is constant on the
-    component, so g.m is even-odd exactly when the flags agree at both ends
-    of each m-edge; when P and m together are connected, that is one flag
-    for all.  A branch keeps the flag of its root, g^-1(0) mod 2, on every
-    component.  A component's mark is its least labeling from an even start
-    and from an odd start, and ``key``, the lesser of the sorted (even, odd)
-    and (odd, even) ``marks``, is P's parity-marked code.  Maps of flag 0
-    always extend, maps of flag 1 exactly when the two lists are equal;
-    else ``first_flag`` is 0 and no root of flag 1 is made.
+    With ``parity`` P is even-odd and only even-odd images count.  A branch
+    keeps the parity flag of its root, g^-1(0) mod 2, on every component.
+    A component's mark is its least labeling from an even start and from an
+    odd start, and ``key``, the lesser of the sorted (even, odd) and
+    (odd, even) ``marks``, is P's parity-marked code.  When the two lists
+    differ, P has no parity-swapping automorphism: ``first_flag`` is 0 and
+    no root of flag 1 is made.
     """
 
     def __init__(self, graph: ColoredGraph, parity: bool):
@@ -692,6 +637,12 @@ class _Components:
         self.img = [-1] * p  # a walk's images, all -1 between walks
         self.first_flag = None  # the flag of a root, None for either
         self.marks = None  # with ``parity``, the sorted (even, odd) and (odd, even) marks
+        # the walk waits for P's first connected candidate, the least in its
+        # orbit, so a first hit builds no map; started at P's first candidate,
+        # connected or not, it ran out of memory within seconds on
+        # (4,4,4,4);32 and (4^5);32, whose early candidates are all disconnected
+        self.first = True
+        self.live = [None]
         if not parity:
             return
         label = [-1] * p
@@ -723,6 +674,44 @@ class _Components:
         if len(self.members) == 1:
             return [(maps[x, 0], maps[maps[x, 0][0], 0], 0) for x in xs if x]
         return [(*self._fix(unset, unset, x, 0), 0) for x in xs]
+
+    def lowers(self, m: list[int]) -> bool:
+        """Does some g in Aut(P) lower every completion of the partial
+        involution m?  If not, push the branches (g, g^-1, w) still live, or
+        None (all of them) before P's first connected candidate, which
+        builds none."""
+        if self.first:
+            self.live.append(None)
+            return False
+        top, p = self.live[-1], len(m)
+        todo = list(self.roots if top is None else top)
+        kept = []
+        for g, g_inv, w in todo:  # grows by the branches at unmapped targets
+            while w < p:  # g.m = m before w
+                mw, x = m[w], g_inv[w]
+                if mw < 0 or x >= 0 and m[x] < 0:  # unset: g may still lower a completion
+                    kept.append((g, g_inv, w))
+                    break
+                if x < 0:  # w's component has no preimage yet
+                    todo += self._branches(g, g_inv, w)
+                    break
+                y = m[x]
+                gy = g[y]
+                if gy < 0:  # g is not fixed on y's component yet
+                    if self._free_below(y, mw, g_inv):
+                        return True
+                    # y - x and mw - w are odd: under parity y -> mw has g's flag
+                    if g_inv[mw] >= 0 or not self._fits(y, mw, None):
+                        break
+                    g, g_inv = self._fix(g, g_inv, y, mw)
+                    gy = mw
+                if gy != mw:
+                    if gy < mw:
+                        return True
+                    break
+                w += 1
+        self.live.append(kept)
+        return False
 
     def connects(self, m: Sequence[int]) -> bool:
         """Do P and the involution m together form a connected graph?  A
@@ -775,7 +764,7 @@ class _Components:
         flag = g_inv[0] & 1
         return [(*self._fix(g, g_inv, x, w), w) for x in self._preimages(w, g, flag)]
 
-    def _lowers(self, y: int, mw: int, g_inv: list[int]) -> bool:
+    def _free_below(self, y: int, mw: int, g_inv: list[int]) -> bool:
         """Can y go below mw in a component that no map of g reaches yet?"""
         size, flag = len(self.members[self.comp[y]]), g_inv[0] & 1
         for part in self.members:

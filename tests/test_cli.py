@@ -113,7 +113,7 @@ class TestVerify:
         record = json.loads(out)
         assert code == 0
         assert record["orientable"] is False
-        assert record["g_counts"]["01"] == 1
+        assert record["g_counts"]["0,1"] == 1
         assert record["checks"]["surface"] == {"orientable": False, "genus": 1}
 
     def test_json_criterion_is_boolean(self, capsys, tmp_path):
@@ -144,7 +144,7 @@ class TestVerify:
         # 9 colors have 20,160 cyclic orders: verify lists none of them but
         # still validates the gem and reports its residue counts
         path = tmp_path / "nine.gem"
-        path.write_text(nine_colored_dipole())
+        path.write_text(colored_dipole(9))
         code, out, err = run(capsys, "verify", "--json", str(path))
         record = json.loads(out)
         assert (code, err) == (0, "")
@@ -160,10 +160,22 @@ class TestVerify:
             "note: embeddings skipped above 8 colors; report one order with embed --perm\nok\n"
         )
 
+    def test_g_counts_keys_keep_color_sets_apart(self, capsys, tmp_path):
+        # a key joins its colors by commas: with bare digits, from 13 colors
+        # on (0, 12) and (0, 1, 2) would share the key "012"
+        path = tmp_path / "thirteen.gem"
+        path.write_text(colored_dipole(13))
+        code, out, _ = run(capsys, "verify", "--json", str(path))
+        g_counts = json.loads(out)["g_counts"]
+        assert code == 0
+        assert len(g_counts) == 78 + 286 + 1
+        whole = ",".join(map(str, range(13)))
+        assert g_counts["0,12"] == g_counts["0,1,2"] == g_counts[whole] == 1
 
-def nine_colored_dipole() -> str:
-    lines = "".join(f"color {c}: 0-1\n" for c in range(9))
-    return f"gem 1\ncolors 9\nvertices 2\n{lines}"
+
+def colored_dipole(colors: int) -> str:
+    lines = "".join(f"color {c}: 0-1\n" for c in range(colors))
+    return f"gem 1\ncolors {colors}\nvertices 2\n{lines}"
 
 
 class TestEmbed:
@@ -196,7 +208,7 @@ class TestEmbed:
 
     def test_too_many_orders_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "nine.gem"
-        path.write_text(nine_colored_dipole())
+        path.write_text(colored_dipole(9))
         code, out, err = run(capsys, "embed", "--all-perms", str(path))
         assert (code, out) == (2, "")
         assert err == (

@@ -583,10 +583,10 @@ def _least(comps, m):
     """The orbit walk of the last color on the complete involution m below
     the prefix that ``comps`` describes, from its roots: is no image g.m
     smaller than m?  A complete m leaves no branch waiting."""
-    state = SimpleNamespace(first=False, live=[None], last=comps)
-    if gemtk.search._Search.lowers(state, list(m)):
+    comps.first = False
+    if comps.lowers(list(m)):
         return False
-    assert state.live[-1] == []
+    assert comps.live.pop() == []
     return True
 
 
@@ -721,7 +721,7 @@ class TestLastColorOrbits:
             # one root per preimage of vertex 0, less the identity on a connected P
             origins = {g.index(0) for g in auts} - ({0} if len(comps.members) == 1 else set())
             assert sorted(g_inv[0] for _, g_inv, _ in comps.roots) == sorted(origins)
-            state = SimpleNamespace(first=False, live=[None], last=comps)
+            comps.first = False
             m = [-1] * p
             verdicts = {}  # complete involution -> lowered, None where it does not count
 
@@ -742,12 +742,12 @@ class TestLastColorOrbits:
                     if m[u] >= 0:
                         continue
                     m[v], m[u] = u, v
-                    cut = gemtk.search._Search.lowers(state, m)
+                    cut = comps.lowers(m)
                     below = [x for x in map(lowered, _completions(m, step)) if x is not None]
                     if cut:
                         assert all(below), m
                         seen["cut"] += 1
-                    elif not state.live[-1]:
+                    elif not comps.live[-1]:
                         assert not any(below), m
                         seen["none_live"] += 1
                     if -1 not in m:
@@ -757,11 +757,11 @@ class TestLastColorOrbits:
                     elif not cut:
                         place()
                     if not cut:
-                        state.live.pop()
+                        comps.live.pop()
                     m[v] = m[u] = -1
 
             place()
-            assert state.live == [None]
+            assert comps.live == [None]
         assert all(seen.values()), seen
 
     @pytest.mark.parametrize(
@@ -921,6 +921,16 @@ class TestLastColorOrbits:
         out, built = _built_search(monkeypatch, SearchSpec(seq=(12,) * 3, vertex_count=12))
         assert out.stats.exhausted and len(out.solutions) == 125
         assert built == 1 and walks > 0
+
+    @pytest.mark.parametrize("seq", [(4, 4, 4, 4), (4,) * 5], ids=["4444-32", "4^5-32"])
+    def test_no_walk_before_a_connected_candidate(self, monkeypatch, seq):
+        # every candidate these searches meet in their first half second is
+        # disconnected (tens of thousands each), so the walk, which starts at
+        # the prefix's first connected candidate, builds no component map
+        monkeypatch.setattr(gemtk.search, "_walk", lambda *args: pytest.fail("a map was built"))
+        out = search_gems(SearchSpec(seq=seq, vertex_count=32, budget_seconds=0.5))
+        assert not out.stats.exhausted and not out.solutions
+        assert out.stats.candidates == out.stats.prunes["not_connected"] > 0
 
     @pytest.mark.parametrize(
         "spec,tested,disconnected",

@@ -140,16 +140,16 @@ are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
 and a component on q vertices has H1 = 0, which forces H2 = 0 and H3 = Z,
 exactly when its block has q + 1 invariant factors, all 1.  The verdict
 depends only on the component as a 4-colored graph, so each search keeps
-the verdict of every component it decided, by the key of a labeled walk
-(``_walk_key``): breadth-first from the least vertex over the residue's
-colors in ascending order.  Equal keys make the map between the two walks
-an isomorphism that sends the i-th color of one residue to the i-th of
-the other, so a lookup is exact whatever the colors' names.  A component
-known to fail ends the part at once; the components with unseen keys get
-one d2 per residue, whose blocks are reduced one at a time until the
-first that fails.  The verdicts live as long as the search.  The residue
-table of each view (``ColoredGraph.residues``) computes each residue the
-part reads once.
+the verdict of every component it decided, by a key: each vertex's
+neighbors over the residue's colors, in ascending order, numbered by the
+residue table's listing of the component.  Equal keys make the map
+between two listings an isomorphism that sends the i-th color of one
+residue to the i-th of the other, in any vertex order, so a lookup is
+exact whatever the colors' names.  A component known to fail ends the
+part at once; the components with unseen keys get one d2 per residue,
+whose blocks are reduced one at a time until the first that fails.  The
+verdicts live as long as the search.  The residue table of each view
+(``ColoredGraph.residues``) walks each residue the part reads once.
 Emitted solutions alone are re-verified through the public validation,
 face tracing, bipartiteness and the filter's whole check, which reads the
 candidate's table that the last part filled; the search state guarantees
@@ -161,7 +161,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Sequence
 
 from .complexes import (
@@ -252,9 +251,9 @@ def _new_part(prefix: ColoredGraph, spheres: dict | None) -> bool:
     """Colors 0..k-1 complete: does every triple {i, j, k-1} satisfy the
     3-manifold criterion over the whole graph and, with a verdict dict
     ``spheres``, every component of each 4-colored residue that contains k-1
-    have the integer homology of the 3-sphere?  ``spheres`` maps the
-    ``_walk_key`` of each component decided before to its verdict, and only
-    the residue's components with unseen keys go to ``homology_spheres``."""
+    have the integer homology of the 3-sphere?  ``spheres`` maps the key of
+    each component decided before, its adjacency in the table's order, to
+    its verdict; only components with unseen keys go to ``homology_spheres``."""
     new = prefix.color_count - 1
     triples = [(i, j, new) for i, j in itertools.combinations(range(new), 2)]
     if not all(t.holds for t in triple_checks(prefix, triples)):
@@ -267,7 +266,8 @@ def _new_part(prefix: ColoredGraph, spheres: dict | None) -> bool:
         rows = [prefix.pairings[c] for c in r]
         fresh = {}
         for comp in table.components(r):
-            key = _walk_key(rows, comp[0])
+            at = {v: i for i, v in enumerate(comp)}
+            key = tuple([at[row[v]] for v in comp for row in rows])
             holds = spheres.get(key)
             if holds is False:
                 return False
@@ -280,20 +280,9 @@ def _new_part(prefix: ColoredGraph, spheres: dict | None) -> bool:
     return True
 
 
-def _walk_key(rows: Sequence[Sequence[int]], start: int) -> tuple[int, ...]:
-    """The breadth-first walk from ``start`` over ``rows``, in row order,
-    labels the vertices as they are reached; the key lists each vertex's
-    row neighbors by label, in that order.  Equal keys of two components
-    make the map between their walks a row-preserving isomorphism."""
-    label, order, key = {start: 0}, [start], []
-    for v in order:
-        for row in rows:
-            u = row[v]
-            if u not in label:
-                label[u] = len(order)
-                order.append(u)
-            key.append(label[u])
-    return tuple(key)
+# n involutions of p entries: this many run a search's first 1,024 nodes in 128 MB
+# of address space (3 colors under the parity rule fail first, at 1.6 times it)
+_MAX_STATE_ENTRIES = 500_000
 
 
 def check_spec(spec: SearchSpec) -> None:
@@ -301,6 +290,8 @@ def check_spec(spec: SearchSpec) -> None:
     problems = []
     n = spec.color_count
     p = spec.vertex_count
+    if n * p > _MAX_STATE_ENTRIES:
+        problems.append(f"{n} colors x {p:,} vertices exceed {_MAX_STATE_ENTRIES:,} state entries")
     if n < 3:
         problems.append(f"need at least 3 colors, got {n}")
     if p < 4 or p % 2:
@@ -460,10 +451,11 @@ class _Search:
         if c >= 3 or c == self.n - 1:  # keyed, or the last color's prefix
             comps = _Components(prefix, self.parity)
         if c >= 3:
-            if comps.key in self.seen_codes:
+            key = comps.key()
+            if key in self.seen_codes:
                 self.prunes["duplicate_prefix"] += 1
                 return None
-            self.seen_codes.add(comps.key)
+            self.seen_codes.add(key)
         seq = self.spec.seq
         tracks = [(list(inv[c - 1]), [2] * p, seq[c - 1])]
         if c == self.n - 1:
@@ -596,29 +588,29 @@ class _Components:
     The walk (``lowers``) follows branches (g, g^-1, w): partial
     automorphisms, -1 off the components g is fixed on and off their
     images, with g.m = m before w on the partial involution m.  ``roots``
-    are the branches at w = 0, one per preimage of vertex 0, found once; on
-    a connected P each fixes all of g, so Aut(P) has at most p elements and
-    its branches only compare, and the identity is left out.  Each
-    last-color edge resumes the branches live above it at their w and
-    compares (g.m)[w] = g(m[g^-1(w)]) with m[w].  A branch waits, unchanged,
-    while either is unset.  Where w's component has no preimage yet it
-    splits, one branch per preimage.  Where g is not fixed on the component
-    of y = m[g^-1(w)] yet, a component that no map reaches yet may take y
-    below m[w]; if none does, g is fixed there by y -> m[w].  A smaller
-    image, by a fixed map or a free component, cuts the edge
-    (``duplicate``); a larger one, or w = p, drops the branch for the
-    subtree.  Each extension copies g, so the branches live above an edge
+    are the branches at w = 0, one per preimage of vertex 0, made at the
+    walk's first edge; on a connected P each fixes all of g, so Aut(P) has
+    at most p elements and its branches only compare, and the identity is
+    left out.  Each last-color edge resumes the branches live above it at
+    their w and compares (g.m)[w] = g(m[g^-1(w)]) with m[w].  A branch
+    waits, unchanged, while either is unset.  Where w's component has no
+    preimage yet it splits, one branch per preimage.  Where g is not fixed
+    on the component of y = m[g^-1(w)] yet, a component that no map reaches
+    yet may take y below m[w]; if none does, g is fixed there by
+    y -> m[w].  A smaller image, by a fixed map or a free component, cuts
+    the edge (``duplicate``); a larger one, or w = p, drops the branch for
+    the subtree.  Each extension copies g, so the branches live above an edge
     stay valid on backtrack: ``live`` stacks the branches kept below each
     edge, pushed by ``lowers`` and popped when ``_Search.node`` undoes the
     edge, None for all the roots.
 
-    ``key`` is P's code, computed when first read, since only prefixes of
-    3 <= c < n colors are keyed: the sorted lex-least labelings of its
-    components (``graphs._component_key``, the walk of the canonical code).
+    ``key()`` is P's code, read once by ``descend`` on the prefixes of
+    3 <= c < n colors, the only ones keyed: the sorted lex-least labelings
+    of its components (``graphs._component_key``, the canonical code's walk).
     With ``parity`` P is even-odd and only even-odd images count.  A branch
     keeps the parity flag of its root, g^-1(0) mod 2, on every component.
     A component's mark is its least labeling from an even start and from an
-    odd start, and ``key``, the lesser of the sorted (even, odd) and
+    odd start, and the key, the lesser of the sorted (even, odd) and
     (odd, even) ``marks``, is P's parity-marked code.  When the two lists
     differ, P has no parity-swapping automorphism: ``first_flag`` is 0 and
     no root of flag 1 is made.
@@ -629,10 +621,7 @@ class _Components:
         self.rows = rows = graph.pairings
         self.parity = parity
         self.members = connected_components(graph)  # sorted, by least vertex
-        self.comp = [0] * p
-        for k, part in enumerate(self.members):
-            for x in part:
-                self.comp[x] = k
+        self.comp = graph.residues.index(tuple(graph.colors))  # numbered as ``members``
         self.maps: dict[tuple[int, int], list[int]] = {}
         self.img = [-1] * p  # a walk's images, all -1 between walks
         self.first_flag = None  # the flag of a root, None for either
@@ -643,6 +632,7 @@ class _Components:
         # (4,4,4,4);32 and (4^5);32, whose early candidates are all disconnected
         self.first = True
         self.live = [None]
+        self.roots = None  # built by ``lowers`` on its first read
         if not parity:
             return
         label = [-1] * p
@@ -657,15 +647,13 @@ class _Components:
         swaps = straight == swapped  # P has a parity-swapping automorphism
         self.first_flag = None if swaps else 0
 
-    @cached_property
     def key(self) -> str:
         if self.marks is not None:
             return str(min(self.marks))
         label = [-1] * len(self.comp)
         return str(sorted(_component_key(self.rows, part, label) for part in self.members))
 
-    @cached_property
-    def roots(self) -> list:
+    def _roots(self) -> list:
         """The branches at w = 0: g fixed on the component of each x with a
         map x -> 0.  On a connected P that is all of g, g^-1 is the map
         g(0) -> 0, and the identity, which lowers nothing, is left out."""
@@ -684,7 +672,9 @@ class _Components:
             self.live.append(None)
             return False
         top, p = self.live[-1], len(m)
-        todo = list(self.roots if top is None else top)
+        if top is None:  # all the roots, made at the walk's first edge
+            top = self.roots = self._roots() if self.roots is None else self.roots
+        todo = list(top)
         kept = []
         for g, g_inv, w in todo:  # grows by the branches at unmapped targets
             while w < p:  # g.m = m before w

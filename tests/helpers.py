@@ -1,9 +1,10 @@
 """Shared builders and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library's own algorithms: determinants
-via Bareiss, invariant factors via minor gcds, isomorphism via brute-force
-relabeling, canonical codes via a breadth-first labeling from every vertex, and
-type search via full matching enumeration.
+via Bareiss, invariant factors via minor gcds, the cell complex's boundaries
+via their own residue walks, isomorphism via brute-force relabeling,
+canonical codes via a breadth-first labeling from every vertex, and type
+search via full matching enumeration.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 from gemtk import (
     ColoredGraph,
+    HomologyProfile,
     canonical_code,
     check_3manifold,
     check_residues_sphere,
@@ -309,6 +311,69 @@ def minor_gcd_invariant_factors(matrix) -> tuple[int, ...]:
             break
         gcds.append(g)
     return tuple(gcds[k] // gcds[k - 1] for k in range(1, len(gcds)))
+
+
+# ---------------------------------------------------------------------------
+# The cell complex, built independently
+# ---------------------------------------------------------------------------
+
+
+def reference_boundaries(graph: ColoredGraph) -> tuple[list[int], list[list[list[int]]]]:
+    """The cell counts per dimension and the boundaries d1 .. dd of the
+    graph's cell complex, as dense matrices with one row per (k-1)-cell and
+    one column per k-cell, built without the library's residue table or
+    boundary code.  A k-cell is labeled by k + 1 colors B and is a component
+    of the residue on the other colors, found by its own depth-first walk;
+    its facet without the label B[i] is the (k-1)-cell labeled B less B[i]
+    that contains its vertices, with sign (-1)^i."""
+    n, p = graph.color_count, graph.vertex_count
+    layers = []  # per dimension, the (labels, vertex set) of each cell
+    for size in range(1, n + 1):
+        layer = []
+        for labels in itertools.combinations(range(n), size):
+            rows = [graph.pairings[c] for c in range(n) if c not in labels]
+            seen: set[int] = set()
+            for v in range(p):
+                if v in seen:
+                    continue
+                cell, stack = {v}, [v]
+                while stack:
+                    x = stack.pop()
+                    for y in (row[x] for row in rows):
+                        if y not in cell:
+                            cell.add(y)
+                            stack.append(y)
+                seen |= cell
+                layer.append((labels, cell))
+        layers.append(layer)
+    boundaries = []
+    for low, high in zip(layers, layers[1:]):
+        where = {(labels, v): r for r, (labels, cell) in enumerate(low) for v in cell}
+        mat = [[0] * len(high) for _ in low]
+        for j, (labels, cell) in enumerate(high):
+            v = min(cell)
+            for i in range(len(labels)):
+                mat[where[labels[:i] + labels[i + 1:], v]][j] += (-1) ** i
+        boundaries.append(mat)
+    return [len(layer) for layer in layers], boundaries
+
+
+def reference_homology(graph: ColoredGraph, invariant_factors) -> HomologyProfile:
+    """The homology of :func:`reference_boundaries`, read off the nonzero
+    invariant factors that ``invariant_factors`` gives each dense boundary."""
+    counts, boundaries = reference_boundaries(graph)
+    return chain_homology(counts, [invariant_factors(mat) for mat in boundaries])
+
+
+def chain_homology(counts, factors) -> HomologyProfile:
+    """The homology of a chain complex with ``counts`` cells per dimension
+    whose boundaries d1 .. dd have the nonzero invariant factors ``factors``."""
+    factors = [()] + [tuple(f) for f in factors] + [()]
+    return HomologyProfile(tuple(
+        (counts[k] - len(factors[k]) - len(factors[k + 1]),
+         tuple(f for f in factors[k + 1] if f > 1))
+        for k in range(len(counts))
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -514,5 +514,29 @@ class TestUsage:
         assert done.returncode == 0
         assert len(done.stdout.splitlines()) == 15
 
+    def test_oversized_search_fails_fast(self):
+        # in 128 MB of address space a search of 10^12 vertices is refused at
+        # once with one line, and the largest spec the bound allows (3 colors
+        # under the parity rule need the most memory) runs its first nodes
+        resource = pytest.importorskip("resource")
+        src = str(Path(gemtk.__file__).resolve().parents[1])
+        p = gemtk.search._MAX_STATE_ENTRIES // 3 // 4 * 4
+
+        def search(vertices, *flags):
+            return subprocess.run(
+                [sys.executable, "-m", "gemtk", "search", "--type", "4,4,4",
+                 "--vertices", str(vertices), *flags],
+                capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**27, 2**27)),
+            )
+
+        done = search(10**12)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: infeasible search spec: 3 colors x 1,000,000,000,000")
+        assert len(done.stderr.splitlines()) == 1
+        done = search(p, "--orientable", "--budget", "0")
+        assert (done.returncode, done.stderr) == (1, "")
+        assert "nodes: 1024 candidates: 0 exhausted: no" in done.stdout
+
     def test_no_arguments(self, capsys):
         assert main([]) == 2

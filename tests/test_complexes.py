@@ -30,6 +30,7 @@ from gemtk.graphs import ColoredGraph, spanning_forest
 from gemtk.search import SearchSpec, search_gems
 
 from helpers import (
+    chain_homology,
     color4_double,
     connected_sum,
     cube_graph,
@@ -41,6 +42,8 @@ from helpers import (
     random_colored_graph,
     random_connected_graph,
     rank_over_rationals,
+    reference_boundaries,
+    reference_homology,
     reference_residues_sphere,
     rp3_double,
     sparse_rows,
@@ -204,14 +207,33 @@ class TestSmithNormalForm:
 
 def _snf_profile(g):
     """The homology read off the Smith normal form of every full boundary
-    of ``build_complex``: the reference that ``graph_homology`` must equal."""
-    k = build_complex(g)
-    factors = [()] + [smith_normal_form(mat) for mat in k.boundaries[1:]] + [()]
-    return HomologyProfile(tuple(
-        (len(k.cells[i]) - len(factors[i]) - len(factors[i + 1]),
-         tuple(f for f in factors[i + 1] if f > 1))
-        for i in range(k.dim + 1)
-    ))
+    of the complex that ``helpers.reference_boundaries`` builds
+    on its own: the reference that ``graph_homology`` must equal."""
+    return reference_homology(g, lambda mat: smith_normal_form(sparse_rows(mat)))
+
+
+class TestReferenceComplex:
+    """The independent complex behind ``_snf_profile`` shares no code with
+    ``graph_homology``; its invariant factors by minor gcds give the same
+    homology as by ``smith_normal_form``, the known groups and those of
+    ``graph_homology``."""
+
+    def test_against_minor_gcd_oracle(self):
+        rng = random.Random(23)
+        graphs = [theta_graph(), k4_graph(), S3_2]
+        graphs += [random_colored_graph(rng, 2, colors) for colors in (2, 3, 4, 5)]
+        graphs += [random_colored_graph(rng, 4, 3) for _ in range(6)]
+        graphs += [random_colored_graph(rng, 6, 3) for _ in range(3)]
+        for g in graphs:
+            counts, boundaries = reference_boundaries(g)
+            for low, high in zip(boundaries, boundaries[1:]):
+                assert _matmul_is_zero(low, high)
+            assert counts[-1] == g.vertex_count
+            profile = reference_homology(g, minor_gcd_invariant_factors)
+            assert profile == _snf_profile(g) == graph_homology(g), g
+        assert _snf_profile(theta_graph()) == sphere_profile(2)
+        assert str(_snf_profile(k4_graph())) == "(Z, Z/2, 0)"
+        assert str(_snf_profile(RP3_8)) == "(Z, Z/2, 0, Z)"
 
 
 def _snf_arguments(monkeypatch):
@@ -376,6 +398,19 @@ class TestBuildComplex:
             mats = [mat for _, mat in _boundaries([g])]
             for low, high in zip(mats, mats[1:]):
                 assert _matmul_is_zero(low, high)
+
+    def test_homology_matches_the_reference(self):
+        # build_complex's full boundaries, which graph_homology never reduces
+        # whole, give the independent complex's homology, also on gems larger
+        # than the minor-gcd oracle reads
+        gems = {f.stem: parse_gem(f.read_text()) for f in sorted(GEM_DIR.glob("*.gem"))}
+        rng = random.Random(31)
+        graphs = [*gems.values(), disjoint_union(gems["l31"], connected_sum(gems["rp3"], gems["l31"], 4, 4))]
+        graphs += [random_colored_graph(rng, 2 * rng.randrange(4, 16), rng.randrange(3, 6)) for _ in range(20)]
+        for g in graphs:
+            k = build_complex(g)
+            factors = [smith_normal_form(mat) for mat in k.boundaries[1:]]
+            assert chain_homology(list(map(len, k.cells)), factors) == _snf_profile(g), g
 
 
 class TestHomology:

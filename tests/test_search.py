@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import gemtk.complexes
+import gemtk.graphs
 import gemtk.search
 from gemtk import (
     ColoredGraph,
@@ -89,6 +90,21 @@ class TestSpecRejection:
         # a malformed spec, not a budget that has already run out
         with pytest.raises(InfeasibleSpecError):
             search_gems(SearchSpec(seq=(4, 4, 4), vertex_count=24, budget_seconds=budget))
+
+    def test_search_state_is_bounded(self):
+        # n involutions of p entries: a spec over the bound is refused before
+        # any list is made, with one problem that names the bound
+        bound = gemtk.search._MAX_STATE_ENTRIES
+        p = bound // 3 // 4 * 4
+        gemtk.search.check_spec(SearchSpec(seq=(4, 4, 4), vertex_count=p))
+        gemtk.search.check_spec(SearchSpec(seq=(4,) * 5, vertex_count=bound // 5 // 4 * 4))
+        for spec in [
+            SearchSpec(seq=(4, 4, 4), vertex_count=p + 4),
+            SearchSpec(seq=(4,) * 5, vertex_count=bound // 5 // 4 * 4 + 4),
+            SearchSpec(seq=(4, 4, 4), vertex_count=10**12, max_solutions=1),
+        ]:
+            with pytest.raises(InfeasibleSpecError, match=f"exceed {bound:,} state entries$"):
+                search_gems(spec)
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_solution_limit_below_one(self, limit):
@@ -431,6 +447,50 @@ class TestStagedFilters:
         if spheres:
             assert hits[True] > 0 and hits[False] > 0, hits
 
+    def test_sphere_keys_do_not_rest_on_the_walk_order(self, monkeypatch):
+        # a component's key numbers its vertices in the order the residue
+        # table lists them; any order gives an exact key, so with every
+        # component's vertices listed by a random ranking of the labels, not
+        # breadth-first from the least, the parts still decide the check,
+        # looking up verdicts of both kinds
+        rng = random.Random(5)
+        graphs = [random_colored_graph(rng, 2 * rng.randint(1, 6), 5) for _ in range(2000)]
+        graphs += [
+            permute_colors(rp3_double(), sigma)
+            for sigma in [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3), (4, 0, 1, 2, 3)]
+        ]
+        expected = [check_residues_sphere(g).holds for g in graphs]
+        rank = rng.sample(range(24), 24)
+        components = gemtk.graphs.ResidueTable.components
+
+        def shuffled(table, colors):
+            if colors not in table._components:
+                table._components[colors] = tuple(
+                    tuple(sorted(comp, key=rank.__getitem__))
+                    for comp in components(table, colors)
+                )
+            return table._components[colors]
+
+        monkeypatch.setattr(gemtk.graphs.ResidueTable, "components", shuffled)
+        hits = {True: 0, False: 0}
+
+        class Verdicts(dict):
+            def get(self, key):
+                holds = super().get(key)
+                if holds is not None:
+                    hits[holds] += 1
+                return holds
+
+        memo = Verdicts()
+        for g, holds in zip(graphs, expected):
+            inv = [list(row) for row in g.pairings]
+            parts = all(
+                gemtk.search._new_part(gemtk.search._view(inv, k), memo) for k in range(3, 6)
+            )
+            assert parts == holds, g
+        assert 0 < sum(expected) < len(graphs) and not expected[-1]
+        assert hits[True] > 0 and hits[False] > 0, hits
+
 
 class TestParityRule:
     """With ``orientable=True`` the search pairs even labels with odd ones
@@ -622,12 +682,12 @@ class TestLastColorOrbits:
             assert _least(comps, m) == (min(images) == m), m
             lowered += min(images) < m
         assert 0 < lowered < len(matchings)
-        assert sorted(g for g, *_ in comps.roots) == translations[1:]
+        assert sorted(g for g, *_ in comps._roots()) == translations[1:]
         # two cubes: a disconnected prefix, whose group is given by component
         # maps; its roots fix g on the cube mapped onto vertex 0's, 16 ways
         comps = gemtk.search._Components(disjoint_union(cube, cube), parity=False)
         assert [sorted(part) for part in comps.members] == [list(range(8)), list(range(8, 16))]
-        assert sorted(g_inv[0] for _, g_inv, _ in comps.roots) == list(range(16))
+        assert sorted(g_inv[0] for _, g_inv, _ in comps._roots()) == list(range(16))
         straight = [v + 8 for v in range(8)] + list(range(8))
         twisted = [(v ^ 1) + 8 for v in range(8)] + [(v - 8) ^ 1 for v in range(8, 16)]
         assert _least(comps, straight) and not _least(comps, twisted)
@@ -720,7 +780,7 @@ class TestLastColorOrbits:
             comps = gemtk.search._Components(ColoredGraph.from_involutions(rows), parity)
             # one root per preimage of vertex 0, less the identity on a connected P
             origins = {g.index(0) for g in auts} - ({0} if len(comps.members) == 1 else set())
-            assert sorted(g_inv[0] for _, g_inv, _ in comps.roots) == sorted(origins)
+            assert sorted(g_inv[0] for _, g_inv, _ in comps._roots()) == sorted(origins)
             comps.first = False
             m = [-1] * p
             verdicts = {}  # complete involution -> lowered, None where it does not count
@@ -852,7 +912,7 @@ class TestLastColorOrbits:
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
             graphs += [g, relabel(g, perm)]
-        keys = [gemtk.search._Components(g, parity=False).key for g in graphs]
+        keys = [gemtk.search._Components(g, parity=False).key() for g in graphs]
         codes = [reference_canonical_code(g) for g in graphs]
         seen = {"same": 0, "other": 0, "connected": 0}
         for (k1, c1), (k2, c2) in itertools.combinations(zip(keys, codes), 2):
@@ -870,12 +930,12 @@ class TestLastColorOrbits:
         twins = disjoint_union(_CHIRAL, _CHIRAL)
         glued = disjoint_union(_CHIRAL, _MIRROR)
         assert canonical_code(twins) == canonical_code(glued)
-        keys = [gemtk.search._Components(g, parity=True).key for g in (twins, glued)]
+        keys = [gemtk.search._Components(g, parity=True).key() for g in (twins, glued)]
         assert keys[0] != keys[1]
         # relabeling by an even shift keeps both keys
         for g, key in zip((twins, glued), keys):
             shifted = relabel(g, [(v + 12) % 24 for v in range(24)])
-            assert gemtk.search._Components(shifted, parity=True).key == key
+            assert gemtk.search._Components(shifted, parity=True).key() == key
 
     def test_component_orbit_test_on_chiral_components(self):
         # P = C+M+C has no parity-swapping automorphism, so no image of flag

@@ -27,16 +27,12 @@ from .complexes import (
     check_3manifold,
     check_residues_sphere,
     check_surface,
-    free_profile,
     graph_homology,
     smith_normal_form,
-    sphere_profile,
 )
 from .embeddings import (
     CyclicOrder,
     EmbeddingReport,
-    FaceTrace,
-    SeType,
     SurfaceDescriptor,
     all_embeddings,
     embedding_report,
@@ -48,14 +44,10 @@ from .graphs import (
     ColoredGraph,
     GemValidationError,
     GraphDefect,
-    ResidueStats,
     canonical_code,
-    canonical_form,
     connected_components,
     is_bipartite,
     is_connected,
-    permute_colors,
-    relabel,
     residue_components,
     residue_stats,
     residue_subgraph,
@@ -78,15 +70,12 @@ __all__ = [
     "ColoredGraph",
     "CyclicOrder",
     "EmbeddingReport",
-    "FaceTrace",
     "GemParseError",
     "GemValidationError",
     "GraphDefect",
     "HomologyProfile",
     "InfeasibleSpecError",
     "ResidueSphereReport",
-    "ResidueStats",
-    "SeType",
     "SearchBudgetExceeded",
     "SearchOutcome",
     "SearchSpec",
@@ -99,7 +88,6 @@ __all__ = [
     "build_complex",
     "canonical_code",
     "canonical_cycle",
-    "canonical_form",
     "check_3manifold",
     "check_residues_sphere",
     "check_surface",
@@ -107,14 +95,11 @@ __all__ = [
     "count_nonisomorphic",
     "enumerate_types",
     "embedding_report",
-    "free_profile",
     "graph_homology",
     "is_bipartite",
     "is_connected",
     "normalize",
     "parse_gem",
-    "permute_colors",
-    "relabel",
     "residue_components",
     "residue_stats",
     "residue_subgraph",
@@ -122,7 +107,6 @@ __all__ = [
     "semi_equivelar_type",
     "smith_normal_form",
     "solve_vertex_count",
-    "sphere_profile",
     "trace_faces",
     "validate",
     "validation_defects",

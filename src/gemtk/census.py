@@ -25,6 +25,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 _MAX_COLOR_COUNT = 5
+# _multisets walks about |chi|^(n-1) candidates for n colors: at chi = -40
+# the census takes about 1 s (2-vCPU Xeon, CPython 3.11), at -60 about 4 s
+_MIN_CHI = -40
 
 
 def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
@@ -141,7 +144,8 @@ def enumerate_types(
     colors: int | None = None,
     enforce_divisibility: bool = True,
 ) -> list[TypeSolution]:
-    """All admissible semi-equivelar sequences for a surface with chi < 0.
+    """All admissible semi-equivelar sequences for a surface with
+    ``_MIN_CHI`` <= chi < 0; any other chi raises ``ValueError``.
 
     One solution per rotation/reflection class of the cyclic sequence, sorted
     by (color count descending, canonical sequence).  ``colors`` restricts the
@@ -151,6 +155,8 @@ def enumerate_types(
     """
     if chi >= 0:
         raise ValueError(f"census is defined for chi < 0, got {chi}")
+    if chi < _MIN_CHI:
+        raise ValueError(f"census is bounded to chi >= {_MIN_CHI}, got {chi}")
     if colors is not None:
         counts: Iterable[int] = [colors]
     else:

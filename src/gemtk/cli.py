@@ -130,7 +130,7 @@ def cmd_verify(args) -> int:
 
     g_counts = {
         ",".join(map(str, key)): count
-        for key, count in residue_stats(graph).counts.items()
+        for key, count in residue_stats(graph).items()
     }
 
     if args.json:
@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
                         "orientable": rep.orientable,
                         "genus": rep.genus,
                         "faces": rep.face_count,
-                        "seq": list(rep.se_type.raw) if rep.se_type else None,
+                        "seq": list(rep.se_type) if rep.se_type else None,
                     }
                     for eps, rep in embeddings.items()
                 ],
@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
         if embeddings:
             print(f"embeddings ({len(embeddings)} cyclic order classes):")
             for eps, rep in embeddings.items():
-                se = f" type={','.join(map(str, rep.se_type.raw))}" if rep.se_type else ""
+                se = f" type={','.join(map(str, rep.se_type))}" if rep.se_type else ""
                 print(
                     f"  eps {eps}: chi={rep.chi} {rep.surface()}"
                     f" faces={rep.face_count}{se}"
@@ -216,12 +216,12 @@ def cmd_embed(args) -> int:
                     "orientable": rep.orientable,
                     "genus": rep.genus,
                     "bigons": rep.has_bigons,
-                    "seq": list(rep.se_type.raw) if rep.se_type else None,
+                    "seq": list(rep.se_type) if rep.se_type else None,
                 }
             )
         else:
             se = (
-                f" semi-equivelar type ({','.join(map(str, rep.se_type.raw))})"
+                f" semi-equivelar type ({','.join(map(str, rep.se_type))})"
                 if rep.se_type
                 else ""
             )

@@ -288,16 +288,6 @@ class HomologyProfile:
         return "(" + ", ".join(self.group_str(k) for k in range(len(self.groups))) + ")"
 
 
-def free_profile(*betti: int) -> HomologyProfile:
-    """Profile with the given Betti numbers and no torsion (test convenience)."""
-    return HomologyProfile(tuple((b, ()) for b in betti))
-
-
-def sphere_profile(dim: int) -> HomologyProfile:
-    betti = [1] + [0] * (dim - 1) + [1]
-    return free_profile(*betti)
-
-
 def _skeleton_forest(
     table: ResidueTable,
     colors: tuple[int, ...],

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .census import TypeSequence, canonical_cycle, normalize
+from .census import canonical_cycle
 from .graphs import ColoredGraph, bicolored_cycles, is_bipartite, is_connected
 
 
@@ -57,35 +57,16 @@ class CyclicOrder:
         return "(" + ",".join(map(str, self.order)) + ")"
 
 
-@dataclass(frozen=True)
-class FaceTrace:
-    """Per consecutive color pair, the bi-colored cycles bounding the faces."""
-
-    eps: CyclicOrder
-    cycles: tuple[tuple[tuple[int, ...], ...], ...]
-
-    @property
-    def face_count(self) -> int:
-        return sum(len(c) for c in self.cycles)
-
-
-def trace_faces(graph: ColoredGraph, eps: CyclicOrder | None = None) -> FaceTrace:
-    """Trace all faces of the regular embedding for cyclic order ``eps``."""
+def trace_faces(
+    graph: ColoredGraph, eps: CyclicOrder | None = None
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The faces of the regular embedding for cyclic order ``eps``: the
+    bi-colored cycles of each consecutive color pair, in ``eps.pairs()`` order."""
     if eps is None:
         eps = CyclicOrder.identity(graph.color_count)
     if eps.color_count != graph.color_count:
         raise ValueError("cyclic order length does not match the color count")
-    cycles = tuple(bicolored_cycles(graph.pairings, a, b) for a, b in eps.pairs())
-    return FaceTrace(eps, cycles)
-
-
-@dataclass(frozen=True)
-class SeType:
-    """Semi-equivelar face-size data: the eps-aligned raw sequence plus its
-    rotation/reflection class."""
-
-    raw: tuple[int, ...]
-    canonical: TypeSequence
+    return tuple(bicolored_cycles(graph.pairings, a, b) for a, b in eps.pairs())
 
 
 @dataclass(frozen=True)
@@ -110,7 +91,7 @@ class EmbeddingReport:
     orientable: bool
     genus: int  # genus when orientable, crosscap number otherwise
     has_bigons: bool
-    se_type: SeType | None
+    se_type: tuple[int, ...] | None  # face sizes in eps order, if semi-equivelar
 
     def surface(self) -> SurfaceDescriptor:
         return SurfaceDescriptor(self.orientable, self.genus)
@@ -118,16 +99,16 @@ class EmbeddingReport:
 
 def semi_equivelar_type(
     graph: ColoredGraph, eps: CyclicOrder | None = None
-) -> SeType | None:
-    """The common face-size sequence, if the embedding is semi-equivelar.
+) -> tuple[int, ...] | None:
+    """The face sizes in ``eps`` order, if the embedding is semi-equivelar.
 
     Returns None when some face class mixes cycle lengths, when any face is a
     bigon (face sizes below 4 carry no type), or with fewer than 3 colors.
     """
-    return _se_type_of({len(c) for c in cycles} for cycles in trace_faces(graph, eps).cycles)
+    return _se_type_of({len(c) for c in cycles} for cycles in trace_faces(graph, eps))
 
 
-def _se_type_of(sizes: Iterable[set[int]]) -> SeType | None:
+def _se_type_of(sizes: Iterable[set[int]]) -> tuple[int, ...] | None:
     """The type from the face sizes of each consecutive color pair."""
     raw = []
     for lengths in sizes:
@@ -139,7 +120,7 @@ def _se_type_of(sizes: Iterable[set[int]]) -> SeType | None:
         raw.append(q)
     if len(raw) < 3:
         return None
-    return SeType(tuple(raw), normalize(raw))
+    return tuple(raw)
 
 
 def _reports(

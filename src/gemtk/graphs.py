@@ -91,9 +91,6 @@ class ColoredGraph:
         """Each color subset's components, computed once for this graph."""
         return ResidueTable(self)
 
-    def partner(self, color: int, vertex: int) -> int:
-        return self.pairings[color][vertex]
-
     def pairs(self, color: int) -> list[tuple[int, int]]:
         """Edges of one color as (low, high) pairs, sorted: they are read in vertex order."""
         inv = self.pairings[color]
@@ -216,31 +213,6 @@ def validate(
     return ColoredGraph(color_count, vertex_count, tuple(involutions))
 
 
-def relabel(graph: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
-    """Rename vertices by ``perm`` (old id -> new id); colors are untouched."""
-    p = graph.vertex_count
-    if sorted(perm) != list(range(p)):
-        raise ValueError("perm is not a permutation of the vertex set")
-    new = []
-    for inv in graph.pairings:
-        out = [-1] * p
-        for v in range(p):
-            out[perm[v]] = perm[inv[v]]
-        new.append(tuple(out))
-    return ColoredGraph(graph.color_count, p, tuple(new))
-
-
-def permute_colors(graph: ColoredGraph, sigma: Sequence[int]) -> ColoredGraph:
-    """Rename colors by ``sigma`` (old color -> new color)."""
-    n = graph.color_count
-    if sorted(sigma) != list(range(n)):
-        raise ValueError("sigma is not a permutation of the color set")
-    new: list[tuple[int, ...]] = [()] * n
-    for c in range(n):
-        new[sigma[c]] = graph.pairings[c]
-    return ColoredGraph(n, graph.vertex_count, tuple(new))
-
-
 def _color_subset(graph: ColoredGraph, colors: Iterable[int]) -> list[int]:
     """``colors`` sorted without repeats; each must be a color of ``graph``."""
     subset = sorted(set(colors))
@@ -353,29 +325,16 @@ def is_connected(graph: ColoredGraph) -> bool:
     return len(graph.residues.components(tuple(graph.colors))) == 1
 
 
-@dataclass(frozen=True)
-class ResidueStats:
-    """Component counts of color-subset residues, keyed by sorted color tuple.
-
-    Holds every subset of size 2 and 3 and the full color set.
-    """
-
-    counts: Mapping[tuple[int, ...], int]
-
-    def count(self, colors: Iterable[int]) -> int:
-        key = tuple(sorted(colors))
-        return self.counts[key]
-
-
-def residue_stats(graph: ColoredGraph) -> ResidueStats:
-    """Component counts for all 2- and 3-color residues (plus the full set)."""
+def residue_stats(graph: ColoredGraph) -> dict[tuple[int, ...], int]:
+    """Component counts for all 2- and 3-color residues and the full color
+    set, keyed by sorted color tuple."""
     sizes = {2, 3, graph.color_count}
     table = graph.residues
     counts: dict[tuple[int, ...], int] = {}
     for size in sorted(sizes):
         for subset in itertools.combinations(range(graph.color_count), size):
             counts[subset] = len(table.components(subset))
-    return ResidueStats(counts)
+    return counts
 
 
 def odd_components(graph: ColoredGraph) -> Iterator[bool]:
@@ -508,29 +467,22 @@ def _component_key(pairings, vertices, label):
     return best
 
 
-def canonical_form(graph: ColoredGraph) -> ColoredGraph:
-    """A canonical representative of the color-preserving isomorphism class."""
+def canonical_code(graph: ColoredGraph) -> str:
+    """Text token identifying the graph up to color-preserving relabeling:
+    the components' keys, sorted, laid out one after another."""
     label = [-1] * graph.vertex_count
     keys = sorted(
         (len(c), *_component_key(graph.pairings, c, label))
         for c in connected_components(graph)
     )
-    involutions = [[-1] * graph.vertex_count for _ in graph.colors]
+    rows: list[list[int]] = [[] for _ in graph.colors]
     offset = 0
     for size, *blocks in keys:
-        for row, block in zip(involutions, blocks):
-            row[offset : offset + size] = [offset + x for x in block]
+        for row, block in zip(rows, blocks):
+            row += [offset + x for x in block]
         offset += size
-    return ColoredGraph(
-        graph.color_count, graph.vertex_count, tuple(tuple(row) for row in involutions)
-    )
-
-
-def canonical_code(graph: ColoredGraph) -> str:
-    """Text token identifying the graph up to color-preserving relabeling."""
-    g = canonical_form(graph)
-    body = ";".join(",".join(map(str, inv)) for inv in g.pairings)
-    return f"{g.color_count}:{g.vertex_count}:{body}"
+    body = ";".join(",".join(map(str, row)) for row in rows)
+    return f"{graph.color_count}:{graph.vertex_count}:{body}"
 
 
 def residue_subgraph(

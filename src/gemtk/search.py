@@ -416,8 +416,7 @@ class _Search:
             return
         # guaranteed by the search state; re-verified on what leaves it
         validate(n, p, [graph.pairs(c) for c in range(n)])
-        se = semi_equivelar_type(graph)
-        if se is None or se.raw != spec.seq:
+        if semi_equivelar_type(graph) != spec.seq:
             raise RuntimeError(f"search produced a non-conforming graph: {graph}")
         if self.parity and not is_bipartite(graph):
             raise RuntimeError("the parity rule let a non-bipartite graph through")

@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from gemtk import (
     ColoredGraph,
@@ -27,7 +28,6 @@ from gemtk import (
     residue_components,
     residue_subgraph,
     semi_equivelar_type,
-    sphere_profile,
     validate,
 )
 from gemtk.complexes import homology_spheres
@@ -90,6 +90,31 @@ def random_connected_graph(rng: random.Random, p: int, colors: int) -> ColoredGr
         g = random_colored_graph(rng, p, colors)
         if is_connected(g):
             return g
+
+
+def relabel(graph: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
+    """Rename vertices by ``perm`` (old id -> new id); colors are untouched."""
+    p = graph.vertex_count
+    if sorted(perm) != list(range(p)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    new = []
+    for inv in graph.pairings:
+        out = [-1] * p
+        for v in range(p):
+            out[perm[v]] = perm[inv[v]]
+        new.append(tuple(out))
+    return ColoredGraph(graph.color_count, p, tuple(new))
+
+
+def permute_colors(graph: ColoredGraph, sigma: Sequence[int]) -> ColoredGraph:
+    """Rename colors by ``sigma`` (old color -> new color)."""
+    n = graph.color_count
+    if sorted(sigma) != list(range(n)):
+        raise ValueError("sigma is not a permutation of the color set")
+    new: list[tuple[int, ...]] = [()] * n
+    for c in range(n):
+        new[sigma[c]] = graph.pairings[c]
+    return ColoredGraph(n, graph.vertex_count, tuple(new))
 
 
 def disjoint_union(*graphs: ColoredGraph) -> ColoredGraph:
@@ -221,7 +246,7 @@ def naive_type_search(
     for combo in itertools.product(*choices):
         graph = ColoredGraph(n, p, tuple(tuple(m) for m in combo))
         se = semi_equivelar_type(graph)
-        if se is None or se.raw != tuple(seq):
+        if se != tuple(seq):
             continue
         if not is_connected(graph):
             continue
@@ -356,6 +381,16 @@ def reference_boundaries(graph: ColoredGraph) -> tuple[list[int], list[list[list
                 mat[where[labels[:i] + labels[i + 1:], v]][j] += (-1) ** i
         boundaries.append(mat)
     return [len(layer) for layer in layers], boundaries
+
+
+def free_profile(*betti: int) -> HomologyProfile:
+    """Profile with the given Betti numbers and no torsion."""
+    return HomologyProfile(tuple((b, ()) for b in betti))
+
+
+def sphere_profile(dim: int) -> HomologyProfile:
+    betti = [1] + [0] * (dim - 1) + [1]
+    return free_profile(*betti)
 
 
 def reference_homology(graph: ColoredGraph, invariant_factors) -> HomologyProfile:

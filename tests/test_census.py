@@ -5,6 +5,7 @@ import pytest
 from gemtk import (
     TypeSequence,
     canonical_cycle,
+    census,
     enumerate_types,
     normalize,
     solve_vertex_count,
@@ -116,6 +117,13 @@ class TestEnumerate:
             enumerate_types(0)
         with pytest.raises(ValueError):
             enumerate_types(2)
+
+    def test_most_negative_chi_is_bounded(self):
+        # the census walks about |chi|^(n-1) multisets; the bound keeps it
+        # near 1 s, and the next chi is refused before any of them
+        assert len(enumerate_types(census._MIN_CHI)) == 416
+        with pytest.raises(ValueError, match=f"chi >= {census._MIN_CHI}"):
+            enumerate_types(census._MIN_CHI - 1)
 
     def test_deterministic(self):
         assert enumerate_types(-2) == enumerate_types(-2)

@@ -8,10 +8,17 @@ from pathlib import Path
 import pytest
 
 import gemtk
-from gemtk import embeddings, graphs, parse_gem, relabel, validate, write_gem
+from gemtk import embeddings, graphs, parse_gem, validate, write_gem
 from gemtk.cli import CHECK_FAILED, main
 
-from helpers import cube_graph, k4_graph, random_connected_graph, rp3_double, theta_graph
+from helpers import (
+    cube_graph,
+    k4_graph,
+    random_connected_graph,
+    relabel,
+    rp3_double,
+    theta_graph,
+)
 
 
 def run(capsys, *argv):
@@ -44,6 +51,12 @@ class TestTypes:
     def test_nonnegative_chi_is_usage_error(self, capsys):
         code, _, err = run(capsys, "types", "--chi", "0")
         assert code == 2
+
+    def test_hostile_chi_fails_fast(self, capsys):
+        code, out, err = run(capsys, "types", "--chi", "-1000000")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "chi >= -40" in err
 
     def test_relaxed_divisibility_is_superset(self, capsys):
         code, strict_out, _ = run(capsys, "types", "--chi", "-2", "--json")

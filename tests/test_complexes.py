@@ -13,7 +13,6 @@ from gemtk import (
     check_surface,
     connected_components,
     embedding_report,
-    free_profile,
     graph_homology,
     is_bipartite,
     is_connected,
@@ -21,7 +20,6 @@ from gemtk import (
     residue_stats,
     residue_subgraph,
     smith_normal_form,
-    sphere_profile,
     validate,
 )
 from gemtk import complexes
@@ -36,6 +34,7 @@ from helpers import (
     cube_graph,
     dense_rows,
     disjoint_union,
+    free_profile,
     k4_graph,
     minor_gcd_invariant_factors,
     one_boundary_spheres,
@@ -47,6 +46,7 @@ from helpers import (
     reference_residues_sphere,
     rp3_double,
     sparse_rows,
+    sphere_profile,
     theta_graph,
 )
 
@@ -590,8 +590,8 @@ class TestCheck3Manifold:
         def matches(g):
             st = residue_stats(g)
             return (
-                all(st.count(k) == v for k, v in expected_pairs.items())
-                and all(st.count(k) == v for k, v in expected_triples.items())
+                all(st[k] == v for k, v in expected_pairs.items())
+                and all(st[k] == v for k, v in expected_triples.items())
                 and graph_homology(g) == rp3
             )
 

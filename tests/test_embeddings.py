@@ -12,6 +12,7 @@ from gemtk import (
     embedding_report,
     is_bipartite,
     is_connected,
+    normalize,
     semi_equivelar_type,
     trace_faces,
     validate,
@@ -55,15 +56,15 @@ class TestCyclicOrder:
 class TestTraceFaces:
     def test_theta_all_bigons(self):
         trace = trace_faces(theta_graph())
-        assert trace.face_count == 3
-        for per_class in trace.cycles:
+        assert sum(map(len, trace)) == 3
+        for per_class in trace:
             assert len(per_class) == 1
             assert len(per_class[0]) == 2
 
     def test_cube_six_squares(self):
         trace = trace_faces(cube_graph())
-        assert trace.face_count == 6
-        for per_class in trace.cycles:
+        assert sum(map(len, trace)) == 6
+        for per_class in trace:
             assert sorted(len(c) for c in per_class) == [4, 4]
 
     def test_decagon_type_single_cycle_per_class(self):
@@ -72,15 +73,15 @@ class TestTraceFaces:
                        max_solutions=1)
         )
         trace = trace_faces(out.solutions[0])
-        assert [len(per_class) for per_class in trace.cycles] == [1, 1, 1]
-        assert trace.face_count == 3
+        assert [len(per_class) for per_class in trace] == [1, 1, 1]
+        assert sum(map(len, trace)) == 3
 
     def test_partition_per_class(self):
         rng = random.Random(5)
         for _ in range(20):
             g = random_connected_graph(rng, 8, 3)
             trace = trace_faces(g)
-            for per_class in trace.cycles:
+            for per_class in trace:
                 flat = sorted(v for cyc in per_class for v in cyc)
                 assert flat == list(range(8))
                 assert all(len(cyc) % 2 == 0 for cyc in per_class)
@@ -91,7 +92,7 @@ class TestTraceFaces:
         rng = random.Random(9)
         g = random_connected_graph(rng, 10, 3)
         trace = trace_faces(g)
-        for (a, b), per_class in zip(trace.eps.pairs(), trace.cycles):
+        for (a, b), per_class in zip(CyclicOrder.identity(3).pairs(), trace):
             lo, hi = min(a, b), max(a, b)
             for cyc in per_class:
                 variants = {cyc[s:] + cyc[:s] for s in range(len(cyc))}
@@ -102,7 +103,7 @@ class TestTraceFaces:
                 use_hi = True
                 while True:
                     walk.append(v)
-                    v = g.partner(hi if use_hi else lo, v)
+                    v = g.pairings[hi if use_hi else lo][v]
                     use_hi = not use_hi
                     if v == start and use_hi:
                         break
@@ -119,7 +120,7 @@ class TestEmbeddingReport:
     def test_cube(self):
         rep = embedding_report(cube_graph())
         assert (rep.chi, rep.orientable, rep.genus) == (2, True, 0)
-        assert rep.se_type.raw == (4, 4, 4)
+        assert rep.se_type == (4, 4, 4)
 
     def test_k4(self):
         rep = embedding_report(k4_graph())
@@ -159,8 +160,8 @@ class TestEmbeddingReport:
 class TestSemiEquivelarType:
     def test_cube(self):
         se = semi_equivelar_type(cube_graph())
-        assert se.raw == (4, 4, 4)
-        assert se.canonical.faces == (4, 4, 4)
+        assert se == (4, 4, 4)
+        assert normalize(se).faces == (4, 4, 4)
 
     def test_mixed_lengths_refused(self):
         # the {0,1} residue splits into a bigon and a 6-cycle
@@ -184,8 +185,8 @@ class TestSemiEquivelarType:
                        max_solutions=1)
         )
         se = semi_equivelar_type(out.solutions[0])
-        assert se.raw == (4, 8, 4, 8)
-        assert se.canonical.faces == (4, 8, 4, 8)
+        assert se == (4, 8, 4, 8)
+        assert normalize(se).faces == (4, 8, 4, 8)
 
     def test_counting_relation_consistency(self):
         out = search_gems(
@@ -195,7 +196,7 @@ class TestSemiEquivelarType:
         g = out.solutions[0]
         rep = embedding_report(g)
         se = rep.se_type
-        total = 1 - Fraction(g.color_count, 2) + sum(Fraction(1, q) for q in se.raw)
+        total = 1 - Fraction(g.color_count, 2) + sum(Fraction(1, q) for q in se)
         assert total == Fraction(rep.chi, g.vertex_count)
 
 
@@ -238,7 +239,7 @@ class TestAllEmbeddings:
         rep = embedding_report(g)
         assert (rep.chi, rep.orientable) == (-2, True)
         se = semi_equivelar_type(g)
-        assert se.raw == (4,) * 6
+        assert se == (4,) * 6
 
     def test_reports_match_direct_calls(self):
         # the cube and 200 connected graphs of 2 to 5 colors, bipartite and
@@ -263,7 +264,7 @@ class TestAllEmbeddings:
                 eps: asdict(embedding_report(g, eps)) for eps in reports
             }
             for eps, rep in reports.items():
-                faces = [c for cycles in trace_faces(g, eps).cycles for c in cycles]
+                faces = [c for cycles in trace_faces(g, eps) for c in cycles]
                 assert rep.face_count == len(faces)
                 assert rep.has_bigons == any(len(c) == 2 for c in faces)
                 assert rep.se_type == semi_equivelar_type(g, eps)

@@ -22,8 +22,6 @@ from gemtk import (
     count_nonisomorphic,
     is_bipartite,
     is_connected,
-    permute_colors,
-    relabel,
     search_gems,
     semi_equivelar_type,
     validate,
@@ -35,10 +33,12 @@ from helpers import (
     cube_graph,
     disjoint_union,
     naive_type_search,
+    permute_colors,
     random_colored_graph,
     random_connected_graph,
     random_matching,
     reference_canonical_code,
+    relabel,
     rp3_double,
     standard_residue,
 )
@@ -148,8 +148,7 @@ class TestSoundness:
                 g.color_count, g.vertex_count, [g.pairs(c) for c in g.colors]
             )
             assert revalidated == g
-            se = semi_equivelar_type(g)
-            assert se is not None and se.raw == seq
+            assert semi_equivelar_type(g) == seq
             assert is_connected(g)
             if kwargs.get("orientable"):
                 assert is_bipartite(g)
@@ -314,7 +313,7 @@ class TestNaiveOracleAgreement:
             perm = [0] * 8
             new = 0
             for v in range(8):
-                u = g.partner(0, v)
+                u = g.pairings[0][v]
                 if v < u:
                     perm[v] = new
                     perm[u] = new + 1

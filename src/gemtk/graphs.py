@@ -108,15 +108,17 @@ def _involution_pairs(row: Sequence[int]) -> list[tuple[int, int]]:
     return [(v, row[v]) for v in range(len(row)) if v <= row[v]]
 
 
-def validation_defects(
+def _involutions(
     color_count: int,
     vertex_count: int,
     pairings: Mapping[int, PairList] | Sequence[PairList],
-) -> list[GraphDefect]:
-    """Collect every violation in raw pairing data (empty list means valid).
+) -> tuple[list[list[int]], list[GraphDefect]]:
+    """One pass over raw pairing data: the involution array of each color
+    present, in color order, and every defect found on the way.
 
     A sequence of pairing lists is read as the mapping of its indices, so one
-    gap rule covers both forms."""
+    gap rule covers both forms.  The arrays mean a graph only when there are
+    no defects."""
     defects: list[GraphDefect] = []
     if color_count < 2:
         defects.append(
@@ -143,55 +145,51 @@ def validation_defects(
     for c in sorted(c for c in pairings if not 0 <= c < color_count):
         defects.append(GraphDefect(COLOR_GAP, color=c, detail="color outside 0..color_count-1"))
 
+    involutions = []
     for c in inside:
         pairs = pairings[c]
-        seen: dict[int, int] = {}
+        matched = 2 * len(pairs) == vertex_count
+        # a short header can declare far more vertices than the pairs name
+        inv = [-1] * vertex_count if matched else dict.fromkeys(itertools.chain(*pairs), -1)
         for a, b in pairs:
+            in_range = 0 <= a < vertex_count and 0 <= b < vertex_count
+            if in_range and a != b and inv[a] == inv[b] == -1:
+                inv[a] = b
+                inv[b] = a
+                continue
             for v in (a, b):
                 if not 0 <= v < vertex_count:
-                    defects.append(
-                        GraphDefect(
-                            NOT_A_MATCHING,
-                            color=c,
-                            vertex=v,
-                            detail=f"vertex id outside 0..{vertex_count - 1}",
-                        )
-                    )
+                    detail = f"vertex id outside 0..{vertex_count - 1}"
+                    defects.append(GraphDefect(NOT_A_MATCHING, c, v, detail))
             if a == b:
-                defects.append(GraphDefect(LOOP_EDGE, color=c, vertex=a))
+                defects.append(GraphDefect(LOOP_EDGE, c, a))
                 continue
             for v in (a, b):
                 if 0 <= v < vertex_count:
-                    if v in seen:
-                        defects.append(
-                            GraphDefect(
-                                NOT_A_MATCHING,
-                                color=c,
-                                vertex=v,
-                                detail="vertex paired more than once",
-                            )
-                        )
-                    else:
-                        seen[v] = 1
-        if 2 * len(pairs) != vertex_count:
-            # one defect, not one per unpaired vertex: a short header can
-            # declare far more vertices than the input pairs
-            defects.append(
-                GraphDefect(
-                    NOT_A_MATCHING,
-                    color=c,
-                    detail=f"{len(pairs)} pairs cannot match {vertex_count} vertices",
-                )
+                    if inv[v] != -1:
+                        detail = "vertex paired more than once"
+                        defects.append(GraphDefect(NOT_A_MATCHING, c, v, detail))
+                    inv[v] = v  # marks v paired; this color already has a defect
+        if not matched:  # one defect, not one per unpaired vertex
+            detail = f"{len(pairs)} pairs cannot match {vertex_count} vertices"
+            defects.append(GraphDefect(NOT_A_MATCHING, color=c, detail=detail))
+        elif -1 in inv:
+            defects.extend(
+                GraphDefect(NOT_A_MATCHING, c, v, "vertex left unpaired")
+                for v, u in enumerate(inv)
+                if u == -1
             )
-            continue
-        for v in range(vertex_count):
-            if v not in seen:
-                defects.append(
-                    GraphDefect(
-                        NOT_A_MATCHING, color=c, vertex=v, detail="vertex left unpaired"
-                    )
-                )
-    return defects
+        involutions.append(inv)
+    return involutions, defects
+
+
+def validation_defects(
+    color_count: int,
+    vertex_count: int,
+    pairings: Mapping[int, PairList] | Sequence[PairList],
+) -> list[GraphDefect]:
+    """Collect every violation in raw pairing data (empty list means valid)."""
+    return _involutions(color_count, vertex_count, pairings)[1]
 
 
 def validate(
@@ -200,17 +198,10 @@ def validate(
     pairings: Mapping[int, PairList] | Sequence[PairList],
 ) -> ColoredGraph:
     """Build a :class:`ColoredGraph` from raw pairing data or raise with all defects."""
-    defects = validation_defects(color_count, vertex_count, pairings)
+    involutions, defects = _involutions(color_count, vertex_count, pairings)
     if defects:
         raise GemValidationError(defects)
-    involutions = []
-    for c in range(color_count):
-        inv = [-1] * vertex_count
-        for a, b in pairings[c]:
-            inv[a] = b
-            inv[b] = a
-        involutions.append(tuple(inv))
-    return ColoredGraph(color_count, vertex_count, tuple(involutions))
+    return ColoredGraph(color_count, vertex_count, tuple(map(tuple, involutions)))
 
 
 def _color_subset(graph: ColoredGraph, colors: Iterable[int]) -> list[int]:

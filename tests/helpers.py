@@ -3,8 +3,9 @@
 Oracles here deliberately avoid the library's own algorithms: determinants
 via Bareiss, invariant factors via minor gcds, the cell complex's boundaries
 via their own residue walks, isomorphism via brute-force relabeling,
-canonical codes via a breadth-first labeling from every vertex, and type
-search via full matching enumeration.
+canonical codes via a breadth-first labeling from every vertex, type
+search via full matching enumeration, and defect lists via a dict of seen
+vertices and a scan of every vertex.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from gemtk import (
     ColoredGraph,
@@ -31,6 +32,14 @@ from gemtk import (
     validate,
 )
 from gemtk.complexes import homology_spheres
+from gemtk.graphs import (
+    COLOR_GAP,
+    LOOP_EDGE,
+    NOT_A_MATCHING,
+    ODD_VERTEX_COUNT,
+    GraphDefect,
+    PairList,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -506,3 +515,88 @@ def one_boundary_spheres(graph: ColoredGraph) -> tuple[bool, ...]:
 def counting_relation_holds(seq: tuple[int, ...], chi: int, p: int) -> bool:
     total = 1 - Fraction(len(seq), 2) + sum(Fraction(1, q) for q in seq)
     return total == Fraction(chi, p)
+
+
+def reference_defects(
+    color_count: int,
+    vertex_count: int,
+    pairings: Mapping[int, PairList] | Sequence[PairList],
+) -> list[GraphDefect]:
+    """Every violation in raw pairing data, in the order the library reports
+    them: a dict of seen vertices per color, then a scan of every vertex for
+    unpaired ones."""
+    defects: list[GraphDefect] = []
+    if color_count < 2:
+        defects.append(
+            GraphDefect(COLOR_GAP, detail=f"need at least 2 colors, got {color_count}")
+        )
+    if vertex_count < 2 or vertex_count % 2:
+        defects.append(
+            GraphDefect(
+                ODD_VERTEX_COUNT,
+                detail=f"vertex count must be a positive even number, got {vertex_count}",
+            )
+        )
+
+    if not isinstance(pairings, Mapping):
+        pairings = dict(enumerate(pairings))
+    inside = sorted(c for c in pairings if 0 <= c < color_count)
+    # one defect per maximal run first..last of missing colors
+    first = 0
+    for c in inside + [color_count]:
+        if first < c:
+            run = "color has" if first == c - 1 else f"colors {first}..{c - 1} have"
+            defects.append(GraphDefect(COLOR_GAP, color=first, detail=f"{run} no pairing"))
+        first = c + 1
+    for c in sorted(c for c in pairings if not 0 <= c < color_count):
+        defects.append(GraphDefect(COLOR_GAP, color=c, detail="color outside 0..color_count-1"))
+
+    for c in inside:
+        pairs = pairings[c]
+        seen: dict[int, int] = {}
+        for a, b in pairs:
+            for v in (a, b):
+                if not 0 <= v < vertex_count:
+                    defects.append(
+                        GraphDefect(
+                            NOT_A_MATCHING,
+                            color=c,
+                            vertex=v,
+                            detail=f"vertex id outside 0..{vertex_count - 1}",
+                        )
+                    )
+            if a == b:
+                defects.append(GraphDefect(LOOP_EDGE, color=c, vertex=a))
+                continue
+            for v in (a, b):
+                if 0 <= v < vertex_count:
+                    if v in seen:
+                        defects.append(
+                            GraphDefect(
+                                NOT_A_MATCHING,
+                                color=c,
+                                vertex=v,
+                                detail="vertex paired more than once",
+                            )
+                        )
+                    else:
+                        seen[v] = 1
+        if 2 * len(pairs) != vertex_count:
+            # one defect, not one per unpaired vertex: a short header can
+            # declare far more vertices than the input pairs
+            defects.append(
+                GraphDefect(
+                    NOT_A_MATCHING,
+                    color=c,
+                    detail=f"{len(pairs)} pairs cannot match {vertex_count} vertices",
+                )
+            )
+            continue
+        for v in range(vertex_count):
+            if v not in seen:
+                defects.append(
+                    GraphDefect(
+                        NOT_A_MATCHING, color=c, vertex=v, detail="vertex left unpaired"
+                    )
+                )
+    return defects

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +40,22 @@ class TestNormalize:
 
 
 class TestSolveVertexCount:
+    def test_matches_the_rational_relation(self):
+        # every multiset of faces up to 60: the relation forces p = chi / total,
+        # an integer only when total's reduced numerator divides chi
+        faces = range(4, 61, 2)
+        lcm = math.lcm(*faces)
+        for n in (3, 4, 5):
+            for multiset in itertools.combinations_with_replacement(faces, n):
+                total = 1 - Fraction(n, 2) + Fraction(sum(lcm // q for q in multiset), lcm)
+                a, b = total.numerator, total.denominator
+                for chi in range(-1, -7, -1):
+                    p = chi // a * b if a < 0 and chi % a == 0 else None
+                    if p is not None and (p % 2 or p < multiset[-1]):
+                        p = None
+                    assert solve_vertex_count(multiset, chi) == p
+                    assert p is None or counting_relation_holds(multiset, chi, p)
+
     def test_three_colored_large(self):
         assert solve_vertex_count(normalize([4, 6, 14]), -2) == 168
 
@@ -121,9 +139,18 @@ class TestEnumerate:
     def test_most_negative_chi_is_bounded(self):
         # the census walks about |chi|^(n-1) multisets; the bound keeps it
         # near 1 s, and the next chi is refused before any of them
-        assert len(enumerate_types(census._MIN_CHI)) == 416
+        assert len(enumerate_types(census._MIN_CHI)) == 976
         with pytest.raises(ValueError, match=f"chi >= {census._MIN_CHI}"):
             enumerate_types(census._MIN_CHI - 1)
+
+    def test_type_counts_down_to_chi_minus_40(self):
+        # pinned to the counts of the census in Fraction arithmetic
+        counts = [len(enumerate_types(chi)) for chi in range(-1, -41, -1)]
+        assert counts == [
+            15, 31, 34, 56, 49, 75, 61, 92, 77, 111, 83, 138, 92, 144, 130, 164, 116, 193,
+            139, 225, 174, 212, 163, 260, 172, 220, 191, 275, 188, 305, 184, 301, 248, 297,
+            279, 362, 237, 343, 315, 416,
+        ]
 
     def test_deterministic(self):
         assert enumerate_types(-2) == enumerate_types(-2)

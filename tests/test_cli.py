@@ -56,7 +56,7 @@ class TestTypes:
         code, out, err = run(capsys, "types", "--chi", "-1000000")
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and "chi >= -40" in err
+        assert err.count("\n") == 1 and "chi >= -100" in err
 
     def test_relaxed_divisibility_is_superset(self, capsys):
         code, strict_out, _ = run(capsys, "types", "--chi", "-2", "--json")

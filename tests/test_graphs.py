@@ -37,7 +37,9 @@ from helpers import (
     disjoint_union,
     k4_graph,
     random_colored_graph,
+    random_matching,
     reference_canonical_code,
+    reference_defects,
     relabel,
     theta_graph,
 )
@@ -121,6 +123,57 @@ class TestValidate:
         with pytest.raises(GemValidationError) as err:
             validate(3, 4, [[(0, 1), (2, 2)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]])
         assert any(d.kind == LOOP_EDGE for d in err.value.defects)
+
+    @staticmethod
+    def _mutated_pairings(rng):
+        """n random perfect matchings on p vertices, with one to three defects put in."""
+        n, p = rng.randint(2, 5), 2 * rng.randint(1, 6)
+        lists = []
+        for _ in range(n):
+            inv = random_matching(rng, p)
+            pairs = [(v, u) if rng.random() < 0.5 else (u, v) for v, u in enumerate(inv) if v < u]
+            rng.shuffle(pairs)
+            lists.append(pairs)
+        mutations = ["drop", "twice", "loop", "out-of-range", "extra-color", "missing-color",
+                     "odd-p"]
+        for kind in rng.sample(mutations, rng.randint(1, 3)):
+            pairs = rng.choice(lists)
+            at = rng.randint(0, len(pairs))
+            if kind == "drop":
+                del pairs[rng.randrange(len(pairs))]
+            elif kind == "twice" and pairs:
+                a, _ = rng.choice(pairs)
+                pairs.insert(at, (a, rng.randrange(p)))
+            elif kind == "loop":
+                v = rng.randrange(p)
+                pairs.insert(at, (v, v))
+            elif kind == "out-of-range":
+                pairs.insert(at, (rng.randrange(p), rng.choice([-1, p, p + 3])))
+            elif kind == "extra-color":
+                lists.append(list(rng.choice(lists)))
+            elif kind == "missing-color":
+                del lists[rng.randrange(len(lists))]
+            elif kind == "odd-p":
+                p += rng.choice([-1, 1])
+        return n, p, lists
+
+    def test_defects_match_reference_on_mutated_pairings(self):
+        # the one-pass validation reports exactly the dict-and-scan
+        # reference's defects, in its order, for both forms of the pairings
+        rng = random.Random(20261020)
+        for _ in range(600):
+            n, p, lists = self._mutated_pairings(rng)
+            mapping = dict(enumerate(lists))
+            if rng.random() < 0.5:
+                del mapping[rng.choice(list(mapping))]
+            for pairings in (lists, mapping):
+                got = [str(d) for d in validation_defects(n, p, pairings)]
+                assert got == [str(d) for d in reference_defects(n, p, pairings)]
+                try:
+                    validate(n, p, pairings)
+                    assert not got
+                except GemValidationError as err:
+                    assert got and [str(d) for d in err.defects] == got
 
 
 class TestResidues:

@@ -10,16 +10,12 @@ gems realizing a prescribed type.
 """
 
 from .census import (
-    TypeSequence,
-    TypeSolution,
     canonical_cycle,
     enumerate_types,
-    normalize,
     solve_vertex_count,
+    type_name,
 )
 from .complexes import (
-    Cell,
-    CellComplex,
     HomologyProfile,
     ResidueSphereReport,
     ThreeManifoldReport,
@@ -65,8 +61,6 @@ from .search import (
 )
 
 __all__ = [
-    "Cell",
-    "CellComplex",
     "ColoredGraph",
     "CyclicOrder",
     "EmbeddingReport",
@@ -82,8 +76,6 @@ __all__ = [
     "SearchStats",
     "SurfaceDescriptor",
     "ThreeManifoldReport",
-    "TypeSequence",
-    "TypeSolution",
     "all_embeddings",
     "build_complex",
     "canonical_code",
@@ -98,7 +90,6 @@ __all__ = [
     "graph_homology",
     "is_bipartite",
     "is_connected",
-    "normalize",
     "parse_gem",
     "residue_components",
     "residue_stats",
@@ -108,6 +99,7 @@ __all__ = [
     "smith_normal_form",
     "solve_vertex_count",
     "trace_faces",
+    "type_name",
     "validate",
     "validation_defects",
     "write_gem",

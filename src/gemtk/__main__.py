@@ -2,7 +2,7 @@
 
 import sys
 
-from .cli import main
+from .cli import run_cli
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

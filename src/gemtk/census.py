@@ -11,7 +11,9 @@ at least 4, p even, p at least the largest face, and every p_i dividing p
 because the class-i faces partition the vertex set into p_i-cycles), pins
 down finitely many admissible sequences for chi < 0.  This module enumerates
 them in exact integer arithmetic, with each reciprocal sum held as a
-numerator over a denominator.
+numerator over a denominator.  :func:`enumerate_types` returns each type as
+a plain ``(faces, p)`` pair: the canonical cycle of face sizes and the
+vertex count; :func:`type_name` spells the faces as ``(4^3,6)``.
 
 The census stops at 5 colors, the scope of the paper.  The counting
 relation does admit sequences with more colors: on chi = -2 it admits
@@ -21,7 +23,6 @@ relation does admit sequences with more colors: on chi = -2 it admits
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 _MAX_COLOR_COUNT = 5
@@ -39,59 +40,21 @@ def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
     return min(rotations, default=seq)
 
 
-@dataclass(frozen=True, order=True)
-class TypeSequence:
-    """Cyclic sequence of face sizes, stored canonically.
-
-    Entries are even integers >= 4; the stored tuple is the least rotation or
-    reflection of the cycle, so equal sequences compare equal.
-    """
-
-    faces: tuple[int, ...]
-
-    @property
-    def color_count(self) -> int:
-        return len(self.faces)
-
-    def __str__(self) -> str:
-        runs = []
-        for value, group in itertools.groupby(self.faces):
-            k = len(list(group))
-            runs.append(f"{value}^{k}" if k > 1 else f"{value}")
-        return "(" + ",".join(runs) + ")"
+def type_name(faces: Sequence[int]) -> str:
+    """The sequence with runs of equal sizes as powers, e.g. ``(4^3,6)``."""
+    runs = []
+    for value, group in itertools.groupby(faces):
+        k = len(list(group))
+        runs.append(f"{value}^{k}" if k > 1 else f"{value}")
+    return "(" + ",".join(runs) + ")"
 
 
-def normalize(seq: Iterable[int]) -> TypeSequence:
-    """Validate raw face sizes and wrap them in canonical form."""
-    faces = tuple(int(q) for q in seq)
-    if len(faces) < 3:
-        raise ValueError(f"need at least 3 faces around a vertex, got {len(faces)}")
-    for q in faces:
-        if q % 2 or q < 4:
-            raise ValueError(f"face sizes must be even and >= 4, got {q}")
-    return TypeSequence(canonical_cycle(faces))
-
-
-@dataclass(frozen=True)
-class TypeSolution:
-    """A face-size sequence together with its solved vertex count."""
-
-    seq: TypeSequence
-    color_count: int
-    vertex_count: int
-    chi: int
-
-    def __str__(self) -> str:
-        return f"[{self.seq};{self.vertex_count}]"
-
-
-def solve_vertex_count(seq: TypeSequence | Sequence[int], chi: int) -> int | None:
+def solve_vertex_count(faces: Sequence[int], chi: int) -> int | None:
     """Vertex count forced by the counting relation, if admissible.
 
     Returns p when the relation yields a positive even integer at least the
     largest face size; None otherwise.  All arithmetic is exact.
     """
-    faces = seq.faces if isinstance(seq, TypeSequence) else tuple(seq)
     num, den = 0, 1  # sum(1/q) = num/den
     for q in faces:
         num, den = num * q + den, den * q
@@ -144,38 +107,36 @@ def enumerate_types(
     chi: int,
     colors: int | None = None,
     enforce_divisibility: bool = True,
-) -> list[TypeSolution]:
+) -> list[tuple[tuple[int, ...], int]]:
     """All admissible semi-equivelar sequences for a surface with
     ``_MIN_CHI`` <= chi < 0; any other chi raises ``ValueError``.
 
-    One solution per rotation/reflection class of the cyclic sequence, sorted
-    by (color count descending, canonical sequence).  ``colors`` restricts the
-    census to one color count.  ``enforce_divisibility`` keeps the necessary
-    condition that every face size divides the vertex count; disabling it is a
-    diagnostic that exposes the raw solutions of the counting relation.
+    One ``(faces, p)`` pair per rotation/reflection class of the cyclic
+    sequence, ``faces`` being its :func:`canonical_cycle`, sorted by (color
+    count descending, faces).  ``colors`` restricts the census to one color
+    count: below 3 it raises ``ValueError``, above 5 it gives no types.
+    ``enforce_divisibility`` keeps the necessary condition that every face
+    size divides the vertex count; disabling it is a diagnostic that exposes
+    the raw solutions of the counting relation.
     """
     if chi >= 0:
         raise ValueError(f"census is defined for chi < 0, got {chi}")
     if chi < _MIN_CHI:
         raise ValueError(f"census is bounded to chi >= {_MIN_CHI}, got {chi}")
+    counts = range(3, _MAX_COLOR_COUNT + 1)
     if colors is not None:
-        counts: Iterable[int] = [colors]
-    else:
-        counts = range(3, 4 - chi + 1)
+        if colors < 3:
+            raise ValueError(f"a type needs at least 3 colors, got {colors}")
+        counts = [n for n in counts if n == colors]
 
     solutions = []
     for n in counts:
-        if n < 3 or n > _MAX_COLOR_COUNT:
-            continue
         for multiset in _multisets(n, chi):
             p = solve_vertex_count(multiset, chi)
             if p is None:
                 continue
             if enforce_divisibility and any(p % q for q in multiset):
                 continue
-            for arrangement in distinct_arrangements(multiset):
-                solutions.append(
-                    TypeSolution(TypeSequence(arrangement), n, p, chi)
-                )
-    solutions.sort(key=lambda t: (-t.color_count, t.seq.faces))
+            solutions.extend((faces, p) for faces in distinct_arrangements(multiset))
+    solutions.sort(key=lambda t: (-len(t[0]), t[0]))
     return solutions

@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
-from .census import enumerate_types
+from .census import enumerate_types, type_name
 from .complexes import (
     check_3manifold,
     check_residues_sphere,
@@ -80,18 +80,11 @@ def cmd_types(args) -> int:
         colors=args.colors,
         enforce_divisibility=not args.no_face_divisibility,
     )
-    for sol in solutions:
+    for faces, p in solutions:
         if args.json:
-            _report_json(
-                {
-                    "seq": list(sol.seq.faces),
-                    "p": sol.vertex_count,
-                    "colors": sol.color_count,
-                    "chi": sol.chi,
-                }
-            )
+            _report_json({"seq": list(faces), "p": p, "colors": len(faces), "chi": args.chi})
         else:
-            print(f"[{sol.seq};{sol.vertex_count}] colors={sol.color_count}")
+            print(f"[{type_name(faces)};{p}] colors={len(faces)}")
     if not args.json:
         # one stdout line per type; the tally goes to stderr
         print(f"total: {len(solutions)} types for chi={args.chi}", file=sys.stderr)
@@ -411,9 +404,5 @@ def run_cli(argv=None) -> int:
         return USAGE_ERROR
 
 
-def main(argv=None) -> int:
-    return run_cli(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

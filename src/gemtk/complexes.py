@@ -139,48 +139,6 @@ def _add_row(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One cell: the component of the complementary residue it names.
-
-    ``labels`` is the sorted color subset B; the cell has dimension |B| - 1.
-    """
-
-    labels: tuple[int, ...]
-    index: int
-    vertices: tuple[int, ...]  # sorted
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels) - 1
-
-
-@dataclass(frozen=True)
-class CellComplex:
-    """Chain complex data of the cell complex induced by a colored graph.
-
-    ``boundaries[k]`` maps k-chains to (k-1)-chains: one sparse row per
-    (k-1)-cell, ``{k-cell: entry}``; ``boundaries[0]`` is the zero map.
-    """
-
-    color_count: int
-    vertex_count: int
-    cells: tuple[tuple[Cell, ...], ...]
-    boundaries: tuple[Matrix, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.color_count - 1
-
-    @property
-    def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(cs) for cs in self.cells)
-
-    @property
-    def chi(self) -> int:
-        return sum((-1) ** k * len(cs) for k, cs in enumerate(self.cells))
-
-
 def _rest(colors: tuple[int, ...], subset: tuple[int, ...]) -> tuple[int, ...]:
     """The colors not in ``subset``: the residue of a cell from its labels,
     and the labels from the residue."""
@@ -236,17 +194,27 @@ def _boundary(
     return mat
 
 
-def build_complex(graph: ColoredGraph) -> CellComplex:
-    """Cells and boundary matrices of the induced simplicial cell complex."""
+def build_complex(
+    graph: ColoredGraph,
+) -> tuple[tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...], tuple[Matrix, ...]]:
+    """Cells and boundary matrices of the induced simplicial cell complex.
+
+    ``cells[k]`` holds one ``(labels, vertices)`` pair per k-cell, in the
+    order of the rows and columns of the boundaries: ``labels`` is the
+    sorted color subset B, |B| = k + 1, and ``vertices`` the sorted vertices
+    of the component of the residue on the other colors that the cell names.
+    ``boundaries[k]`` maps k-chains to (k-1)-chains, one sparse row
+    ``{k-cell: entry}`` per (k-1)-cell; ``boundaries[0]`` is the zero map.
+    """
     colors = tuple(graph.colors)
     n = graph.color_count
     table = graph.residues
     layers = [_layer(table, colors, size) for size in range(1, n + 1)]
     cells = tuple(
         tuple(
-            Cell(_rest(colors, rest), idx, tuple(sorted(comp)))
+            (_rest(colors, rest), tuple(sorted(comp)))
             for rest in starts
-            for idx, comp in enumerate(table.components(rest))
+            for comp in table.components(rest)
         )
         for starts, _ in layers
     )
@@ -254,7 +222,7 @@ def build_complex(graph: ColoredGraph) -> CellComplex:
     for k in range(1, n):
         (low, height), (high, _) = layers[k - 1], layers[k]
         boundaries.append(_boundary(table, colors, low, high, height))
-    return CellComplex(n, graph.vertex_count, cells, tuple(boundaries))
+    return cells, tuple(boundaries)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,11 @@ def reference_homology(graph: ColoredGraph, invariant_factors) -> HomologyProfil
     return chain_homology(counts, [invariant_factors(mat) for mat in boundaries])
 
 
+def cell_chi(cells) -> int:
+    """The Euler characteristic of a complex from its cells per dimension."""
+    return sum((-1) ** k * len(layer) for k, layer in enumerate(cells))
+
+
 def chain_homology(counts, factors) -> HomologyProfile:
     """The homology of a chain complex with ``counts`` cells per dimension
     whose boundaries d1 .. dd have the nonzero invariant factors ``factors``."""

@@ -11,10 +11,12 @@ import time
 from gemtk import (
     HomologyProfile,
     SearchSpec,
+    SurfaceDescriptor,
     build_complex,
     canonical_code,
     check_3manifold,
     check_residues_sphere,
+    check_surface,
     embedding_report,
     enumerate_types,
     graph_homology,
@@ -22,11 +24,13 @@ from gemtk import (
     residue_stats,
     search_gems,
     smith_normal_form,
+    type_name,
     write_gem,
 )
-from gemtk.cli import main
+from gemtk.cli import run_cli
 
 from helpers import (
+    cell_chi,
     cube_graph,
     dense_rows,
     free_profile,
@@ -67,7 +71,7 @@ EXPECTED_31 = {
 
 def test_criterion_1_census_chi_minus_2(capsys):
     start = time.monotonic()
-    code = main(["types", "--chi", "-2", "--json"])
+    code = run_cli(["types", "--chi", "-2", "--json"])
     elapsed = time.monotonic() - start
     out = capsys.readouterr().out
     with capsys.disabled():
@@ -85,7 +89,7 @@ def test_criterion_2_census_chi_minus_1(capsys):
     start = time.monotonic()
     solutions = enumerate_types(-1)
     elapsed = time.monotonic() - start
-    split = {n: sum(1 for s in solutions if s.color_count == n) for n in (5, 4, 3)}
+    split = {n: sum(1 for faces, _ in solutions if len(faces) == n) for n in (5, 4, 3)}
     with capsys.disabled():
         ok = len(solutions) == 15 and split == {5: 1, 4: 2, 3: 12} and elapsed < 1.0
         report(
@@ -278,10 +282,10 @@ def test_criterion_7_property_suite(capsys):
         corpus += [random_colored_graph(rng, 12, 3) for _ in range(10)]
         dd_zero = True
         for g in corpus:
-            k = build_complex(g)
+            cells, boundaries = build_complex(g)
             mats = [
-                dense_rows(mat, len(k.cells[i]))
-                for i, mat in enumerate(k.boundaries[1:], 1)
+                dense_rows(mat, len(cells[i]))
+                for i, mat in enumerate(boundaries[1:], 1)
             ]
             for low, high in zip(mats, mats[1:]):
                 cols = len(high[0]) if high else 0
@@ -297,7 +301,7 @@ def test_criterion_7_property_suite(capsys):
         for _ in range(200):
             p = rng.choice([4, 6, 8, 10, 12])
             g = random_connected_graph(rng, p, 3)
-            if embedding_report(g).chi != build_complex(g).chi:
+            if embedding_report(g).chi != cell_chi(build_complex(g)[0]):
                 chi_ok = False
         print(f"  (b) embedding chi == complex chi on 200 graphs: {chi_ok}")
 
@@ -350,4 +354,46 @@ def test_criterion_8_no_six_colored_types(capsys):
             "criterion 8",
             solutions == [],
             "forcing six colors at chi=-2 yields an empty census",
+        )
+
+
+def test_criterion_9_every_double_torus_type_realized(capsys):
+    # the census's own (faces, p) pairs go straight into the search; the
+    # orientable filter is what puts 3-colored hits on the double torus and
+    # not on N4, which has the same chi
+    checks = {
+        3: lambda g: check_surface(g) == SurfaceDescriptor(True, 2),
+        4: lambda g: check_3manifold(g).holds,
+        5: lambda g: check_residues_sphere(g).holds,
+    }
+    with capsys.disabled():
+        start = time.monotonic()
+        types = enumerate_types(-2)
+        missed = []
+        for faces, p in types:
+            out = search_gems(
+                SearchSpec(
+                    seq=faces, vertex_count=p, orientable=True, max_solutions=1,
+                    require_3manifold=len(faces) == 4,
+                    require_residues_sphere=len(faces) == 5,
+                    budget_seconds=10,
+                )
+            )
+            ok = bool(out.solutions)
+            if ok:
+                g = out.solutions[0]
+                rep = embedding_report(g)
+                ok = (
+                    (rep.chi, rep.orientable, rep.genus, rep.se_type) == (-2, True, 2, faces)
+                    and checks[len(faces)](g)
+                )
+            if not ok:
+                missed.append(faces)
+                print(f"  [{type_name(faces)};{p}]: no double-torus gem of this type")
+        elapsed = time.monotonic() - start
+        report(
+            "criterion 9",
+            len(types) == 31 and not missed,
+            f"{len(types) - len(missed)} of {len(types)} chi=-2 types realized on the"
+            f" double torus ({elapsed:.2f}s)",
         )

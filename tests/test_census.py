@@ -5,38 +5,41 @@ from fractions import Fraction
 import pytest
 
 from gemtk import (
-    TypeSequence,
     canonical_cycle,
     census,
     enumerate_types,
-    normalize,
     solve_vertex_count,
+    type_name,
 )
+from gemtk.search import SearchSpec, check_spec
 
 from helpers import counting_relation_holds
 
 
 class TestNormalize:
+    """A cycle of face sizes normalized to its rotation/reflection class,
+    and raw face sizes that no type has refused where they enter a search."""
+
     def test_rotation(self):
-        assert normalize([6, 4, 6, 4]).faces == (4, 6, 4, 6)
+        assert canonical_cycle([6, 4, 6, 4]) == (4, 6, 4, 6)
 
     def test_three_entry_multiset_has_one_class(self):
-        assert normalize([8, 6, 4]).faces == (4, 6, 8)
-        assert normalize([6, 8, 4]).faces == (4, 6, 8)
+        assert canonical_cycle([8, 6, 4]) == (4, 6, 8)
+        assert canonical_cycle([6, 8, 4]) == (4, 6, 8)
 
     def test_blocked_vs_alternating(self):
-        blocked = normalize([4, 4, 6, 6])
-        assert normalize([6, 6, 4, 4]) == blocked
-        assert normalize([4, 6, 4, 6]) != blocked
+        blocked = canonical_cycle([4, 4, 6, 6])
+        assert canonical_cycle([6, 6, 4, 4]) == blocked
+        assert canonical_cycle([4, 6, 4, 6]) != blocked
 
     def test_idempotent(self):
-        seq = normalize([12, 4, 12])
-        assert normalize(seq.faces) == seq
+        seq = canonical_cycle([12, 4, 12])
+        assert canonical_cycle(seq) == seq
 
     @pytest.mark.parametrize("bad", [[4, 5, 6], [4, 2, 4], [3, 3, 3], [4, 4]])
     def test_rejects_bad_entries(self, bad):
-        with pytest.raises(ValueError):
-            normalize(bad)
+        with pytest.raises(ValueError, match="even and >= 4|at least 3 colors"):
+            check_spec(SearchSpec(seq=tuple(bad), vertex_count=12))
 
 
 class TestSolveVertexCount:
@@ -57,24 +60,24 @@ class TestSolveVertexCount:
                     assert p is None or counting_relation_holds(multiset, chi, p)
 
     def test_three_colored_large(self):
-        assert solve_vertex_count(normalize([4, 6, 14]), -2) == 168
+        assert solve_vertex_count([4, 6, 14], -2) == 168
 
     def test_five_colored(self):
-        assert solve_vertex_count(normalize([4] * 5), -2) == 8
+        assert solve_vertex_count([4] * 5, -2) == 8
 
     def test_sphere_cube(self):
         # 1 - 3/2 + 3/4 = 1/4 = 2/p forces p = 8: the 3-colored cube
-        assert solve_vertex_count(normalize([4, 4, 4]), 2) == 8
+        assert solve_vertex_count([4, 4, 4], 2) == 8
 
     def test_zero_excess_has_no_solution(self):
-        assert solve_vertex_count(normalize([4, 4, 4, 4]), -2) is None
+        assert solve_vertex_count([4, 4, 4, 4], -2) is None
 
     def test_fractional_p_rejected(self):
-        assert solve_vertex_count(normalize([8, 8, 10]), -2) is None
+        assert solve_vertex_count([8, 8, 10], -2) is None
 
     def test_p_below_max_face_rejected(self):
         # relation gives p = 8 but the sequence carries a 12-gon
-        assert solve_vertex_count(normalize([12, 12, 12]), -2) is None
+        assert solve_vertex_count([12, 12, 12], -2) is None
 
 
 EXPECTED_CHI_MINUS_2 = {
@@ -114,21 +117,25 @@ EXPECTED_CHI_MINUS_2 = {
 
 class TestEnumerate:
     def test_chi_minus_2_census(self):
-        got = {(s.seq.faces, s.vertex_count) for s in enumerate_types(-2)}
-        assert got == EXPECTED_CHI_MINUS_2
+        assert set(enumerate_types(-2)) == EXPECTED_CHI_MINUS_2
 
     def test_chi_minus_1_census(self):
         sols = enumerate_types(-1)
         assert len(sols) == 15
-        by_colors = {n: sum(1 for s in sols if s.color_count == n) for n in (5, 4, 3)}
+        by_colors = {n: sum(1 for faces, _ in sols if len(faces) == n) for n in (5, 4, 3)}
         assert by_colors == {5: 1, 4: 2, 3: 12}
 
     def test_five_colors_chi_minus_2(self):
         sols = enumerate_types(-2, colors=5)
-        assert [(s.seq.faces, s.vertex_count) for s in sols] == [((4, 4, 4, 4, 4), 8)]
+        assert sols == [((4, 4, 4, 4, 4), 8)]
 
     def test_six_colors_empty(self):
         assert enumerate_types(-2, colors=6) == []
+
+    @pytest.mark.parametrize("colors", [2, 0, -3])
+    def test_fewer_than_three_colors_rejected(self, colors):
+        with pytest.raises(ValueError, match=f"at least 3 colors, got {colors}"):
+            enumerate_types(-2, colors=colors)
 
     def test_nonnegative_chi_rejected(self):
         with pytest.raises(ValueError):
@@ -157,30 +164,28 @@ class TestEnumerate:
 
     def test_sorted_by_colors_then_sequence(self):
         sols = enumerate_types(-2)
-        keys = [(-s.color_count, s.seq.faces) for s in sols]
+        keys = [(-len(faces), faces) for faces, _ in sols]
         assert keys == sorted(keys)
 
     def test_cross_check_vertex_counts(self):
         for chi in (-1, -2, -3):
-            for sol in enumerate_types(chi):
-                assert solve_vertex_count(sol.seq, chi) == sol.vertex_count
-                assert counting_relation_holds(sol.seq.faces, chi, sol.vertex_count)
-                assert sol.vertex_count >= max(sol.seq.faces)
-                assert all(sol.vertex_count % q == 0 for q in sol.seq.faces)
+            for faces, p in enumerate_types(chi):
+                assert faces == canonical_cycle(faces)
+                assert solve_vertex_count(faces, chi) == p
+                assert counting_relation_holds(faces, chi, p)
+                assert p >= max(faces)
+                assert all(p % q == 0 for q in faces)
 
     def test_relaxed_divisibility_is_a_superset(self):
-        strict = {(s.seq.faces, s.vertex_count) for s in enumerate_types(-2)}
-        relaxed = {
-            (s.seq.faces, s.vertex_count)
-            for s in enumerate_types(-2, enforce_divisibility=False)
-        }
+        strict = set(enumerate_types(-2))
+        relaxed = set(enumerate_types(-2, enforce_divisibility=False))
         assert strict < relaxed
         # the counting relation alone admits this one; face 8 does not divide 12
         assert ((8, 8, 12), 12) in relaxed - strict
 
     def test_chi_minus_1_four_colored_values(self):
         sols = enumerate_types(-1, colors=4)
-        assert {(s.seq.faces, s.vertex_count) for s in sols} == {
+        assert set(sols) == {
             ((4, 4, 4, 6), 12),
             ((4, 4, 4, 8), 8),
         }
@@ -198,14 +203,11 @@ class TestEnumerate:
                     continue
                 for perm in itertools.permutations(multiset):
                     expected.add((canonical_cycle(perm), p))
-            got = {
-                (s.seq.faces, s.vertex_count)
-                for s in enumerate_types(chi, colors=n)
-            }
-            assert got == expected
+            assert set(enumerate_types(chi, colors=n)) == expected
 
     def test_sequence_str(self):
-        assert str(TypeSequence((4, 4, 4, 4, 4))) == "(4^5)"
-        assert str(TypeSequence((4, 6, 4, 6))) == "(4,6,4,6)"
-        assert str(TypeSequence((4, 4, 6, 6))) == "(4^2,6^2)"
-        assert str(TypeSequence((4, 6, 14))) == "(4,6,14)"
+        assert type_name((4, 4, 4, 4, 4)) == "(4^5)"
+        assert type_name((4, 6, 4, 6)) == "(4,6,4,6)"
+        assert type_name((4, 4, 6, 6)) == "(4^2,6^2)"
+        assert type_name((4, 6, 14)) == "(4,6,14)"
+        assert type_name((4, 4, 4, 6)) == "(4^3,6)"

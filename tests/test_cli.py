@@ -9,7 +9,7 @@ import pytest
 
 import gemtk
 from gemtk import embeddings, graphs, parse_gem, validate, write_gem
-from gemtk.cli import CHECK_FAILED, main
+from gemtk.cli import CHECK_FAILED, run_cli
 
 from helpers import (
     cube_graph,
@@ -22,7 +22,7 @@ from helpers import (
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -47,6 +47,12 @@ class TestTypes:
         code, out, _ = run(capsys, "types", "--chi", "-2", "--colors", "6", "--json")
         assert code == 0
         assert out.strip() == ""
+
+    @pytest.mark.parametrize("colors", ["2", "0", "-3"])
+    def test_fewer_than_three_colors_is_usage_error(self, capsys, colors):
+        code, out, err = run(capsys, "types", "--chi", "-2", "--colors", colors)
+        assert (code, out) == (2, "")
+        assert err == f"error: a type needs at least 3 colors, got {colors}\n"
 
     def test_nonnegative_chi_is_usage_error(self, capsys):
         code, _, err = run(capsys, "types", "--chi", "0")
@@ -514,7 +520,7 @@ class TestCanon:
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate"]) == 2
+        assert run_cli(["frobnicate"]) == 2
 
     def test_runs_as_module(self):
         src = str(Path(gemtk.__file__).resolve().parents[1])
@@ -552,4 +558,4 @@ class TestUsage:
         assert "nodes: 1024 candidates: 0 exhausted: no" in done.stdout
 
     def test_no_arguments(self, capsys):
-        assert main([]) == 2
+        assert run_cli([]) == 2

@@ -28,6 +28,7 @@ from gemtk.graphs import ColoredGraph, spanning_forest
 from gemtk.search import SearchSpec, search_gems
 
 from helpers import (
+    cell_chi,
     chain_homology,
     color4_double,
     connected_sum,
@@ -65,9 +66,9 @@ def _matmul_is_zero(a, b):
 def _boundaries(graphs):
     """Each boundary but the zero map, as its sparse rows and a dense copy."""
     return [
-        (mat, dense_rows(mat, len(k.cells[i])))
-        for k in map(build_complex, graphs)
-        for i, mat in enumerate(k.boundaries[1:], 1)
+        (mat, dense_rows(mat, len(cells[i])))
+        for cells, boundaries in map(build_complex, graphs)
+        for i, mat in enumerate(boundaries[1:], 1)
     ]
 
 
@@ -123,7 +124,7 @@ class TestSmithNormalForm:
             assert smith_normal_form(sparse_rows(mat)) == expected
 
     def test_argument_is_not_modified(self):
-        # the boundaries of a frozen CellComplex may be passed as they are
+        # the boundaries that build_complex returns may be passed as they are
         rng = random.Random(83)
         mats = [
             [[rng.choice((0, 1, -1, 2, -2, 3, 6)) for _ in range(6)] for _ in range(5)]
@@ -134,10 +135,10 @@ class TestSmithNormalForm:
             before = [dict(row) for row in mat]
             smith_normal_form(mat)
             assert mat == before
-        complex_ = build_complex(k4_graph())
-        before = [[dict(row) for row in mat] for mat in complex_.boundaries]
-        assert smith_normal_form(complex_.boundaries[2]) == (1, 1, 1, 2)
-        assert [[dict(row) for row in mat] for mat in complex_.boundaries] == before
+        _, boundaries = build_complex(k4_graph())
+        before = [[dict(row) for row in mat] for mat in boundaries]
+        assert smith_normal_form(boundaries[2]) == (1, 1, 1, 2)
+        assert [[dict(row) for row in mat] for mat in boundaries] == before
 
     def test_known_textbook_case(self):
         mat = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
@@ -334,11 +335,11 @@ class TestIncidenceFactors:
                 gems.append(g)
         for g in gems:
             calls.clear()
-            k = build_complex(g)
+            cells, _ = build_complex(g)
             graph_homology(g)
             p = g.vertex_count
             assert calls == [(p + 1, p + 1)]
-            assert (len(k.cells[1]), len(k.cells[2])) == (len(k.cells[0]) + p, 2 * p)
+            assert (len(cells[1]), len(cells[2])) == (len(cells[0]) + p, 2 * p)
 
     def test_residue_boundary_is_square(self, monkeypatch):
         # homology_spheres reduces one (q + 1) x (q + 1) block per component
@@ -360,34 +361,34 @@ class TestIncidenceFactors:
 
 class TestBuildComplex:
     def test_theta_f_vector(self):
-        k = build_complex(theta_graph())
-        assert k.f_vector == (3, 3, 2)
-        assert k.chi == 2
+        cells, _ = build_complex(theta_graph())
+        assert tuple(map(len, cells)) == (3, 3, 2)
+        assert cell_chi(cells) == 2
 
     def test_cube_f_vector(self):
-        k = build_complex(cube_graph())
-        assert k.f_vector == (6, 12, 8)
-        assert k.chi == 2
+        cells, _ = build_complex(cube_graph())
+        assert tuple(map(len, cells)) == (6, 12, 8)
+        assert cell_chi(cells) == 2
 
     def test_four_color_cell_counts(self):
         out = search_gems(
             SearchSpec(seq=(6, 6, 6, 6), vertex_count=6, require_3manifold=True,
                        max_solutions=1)
         )
-        k = build_complex(out.solutions[0])
-        assert len(k.cells[3]) == 6          # one tetrahedron per vertex
-        assert len(k.cells[2]) == 6 * 4 // 2  # one triangle per edge
+        cells, _ = build_complex(out.solutions[0])
+        assert len(cells[3]) == 6          # one tetrahedron per vertex
+        assert len(cells[2]) == 6 * 4 // 2  # one triangle per edge
 
     def test_cell_counts_match_residues(self):
         rng = random.Random(29)
         for _ in range(10):
             g = random_colored_graph(rng, 8, rng.choice([3, 4]))
-            k = build_complex(g)
-            for layer in k.cells:
-                for cell in layer:
-                    complement = [c for c in g.colors if c not in cell.labels]
+            cells, _ = build_complex(g)
+            for layer in cells:
+                for labels, vertices in layer:
+                    complement = [c for c in g.colors if c not in labels]
                     comps = residue_components(g, complement)
-                    assert cell.vertices in comps
+                    assert vertices in comps
 
     def test_boundary_of_boundary_is_zero(self):
         rng = random.Random(41)
@@ -408,9 +409,9 @@ class TestBuildComplex:
         graphs = [*gems.values(), disjoint_union(gems["l31"], connected_sum(gems["rp3"], gems["l31"], 4, 4))]
         graphs += [random_colored_graph(rng, 2 * rng.randrange(4, 16), rng.randrange(3, 6)) for _ in range(20)]
         for g in graphs:
-            k = build_complex(g)
-            factors = [smith_normal_form(mat) for mat in k.boundaries[1:]]
-            assert chain_homology(list(map(len, k.cells)), factors) == _snf_profile(g), g
+            cells, boundaries = build_complex(g)
+            factors = [smith_normal_form(mat) for mat in boundaries[1:]]
+            assert chain_homology(list(map(len, cells)), factors) == _snf_profile(g), g
 
 
 class TestHomology:
@@ -425,9 +426,9 @@ class TestHomology:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        k = build_complex(g)
-        assert all(v for mat in k.boundaries for row in mat for v in row.values())
-        assert sum(map(len, k.boundaries[2])) == 3 * len(k.cells[2])
+        cells, boundaries = build_complex(g)
+        assert all(v for mat in boundaries for row in mat for v in row.values())
+        assert sum(map(len, boundaries[2])) == 3 * len(cells[2])
 
     def test_theta_is_sphere(self):
         assert graph_homology(theta_graph()) == free_profile(1, 0, 1)
@@ -465,12 +466,11 @@ class TestHomology:
         graphs = [theta_graph(), cube_graph(), k4_graph()]
         graphs += [random_colored_graph(rng, 8, 4) for _ in range(5)]
         for g in graphs:
-            k = build_complex(g)
             profile = graph_homology(g)
             alternating = sum(
                 (-1) ** i * profile.betti(i) for i in range(g.color_count)
             )
-            assert alternating == k.chi
+            assert alternating == cell_chi(build_complex(g)[0])
 
     def test_h0_counts_components(self):
         double_theta = validate(3, 4, [[(0, 1), (2, 3)]] * 3)
@@ -480,7 +480,7 @@ class TestHomology:
         rng = random.Random(47)
         for _ in range(40):
             g = random_connected_graph(rng, rng.choice([4, 6, 8]), 3)
-            assert embedding_report(g).chi == build_complex(g).chi
+            assert embedding_report(g).chi == cell_chi(build_complex(g)[0])
 
     def test_profile_formatting(self):
         profile = HomologyProfile(((1, ()), (0, (3,)), (2, (2, 4)), (0, ())))
@@ -612,9 +612,8 @@ class TestCheck3Manifold:
             collected.extend(out.solutions)
         assert collected
         for g in collected:
-            k = build_complex(g)
             profile = graph_homology(g)
-            assert k.chi == 0
+            assert cell_chi(build_complex(g)[0]) == 0
             assert profile.betti(0) == 1
             if is_bipartite(g):
                 assert profile.betti(3) == 1

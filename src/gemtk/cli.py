@@ -8,7 +8,8 @@ up to 8 colors),
 sequence), ``canon`` (canonical code).
 
 Exit codes: 0 success, 1 verification failure or inconclusive search,
-2 usage, syntax or file errors (an unwritable ``search --out`` too).
+2 usage, syntax or file errors (an unwritable ``search --out`` too), 141
+when stdout's reader closed the pipe early (as in ``| head``).
 Output is plain text (NO_COLOR is moot) or JSON records with ``--json``.
 """
 
@@ -18,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
@@ -47,6 +49,7 @@ from .search import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+BROKEN_PIPE = 141  # what a shell reports for a command ended by SIGPIPE
 
 
 def _load_graph(path: str):
@@ -393,7 +396,14 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader left early: send what is still buffered to
+        # os.devnull, so the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except GemValidationError as exc:

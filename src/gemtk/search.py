@@ -110,12 +110,18 @@ blocks (by even steps under the parity rule) and fixes the rest, so it fixes
 every vertex below v and the partner of each, and maps the skipped partner
 of v to the smaller one tried.  So the least member of each class is
 enumerated and never cut, and every later connected member is cut, at the
-latest by the edge that completes it: each connected candidate met is the
-first of its class, and no candidate gets a canonical code.  The walk
-starts after P's first connected candidate, the least in its class, so a
-first hit builds no map.  Disconnected candidates are cut by a union of P's
-components along M; the filter's last part and the orientability cut, both
-isomorphism-invariant, run after.
+latest by the edge that completes it: each candidate met is the first of
+its class, and no candidate gets a canonical code.  The walk starts after
+P's first candidate, the least in its class, so a first hit builds no map.
+Below a disconnected P a last-color edge v-u is cut where it closes a class,
+the components that m joins to v's, all vertices paired, short of all of P
+(``_Components.strands``).  A class closes at the edge that pairs its last
+unpaired vertex, v or u, and then joins nothing more: no completion below
+is connected.  On the way to a disconnected candidate the first class to
+close misses a component, so every candidate met is connected; ``lowers``
+decides from m and Aut(P) alone, so the solutions and their order are those
+of the search without the cut.  The filter's last part and the
+orientability cut, both isomorphism-invariant, run on the candidate.
 
 Both manifold filters run one rule, split into parts by the highest color
 involved.  The part that color k-1 completes is decided once, on the view
@@ -132,8 +138,7 @@ below it, and over k = 3..d+1 the parts split the triples and residues by
 their highest color and together are exactly the public check: a failure
 prunes the whole subtree and nothing passes that the check rejects, so the
 depth-first order and the solutions are those of the unsplit search.  The
-last part runs on the complete candidate, after the connectivity check and
-before the orientability cut.
+last part runs on the complete candidate, before the orientability cut.
 A residue is tested only once its four triples hold, so its components
 are closed 3-manifold gems, and chi = 0 lets one boundary decide them all
 (``complexes.homology_spheres``): d2 is built block-diagonal by component,
@@ -175,7 +180,6 @@ from .graphs import (
     _component_key,
     connected_components,
     is_bipartite,
-    spanning_forest,
     validate,
 )
 
@@ -222,8 +226,9 @@ class SearchStats:
       part, on a prefix of complete colors or on a complete candidate.
     - ``duplicate_prefix``: a prefix of complete colors isomorphic to one
       met before.
-    - ``not_connected``, ``orientable``: a complete candidate that is
-      disconnected, or bipartite under ``orientable=False`` (one per class).
+    - ``not_connected``: a last-color edge that closes a class of the
+      prefix's components short of all; ``orientable``: a bipartite
+      candidate under ``orientable=False`` (one per class).
     - ``duplicate``: a last-color edge all of whose completions repeat a
       class, below a connected or a disconnected prefix.
     """
@@ -396,16 +401,11 @@ class _Search:
 
     def finalize(self) -> None:
         """Test, filter and emit the complete candidate."""
+        self.last.first = False
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Stop
         spec, inv, n, p, prunes = self.spec, self.inv, self.n, self.p, self.prunes
         self.stats.candidates += 1
-        last = self.last
-        # below a connected prefix every candidate is connected
-        if len(last.members) > 1 and not last.connects(inv[-1]):
-            prunes["not_connected"] += 1
-            return
-        last.first = False
         graph = _view(inv, n)
         if self.filter_key and not _new_part(graph, self.spheres):
             prunes[self.filter_key] += 1
@@ -464,8 +464,8 @@ class _Search:
 
     def node(self, c: int, v: int, tracks: list):
         """Pair v with each allowed partner in turn: yield the child node of
-        each edge, and undo the edge when resumed.  On the last color an edge
-        that fails ``_dead_closure`` or P's ``lowers`` is undone at once."""
+        each edge, and undo the edge when resumed.  On the last color, an
+        edge cut by ``_dead_closure``, ``strands`` or ``lowers`` is undone."""
         stats = self.stats
         stats.nodes += 1
         if self.deadline is not None and (stats.nodes & 0x3FF) == 0:  # every 1,024 nodes
@@ -518,6 +518,8 @@ class _Search:
                         plen[a] = plen[b] = plen[v] + plen[u]
                 if on_last and (_dead_closure(t0, t1, v, u) or _dead_closure(t1, t0, v, u)):
                     prunes["dead_closure"] += 1
+                elif on_last and last.strands(invc, v):
+                    prunes["not_connected"] += 1
                 elif on_last and last.lowers(invc):
                     prunes["duplicate"] += 1
                 else:
@@ -575,8 +577,8 @@ def _dead_closure(track, other, v: int, u: int) -> bool:
 
 
 class _Components:
-    """A prefix P, given by its components: its key, whether the last color
-    connects it, and the last color's orbit walk below it.  An automorphism
+    """A prefix P, given by its components: its key, which classes the last
+    color closes, and the last color's orbit walk below it.  An automorphism
     of P maps each component onto an isomorphic one, where it is fixed by
     the image of one vertex.  A component map with a -> b is found by one
     walk that sends the c-neighbor of each reached x to the c-neighbor of
@@ -625,11 +627,7 @@ class _Components:
         self.img = [-1] * p  # a walk's images, all -1 between walks
         self.first_flag = None  # the flag of a root, None for either
         self.marks = None  # with ``parity``, the sorted (even, odd) and (odd, even) marks
-        # the walk waits for P's first connected candidate, the least in its
-        # orbit, so a first hit builds no map; started at P's first candidate,
-        # connected or not, it ran out of memory within seconds on
-        # (4,4,4,4);32 and (4^5);32, whose early candidates are all disconnected
-        self.first = True
+        self.first = True  # before P's first candidate, the least in its orbit: no map
         self.live = [None]
         self.roots = None  # built by ``lowers`` on its first read
         if not parity:
@@ -665,8 +663,7 @@ class _Components:
     def lowers(self, m: list[int]) -> bool:
         """Does some g in Aut(P) lower every completion of the partial
         involution m?  If not, push the branches (g, g^-1, w) still live, or
-        None (all of them) before P's first connected candidate, which
-        builds none."""
+        None (all of them) before P's first candidate, which builds none."""
         if self.first:
             self.live.append(None)
             return False
@@ -702,19 +699,22 @@ class _Components:
         self.live.append(kept)
         return False
 
-    def connects(self, m: Sequence[int]) -> bool:
-        """Do P and the involution m together form a connected graph?  A
-        union-find of P's components along the m-edges decides it, with no
-        view of the graph and no walk."""
-        comp = self.comp
-        joins = spanning_forest(len(self.members))
-        left = len(self.members) - 1  # the joins still missing
-        for x, y in enumerate(m):
-            if x < y and joins(comp[x], comp[y]):
-                left -= 1
-                if not left:
-                    return True
-        return not left
+    def strands(self, m: list[int], v: int) -> bool:
+        """Has the edge at v closed v's class, the components of P that the
+        partial involution m joins to v's, short of all of P?  Every vertex
+        below v is paired, so each component is scanned from the top."""
+        members, comp = self.members, self.comp
+        if len(members) == 1:
+            return False
+        reached = [comp[v]]
+        for c in reached:
+            for x in reversed(members[c]):
+                y = m[x]
+                if y < 0:
+                    return False
+                if comp[y] not in reached:
+                    reached.append(comp[y])
+        return len(reached) < len(members)
 
     def _fits(self, a: int, b: int, flag) -> bool:
         """Is there a component map with a -> b, of parity flag ``flag``

@@ -410,7 +410,7 @@ class TestSearch:
         )
         assert code == 0
         assert len(out.splitlines()) == 5
-        assert "nodes: 130 candidates: 21 exhausted: yes" in err
+        assert "nodes: 128 candidates: 20 exhausted: yes" in err
         # the orbit walk cuts duplicates edge by edge, below connected and
         # disconnected prefixes alike, before the filter's last part: 6
         # last-color edges count as duplicates
@@ -536,26 +536,44 @@ class TestUsage:
     def test_oversized_search_fails_fast(self):
         # in 128 MB of address space a search of 10^12 vertices is refused at
         # once with one line, and the largest spec the bound allows (3 colors
-        # under the parity rule need the most memory) runs its first nodes
+        # under the parity rule need the most memory) runs its first nodes;
+        # (4,4,4) is cut at its first last-color edge, so (4,8,8) runs there
         resource = pytest.importorskip("resource")
         src = str(Path(gemtk.__file__).resolve().parents[1])
-        p = gemtk.search._MAX_STATE_ENTRIES // 3 // 4 * 4
+        p = gemtk.search._MAX_STATE_ENTRIES // 3 // 8 * 8
 
-        def search(vertices, *flags):
+        def search(seq, vertices, *flags):
             return subprocess.run(
-                [sys.executable, "-m", "gemtk", "search", "--type", "4,4,4",
+                [sys.executable, "-m", "gemtk", "search", "--type", seq,
                  "--vertices", str(vertices), *flags],
                 capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
                 preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**27, 2**27)),
             )
 
-        done = search(10**12)
+        done = search("4,4,4", 10**12)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: infeasible search spec: 3 colors x 1,000,000,000,000")
         assert len(done.stderr.splitlines()) == 1
-        done = search(p, "--orientable", "--budget", "0")
+        done = search("4,8,8", p, "--orientable", "--budget", "0")
         assert (done.returncode, done.stderr) == (1, "")
         assert "nodes: 1024 candidates: 0 exhausted: no" in done.stdout
+
+    def test_closed_stdout_exits_141(self):
+        # the reader takes one line and closes the pipe; the rest of the
+        # 1,738 records (370 KB, more than a pipe holds) cannot be written,
+        # and the command ends as a shell reports SIGPIPE, with no traceback
+        src = str(Path(gemtk.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gemtk", "search", "--type", "4,4,8,8",
+             "--vertices", "16", "--all", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert json.loads(proc.stdout.readline())["p"] == 16
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err
 
     def test_no_arguments(self, capsys):
         assert run_cli([]) == 2

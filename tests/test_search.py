@@ -20,6 +20,7 @@ from gemtk import (
     connected_components,
     check_residues_sphere,
     count_nonisomorphic,
+    embedding_report,
     is_bipartite,
     is_connected,
     search_gems,
@@ -33,6 +34,7 @@ from helpers import (
     cube_graph,
     disjoint_union,
     naive_type_search,
+    perfect_matchings,
     permute_colors,
     random_colored_graph,
     random_connected_graph,
@@ -128,6 +130,36 @@ class TestCubeRediscovery:
             SearchSpec(seq=(4, 4, 4), vertex_count=8, orientable=True)
         )
         assert n == 1
+
+
+class TestLargeRealizations:
+    @pytest.mark.parametrize(
+        "seq,p,orientable,chi",
+        [
+            ((4, 6, 14), 336, False, -4),
+            ((4, 6, 16), 192, False, -4),
+            ((4, 6, 18), 144, False, -4),
+            ((4, 6, 24), 96, False, -4),
+            ((4, 8, 10), 160, False, -4),
+            ((4, 8, 12), 96, False, -4),
+            ((4, 8, 16), 64, False, -4),
+            ((4, 10, 10), 80, False, -4),
+            ((6, 6, 8), 96, False, -4),
+            ((4, 6, 14), 252, False, -3),
+            ((4, 6, 16), 144, False, -3),
+            ((4, 6, 14), 336, True, -4),
+        ],
+    )
+    def test_first_hit_realizes_the_type(self, seq, p, orientable, chi):
+        # the 3-colored types of N6, N5 and genus 3 that stayed open while
+        # disconnected candidates were completed: the last-color edges that
+        # close a class of the prefix's components are cut, and each first
+        # hit takes a few milliseconds
+        out = search_gems(SearchSpec(seq=seq, vertex_count=p, orientable=orientable,
+                                     max_solutions=1, budget_seconds=1))
+        assert len(out.solutions) == 1
+        rep = embedding_report(out.solutions[0])
+        assert (rep.chi, rep.orientable, rep.se_type) == (chi, orientable, seq)
 
 
 class TestSoundness:
@@ -876,7 +908,7 @@ class TestLastColorOrbits:
         monkeypatch.setattr(gemtk.search, "_component_key", counted)
         out = search_gems(SearchSpec(seq=(8, 8, 8), vertex_count=16))
         assert out.stats.exhausted and len(out.solutions) == 61
-        assert (out.stats.nodes, out.stats.candidates) == (506, 87)
+        assert (out.stats.nodes, out.stats.candidates) == (426, 61)
         assert calls == 0
         out = search_gems(SearchSpec(seq=(4, 4, 8, 8), vertex_count=8))
         assert out.stats.exhausted and len(out.solutions) == 24
@@ -983,44 +1015,58 @@ class TestLastColorOrbits:
 
     @pytest.mark.parametrize("seq", [(4, 4, 4, 4), (4,) * 5], ids=["4444-32", "4^5-32"])
     def test_no_walk_before_a_connected_candidate(self, monkeypatch, seq):
-        # every candidate these searches meet in their first half second is
-        # disconnected (tens of thousands each), so the walk, which starts at
-        # the prefix's first connected candidate, builds no component map
+        # the early last-color edges of these searches close classes of
+        # their disconnected prefixes and are cut, so the first candidate
+        # is a connected gem, met before the walk builds any component map
         monkeypatch.setattr(gemtk.search, "_walk", lambda *args: pytest.fail("a map was built"))
-        out = search_gems(SearchSpec(seq=seq, vertex_count=32, budget_seconds=0.5))
-        assert not out.stats.exhausted and not out.solutions
-        assert out.stats.candidates == out.stats.prunes["not_connected"] > 0
+        out = search_gems(SearchSpec(seq=seq, vertex_count=32, max_solutions=1,
+                                     budget_seconds=10))
+        assert len(out.solutions) == out.stats.candidates == 1
+        assert is_connected(out.solutions[0])
+        assert out.stats.prunes["not_connected"] > 0
 
     @pytest.mark.parametrize(
-        "spec,tested,disconnected",
+        "spec,cuts,classes",
         [
-            (SearchSpec(seq=(4, 4, 8, 8), vertex_count=8), 13, 0),
-            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 26, 0),
-            (SearchSpec(seq=(8, 8, 8), vertex_count=16, orientable=True), 6, 0),
-            (SearchSpec(seq=(8, 8, 8), vertex_count=16), 87, 26),
+            (SearchSpec(seq=(4, 4, 8, 8), vertex_count=8), 0, 24),
+            (SearchSpec(seq=(4, 4, 6, 6), vertex_count=12), 0, 44),
+            (SearchSpec(seq=(8, 8, 8), vertex_count=16, orientable=True), 0, 6),
+            (SearchSpec(seq=(8, 8, 8), vertex_count=16), 5, 61),
+            (SearchSpec(seq=(4, 4, 4, 4), vertex_count=16), 165, 16),
+            (SearchSpec(seq=(6, 6, 6), vertex_count=18), 5, 4),
         ],
-        ids=["4488-8", "4466-12", "888-16-orientable", "888-16"],
+        ids=["4488-8", "4466-12", "888-16-orientable", "888-16", "4444-16", "666-18"],
     )
-    def test_candidate_connectivity_without_a_view(self, monkeypatch, spec, tested,
-                                                   disconnected):
-        # below a disconnected last-color prefix, a candidate's connectivity
-        # is a union of the prefix's components along the last color's
-        # edges; it must agree with a walk of the whole candidate
-        original = gemtk.search._Components.connects
-        seen = {True: 0, False: 0}
+    def test_candidate_connectivity_without_a_view(self, monkeypatch, spec, cuts, classes):
+        # a last-color edge that closes a class of the prefix's components
+        # short of all of them is cut with no view of the graph.  Sound: at
+        # each cut edge with at most 8 vertices unpaired, no matching of
+        # them completes a connected graph.  Complete: every candidate that
+        # reaches ``finalize`` is connected
+        strands, finalize = gemtk.search._Components.strands, gemtk.search._Search.finalize
+        checked = 0
 
-        def checked(comps, m):
-            got = original(comps, m)
-            rows = [*comps.rows, tuple(m)]
-            assert got == is_connected(ColoredGraph(len(rows), len(m), tuple(rows)))
-            seen[got] += 1
+        def cut(comps, m, v):
+            nonlocal checked
+            got = strands(comps, m, v)
+            unpaired = tuple(x for x, y in enumerate(m) if y < 0)
+            if got and len(unpaired) <= 8:
+                checked += 1
+                for tail in perfect_matchings(unpaired):
+                    rows = [*comps.rows, tuple(tail.get(x, y) for x, y in enumerate(m))]
+                    assert not is_connected(ColoredGraph(len(rows), len(m), tuple(rows)))
             return got
 
-        monkeypatch.setattr(gemtk.search._Components, "connects", checked)
+        def connected(search):
+            assert is_connected(gemtk.search._view(search.inv, search.n))
+            return finalize(search)
+
+        monkeypatch.setattr(gemtk.search._Components, "strands", cut)
+        monkeypatch.setattr(gemtk.search._Search, "finalize", connected)
         out = search_gems(spec)
-        assert out.stats.exhausted
-        assert (seen[True] + seen[False], seen[False]) == (tested, disconnected)
-        assert seen[False] == out.stats.prunes.get("not_connected", 0)
+        assert out.stats.exhausted and len(out.solutions) == classes
+        assert out.stats.prunes.get("not_connected", 0) == cuts
+        assert (checked > 0) == (cuts > 0)
 
     def test_connected_group_memory(self):
         # the group of the single 200-vertex block is kept as its 199
@@ -1060,7 +1106,7 @@ class TestSearchOrder:
                          396, 6, 3, 954, id="first-3manifold"),
             pytest.param(SearchSpec(seq=(4,) * 5, vertex_count=8,
                                     require_residues_sphere=True),
-                         130, 21, 3, 0, id="residues"),
+                         128, 20, 3, 0, id="residues"),
             pytest.param(SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12,
                                     orientable=True, require_residues_sphere=True),
                          318, 21, 26, 31, id="bipartite-residues"),
@@ -1148,14 +1194,15 @@ class TestLimitsAndCounting:
 
     def test_budget_is_checked_before_each_candidate(self):
         # the node counter checks the clock only every 1,024 nodes; without
-        # a check per candidate this run builds 228 candidates past the
-        # deadline, and a zero budget must not read as no budget
+        # a check per candidate this run meets all its 125 candidates in
+        # 511 nodes, past the deadline, and a zero budget must not read as
+        # no budget
         for budget in (1e-9, 0):
             out = search_gems(
-                SearchSpec(seq=(4, 4, 4), vertex_count=24, max_solutions=None,
+                SearchSpec(seq=(12, 12, 12), vertex_count=12, max_solutions=None,
                            budget_seconds=budget)
             )
-            assert out.stats.candidates <= 1
+            assert out.stats.candidates == 0
             assert out.stats.exhausted is False
 
     def test_decagon_count_exhausts(self):
@@ -1265,7 +1312,7 @@ class TestEmittedSolutionChecks:
         out = search_gems(
             SearchSpec(seq=(4,) * 5, vertex_count=8, require_residues_sphere=True)
         )
-        assert (out.stats.candidates, len(out.solutions)) == (21, 5)
+        assert (out.stats.candidates, len(out.solutions)) == (20, 5)
         assert calls["check_residues_sphere"] == 5
         # the parts reduce one block per distinct residue component, 8 where
         # they reduced 37 without the search's verdict dict, and the 5 whole

@@ -48,15 +48,12 @@ from .graphs import (
     residue_stats,
     residue_subgraph,
     validate,
-    validation_defects,
 )
 from .search import (
     InfeasibleSpecError,
-    SearchBudgetExceeded,
     SearchOutcome,
     SearchSpec,
     SearchStats,
-    count_nonisomorphic,
     search_gems,
 )
 
@@ -70,7 +67,6 @@ __all__ = [
     "HomologyProfile",
     "InfeasibleSpecError",
     "ResidueSphereReport",
-    "SearchBudgetExceeded",
     "SearchOutcome",
     "SearchSpec",
     "SearchStats",
@@ -84,7 +80,6 @@ __all__ = [
     "check_residues_sphere",
     "check_surface",
     "connected_components",
-    "count_nonisomorphic",
     "enumerate_types",
     "embedding_report",
     "graph_homology",
@@ -101,7 +96,6 @@ __all__ = [
     "trace_faces",
     "type_name",
     "validate",
-    "validation_defects",
     "write_gem",
 ]
 

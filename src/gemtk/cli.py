@@ -285,13 +285,15 @@ def cmd_search(args) -> int:
 
     outcome = search_gems(spec)
     for graph in outcome.solutions:
-        code = canonical_code(graph)
+        if not (args.json or out_dir):
+            print(write_gem(graph), end="")
+            continue
+        code = canonical_code(graph)  # names the file and goes in the record
         name = hashlib.sha256(code.encode()).hexdigest()[:12]
-        text = write_gem(graph)
         if out_dir:
             path = out_dir / f"{name}.gem"
             try:
-                path.write_text(text, encoding="utf-8")
+                path.write_text(write_gem(graph), encoding="utf-8")
             except OSError as exc:
                 return _cannot_write(path, exc)
         if args.json:
@@ -303,10 +305,8 @@ def cmd_search(args) -> int:
                     "file": f"{name}.gem" if out_dir else None,
                 }
             )
-        elif out_dir:
-            print(f"wrote {name}.gem")
         else:
-            print(text, end="")
+            print(f"wrote {name}.gem")
 
     stats = outcome.stats
     summary = (

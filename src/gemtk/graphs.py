@@ -183,15 +183,6 @@ def _involutions(
     return involutions, defects
 
 
-def validation_defects(
-    color_count: int,
-    vertex_count: int,
-    pairings: Mapping[int, PairList] | Sequence[PairList],
-) -> list[GraphDefect]:
-    """Collect every violation in raw pairing data (empty list means valid)."""
-    return _involutions(color_count, vertex_count, pairings)[1]
-
-
 def validate(
     color_count: int,
     vertex_count: int,

@@ -53,7 +53,11 @@ of everything placed fixes v and maps any fresh partner u to the chosen one,
 and g maps the completions under v-u onto those under v-g(u).  Trackers,
 filters, connectivity, bipartiteness and prefix keys are invariant under g.
 The far end of a full path at v is never in a fresh block, and no block is
-fresh once color 2 is complete.
+fresh once color 2 is complete.  So a block past v's gets its first color-2
+edge only as the first fresh block reached, at the vertex reached first:
+its first or second, under either parity.  The blocks past v's with a
+color-2 edge are one run right after v's block, each paired at its first
+or second vertex, and v's partners end at the first vertex reached past it.
 
 Once colors 0..c-1 are complete, with 3 <= c < n, and their filter parts
 pass, a prefix isomorphic to one met before is skipped (McKay,
@@ -165,7 +169,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .complexes import (
@@ -186,10 +190,6 @@ from .graphs import (
 
 class InfeasibleSpecError(ValueError):
     """The spec admits no graph at all (bad sizes, parity, divisibility)."""
-
-
-class SearchBudgetExceeded(RuntimeError):
-    """An exact count was requested but the time budget ran out."""
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,6 @@ class SearchStats:
 
 @dataclass
 class SearchOutcome:
-    spec: SearchSpec
     solutions: list[ColoredGraph]
     stats: SearchStats
 
@@ -292,6 +291,9 @@ _MAX_STATE_ENTRIES = 500_000
 
 def check_spec(spec: SearchSpec) -> None:
     """Reject specs that cannot have solutions, before any search work."""
+    for x in (*spec.seq, spec.vertex_count):
+        if not isinstance(x, int):
+            raise InfeasibleSpecError(f"{x!r:.40} is not an integer face size or vertex count")
     problems = []
     n = spec.color_count
     p = spec.vertex_count
@@ -351,16 +353,15 @@ def search_gems(spec: SearchSpec) -> SearchOutcome:
         stats.exhausted = False
     stats.elapsed_seconds = time.monotonic() - start
     stats.prunes = {k: v for k, v in search.prunes.items() if v}
-    return SearchOutcome(spec, search.solutions, stats)
+    return SearchOutcome(search.solutions, stats)
 
 
 class _Search:
-    """The state of one search: the involutions ``inv`` of the colors, color
-    2's edges per {0,1}-block, the counters, the solutions, the keys of the
-    explored prefixes and the last color's prefix P, whose ``_Components``
-    carries its own orbit walk.  Each ``node`` generator is one entry of
-    the stack in ``search_gems``; ``descend`` and ``finalize`` run below
-    its edges."""
+    """The state of one search: the involutions ``inv`` of the colors, the
+    counters, the solutions, the keys of the explored prefixes and the last
+    color's prefix P, whose ``_Components`` carries its own orbit walk.
+    Each ``node`` generator is one entry of the stack in ``search_gems``;
+    ``descend`` and ``finalize`` run below its edges."""
 
     def __init__(self, spec: SearchSpec):
         self.spec = spec
@@ -371,7 +372,6 @@ class _Search:
         self.parity = spec.orientable is True
         # partners of v in range(v + 1, p, 2) keep every edge even-odd
         self.step = 2 if self.parity else 1
-        self.touched = [0] * (p // q0)  # color-2 edges per {0,1}-block
         self.stats = SearchStats()
         self.prunes = dict.fromkeys(
             ("wrong_cycle_length", "path_too_long", "dead_closure", "not_connected",
@@ -416,7 +416,7 @@ class _Search:
             return
         # guaranteed by the search state; re-verified on what leaves it
         validate(n, p, [graph.pairs(c) for c in range(n)])
-        if semi_equivelar_type(graph) != spec.seq:
+        if semi_equivelar_type(graph) != tuple(spec.seq):
             raise RuntimeError(f"search produced a non-conforming graph: {graph}")
         if self.parity and not is_bipartite(graph):
             raise RuntimeError("the parity rule let a non-bipartite graph through")
@@ -472,17 +472,22 @@ class _Search:
             if time.monotonic() > self.deadline:
                 raise _Stop
         invc = self.inv[c]
-        p, q0, touched, prunes, descend = self.p, self.q0, self.touched, self.prunes, self.descend
-        partners = range(v + 1, p, self.step)
+        p, step, prunes, descend = self.p, self.step, self.prunes, self.descend
+        end = p
+        if c == 2:
+            # color 2 tries only the first partner reached in a fresh block,
+            # the first past v's with no color-2 edge: the rest are its images
+            q0 = self.q0
+            block = v - v % q0 + q0
+            while block < p and (invc[block] >= 0 or invc[block + 1] >= 0):
+                block += q0
+            end = min(block + step, p)
+        partners = range(v + 1, end, step)
         for pend, plen, target in tracks:
             if plen[v] == target:
                 # the path at v is full: its only partner closes it
                 partners = (pend[v],)
                 break
-        # color 2 tries only the first partner reached in a fresh block (one
-        # past v's block with no color-2 edge); the rest are its images
-        fresh_from = v - v % q0 + q0 if c == 2 else p
-        fresh_tried = False
         on_last = len(tracks) == 2
         if on_last:
             t0, t1 = tracks
@@ -490,10 +495,6 @@ class _Search:
         for u in partners:
             if invc[u] >= 0:
                 continue
-            if u >= fresh_from and not touched[u // q0]:
-                if fresh_tried:
-                    continue
-                fresh_tried = True
             for pend, plen, target in tracks:
                 if pend[v] == u:
                     if plen[v] != target:
@@ -505,9 +506,6 @@ class _Search:
             else:
                 invc[v] = u
                 invc[u] = v
-                if c == 2:
-                    touched[v // q0] += 1
-                    touched[u // q0] += 1
                 # the path ends a, b join; v and u keep their entries
                 for pend, plen, _ in tracks:
                     a = pend[v]
@@ -536,9 +534,6 @@ class _Search:
                         pend[b] = u
                         plen[a] = plen[v]
                         plen[b] = plen[u]
-                if c == 2:
-                    touched[v // q0] -= 1
-                    touched[u // q0] -= 1
                 invc[v] = invc[u] = -1
 
 
@@ -809,19 +804,3 @@ def _fixed_residue(q0: int, p: int) -> list[list[int]]:
             inv1[v] = u
             inv1[u] = v
     return [inv0, inv1]
-
-
-def count_nonisomorphic(spec: SearchSpec) -> int:
-    """Number of solutions up to color-preserving isomorphism, by exhaustion.
-
-    Raises :class:`SearchBudgetExceeded` when the budget stopped the run, so
-    an aborted count is never mistaken for zero.
-    """
-    full = replace(spec, max_solutions=None)
-    outcome = search_gems(full)
-    if not outcome.stats.exhausted:
-        raise SearchBudgetExceeded(
-            f"budget exhausted after {outcome.stats.elapsed_seconds:.1f}s "
-            f"with {len(outcome.solutions)} classes found"
-        )
-    return len(outcome.solutions)

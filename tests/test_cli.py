@@ -394,6 +394,20 @@ class TestSearch:
         assert code == 2
         assert err.startswith(f"error: cannot write {out_dir / names[0]}: ")
 
+    @pytest.mark.parametrize("mode", ["text", "json", "out"])
+    def test_codes_only_where_read(self, capsys, tmp_path, monkeypatch, mode):
+        # a code names each --out file and fills each --json record; the
+        # plain text reads none
+        codes = counted(monkeypatch, gemtk.cli, "canonical_code")
+        extra = {"text": [], "json": ["--json"], "out": ["--out", str(tmp_path / "found")]}
+        code, _, _ = run(
+            capsys,
+            "search", "--type", "10,10,10", "--vertices", "10", "--orientable", "--all",
+            *extra[mode],
+        )
+        assert code == 0
+        assert len(codes) == (0 if mode == "text" else 4)
+
     def test_stdout_mode(self, capsys):
         code, out, _ = run(
             capsys, "search", "--type", "6,6,6,6", "--vertices", "6", "--max", "1"

@@ -18,7 +18,6 @@ from gemtk import (
     residue_subgraph,
     search_gems,
     validate,
-    validation_defects,
 )
 from gemtk.embeddings import CyclicOrder, trace_faces
 from gemtk.graphs import (
@@ -55,6 +54,15 @@ def assert_matches_reference(g):
     assert canonical_code(g) == reference_canonical_code(g)
 
 
+def _defects(n, p, pairings):
+    """The defect list that ``validate`` raises, empty if it raises none."""
+    try:
+        validate(n, p, pairings)
+    except GemValidationError as err:
+        return err.defects
+    return []
+
+
 class TestValidate:
     def test_cube_is_valid(self):
         g = cube_graph()
@@ -64,29 +72,29 @@ class TestValidate:
             assert sorted(v for pair in g.pairs(c) for v in pair) == list(range(8))
 
     def test_loop_edge(self):
-        defects = validation_defects(3, 4, [[(0, 1), (3, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]])
+        defects = _defects(3, 4, [[(0, 1), (3, 3)], [(0, 2), (1, 3)], [(0, 3), (1, 2)]])
         assert any(d.kind == LOOP_EDGE and d.color == 0 and d.vertex == 3 for d in defects)
 
     def test_short_pairing_is_not_a_matching(self):
         pairs = {0: [(0, 1), (2, 3), (4, 5), (6, 7)],
                  1: [(0, 2), (1, 3), (4, 6)],
                  2: [(0, 4), (1, 5), (2, 6), (3, 7)]}
-        defects = validation_defects(3, 8, pairs)
+        defects = _defects(3, 8, pairs)
         assert any(d.kind == NOT_A_MATCHING and d.color == 1 for d in defects)
 
     def test_odd_vertex_count(self):
-        defects = validation_defects(2, 3, [[(0, 1)], [(0, 2)]])
+        defects = _defects(2, 3, [[(0, 1)], [(0, 2)]])
         assert any(d.kind == ODD_VERTEX_COUNT for d in defects)
 
     def test_color_gap(self):
-        defects = validation_defects(3, 2, {0: [(0, 1)], 2: [(0, 1)], 5: [(0, 1)]})
+        defects = _defects(3, 2, {0: [(0, 1)], 2: [(0, 1)], 5: [(0, 1)]})
         kinds = [d for d in defects if d.kind == COLOR_GAP]
         assert any(d.color == 1 for d in kinds)  # missing
         assert any(d.color == 5 for d in kinds)  # out of range
 
     def test_all_defects_collected(self):
         # odd p, loop, and duplicate pairing in one call
-        defects = validation_defects(2, 5, [[(0, 0), (1, 2), (1, 3)], [(0, 1), (2, 3)]])
+        defects = _defects(2, 5, [[(0, 0), (1, 2), (1, 3)], [(0, 1), (2, 3)]])
         kinds = {d.kind for d in defects}
         assert ODD_VERTEX_COUNT in kinds
         assert LOOP_EDGE in kinds
@@ -115,8 +123,8 @@ class TestValidate:
     )
     def test_both_pairing_forms_give_one_defect_list(self, lists, expected):
         # a sequence is read as the mapping of its indices: one gap rule
-        defects = validation_defects(3, 4, lists)
-        assert defects == validation_defects(3, 4, dict(enumerate(lists)))
+        defects = _defects(3, 4, lists)
+        assert defects == _defects(3, 4, dict(enumerate(lists)))
         assert [str(d) for d in defects] == expected
 
     def test_validate_raises_with_defect_list(self):
@@ -167,13 +175,12 @@ class TestValidate:
             if rng.random() < 0.5:
                 del mapping[rng.choice(list(mapping))]
             for pairings in (lists, mapping):
-                got = [str(d) for d in validation_defects(n, p, pairings)]
-                assert got == [str(d) for d in reference_defects(n, p, pairings)]
+                want = [str(d) for d in reference_defects(n, p, pairings)]
                 try:
                     validate(n, p, pairings)
-                    assert not got
+                    assert not want
                 except GemValidationError as err:
-                    assert got and [str(d) for d in err.defects] == got
+                    assert want and [str(d) for d in err.defects] == want
 
 
 class TestResidues:

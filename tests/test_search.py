@@ -13,13 +13,11 @@ import gemtk.search
 from gemtk import (
     ColoredGraph,
     InfeasibleSpecError,
-    SearchBudgetExceeded,
     SearchSpec,
     canonical_code,
     check_3manifold,
     connected_components,
     check_residues_sphere,
-    count_nonisomorphic,
     embedding_report,
     is_bipartite,
     is_connected,
@@ -81,6 +79,22 @@ class TestSpecRejection:
                 SearchSpec(seq=(4, 4, 4, 4), vertex_count=8, require_residues_sphere=True)
             )
 
+    @pytest.mark.parametrize(
+        "seq,p,bad",
+        [((4, 4, 4), 8.0, "8.0"), (("4", 4, 4), 8, "'4'"), ((4, 4.0, 4), 8, "4.0")],
+    )
+    def test_sizes_must_be_integers(self, seq, p, bad):
+        # refused up front, naming the first bad value, not left to escape
+        # as a TypeError from deep inside the search
+        with pytest.raises(InfeasibleSpecError, match=f"^{bad} is not an integer"):
+            search_gems(SearchSpec(seq=seq, vertex_count=p))
+
+    def test_list_seq_finds_the_tuples_classes(self):
+        got = search_gems(SearchSpec(seq=[4, 4, 4], vertex_count=8))
+        want = search_gems(SearchSpec(seq=(4, 4, 4), vertex_count=8))
+        assert got.stats.exhausted and want.stats.exhausted
+        assert [write_gem(g) for g in got.solutions] == [write_gem(g) for g in want.solutions]
+
     def test_orientable_is_true_false_or_none(self):
         # a truthy non-bool would otherwise search both orientabilities
         with pytest.raises(InfeasibleSpecError, match="orientable"):
@@ -126,10 +140,9 @@ class TestCubeRediscovery:
         assert canonical_code(out.solutions[0]) == canonical_code(cube_graph())
 
     def test_count(self):
-        n = count_nonisomorphic(
-            SearchSpec(seq=(4, 4, 4), vertex_count=8, orientable=True)
-        )
-        assert n == 1
+        out = search_gems(SearchSpec(seq=(4, 4, 4), vertex_count=8, orientable=True))
+        assert out.stats.exhausted
+        assert len(out.solutions) == 1
 
 
 class TestLargeRealizations:
@@ -1110,6 +1123,14 @@ class TestSearchOrder:
             pytest.param(SearchSpec(seq=(4, 4, 4, 4, 6), vertex_count=12,
                                     orientable=True, require_residues_sphere=True),
                          318, 21, 26, 31, id="bipartite-residues"),
+            pytest.param(SearchSpec(seq=(4, 6, 18), vertex_count=72, orientable=True),
+                         3911, 24, 0, 3876, id="orientable-(4,6,18);72"),
+            pytest.param(SearchSpec(seq=(4, 10, 10), vertex_count=40, orientable=False),
+                         6615, 185, 0, 9310, id="non-orientable-(4,10,10);40"),
+            pytest.param(SearchSpec(seq=(4, 6, 36), vertex_count=36, orientable=False),
+                         1699, 152, 0, 290, id="non-orientable-(4,6,36);36"),
+            pytest.param(SearchSpec(seq=(4, 4, 8, 8), vertex_count=16, require_3manifold=True),
+                         5457, 887, 3, 1774, id="3-manifold-(4,4,8,8);16"),
         ],
     )
     def test_node_and_candidate_counts_are_pinned(
@@ -1123,6 +1144,44 @@ class TestSearchOrder:
         assert (out.stats.nodes, out.stats.candidates) == (nodes, candidates)
         assert out.stats.prunes.get("duplicate_prefix", 0) == prefixes
         assert out.stats.prunes.get("dead_closure", 0) == closures
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param(SearchSpec(seq=(4, 6, 18), vertex_count=72, orientable=True),
+                         id="orientable-(4,6,18);72"),
+            pytest.param(SearchSpec(seq=(4, 10, 10), vertex_count=40, orientable=False),
+                         id="non-orientable-(4,10,10);40"),
+            pytest.param(SearchSpec(seq=(4, 6, 36), vertex_count=36, orientable=False),
+                         id="non-orientable-(4,6,36);36"),
+            pytest.param(SearchSpec(seq=(4, 4, 8, 8), vertex_count=16, require_3manifold=True),
+                         id="3-manifold-(4,4,8,8);16"),
+            pytest.param(SearchSpec(seq=(4, 4, 4, 4), vertex_count=16), id="(4^4);16"),
+        ],
+    )
+    def test_color_two_partners_end_at_the_first_fresh_block(self, monkeypatch, spec):
+        # the blocks past v's that hold a color-2 edge are one run right
+        # after v's block, each paired at its first or second vertex: so
+        # v's partners can end at the first vertex reached past the run
+        node = gemtk.search._Search.node
+        checked = []
+
+        def checking(search, c, v, tracks):
+            if c == 2:
+                inv, q0 = search.inv[2], search.q0
+                start = v // q0 + 1
+                touched = [
+                    b for b in range(start, search.p // q0)
+                    if any(x >= 0 for x in inv[b * q0:(b + 1) * q0])
+                ]
+                assert touched == list(range(start, start + len(touched)))
+                assert all(inv[b * q0] >= 0 or inv[b * q0 + 1] >= 0 for b in touched)
+                checked.append(v)
+            return node(search, c, v, tracks)
+
+        monkeypatch.setattr(gemtk.search._Search, "node", checking)
+        out = search_gems(spec)
+        assert out.stats.exhausted and checked
 
     @pytest.mark.parametrize(
         "spec,digest",
@@ -1187,10 +1246,8 @@ class TestLimitsAndCounting:
         assert not out.stats.exhausted
 
     def test_budget_reported_distinctly(self):
-        with pytest.raises(SearchBudgetExceeded):
-            count_nonisomorphic(
-                SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, budget_seconds=0.05)
-            )
+        out = search_gems(SearchSpec(seq=(4, 4, 4, 6), vertex_count=24, budget_seconds=0.05))
+        assert out.stats.exhausted is False
 
     def test_budget_is_checked_before_each_candidate(self):
         # the node counter checks the clock only every 1,024 nodes; without
@@ -1206,11 +1263,8 @@ class TestLimitsAndCounting:
             assert out.stats.exhausted is False
 
     def test_decagon_count_exhausts(self):
-        spec = SearchSpec(seq=(10, 10, 10), vertex_count=10)
-        n = count_nonisomorphic(spec)
-        assert n == 24
-        out = search_gems(spec)
-        assert out.stats.exhausted and len(out.solutions) == n
+        out = search_gems(SearchSpec(seq=(10, 10, 10), vertex_count=10))
+        assert out.stats.exhausted and len(out.solutions) == 24
 
     @pytest.mark.parametrize(
         "seq,classes",
@@ -1220,7 +1274,8 @@ class TestLimitsAndCounting:
         spec = SearchSpec(
             seq=seq, vertex_count=12, require_3manifold=True, budget_seconds=60
         )
-        assert count_nonisomorphic(spec) == classes
+        out = search_gems(spec)
+        assert out.stats.exhausted and len(out.solutions) == classes
 
     @pytest.mark.parametrize(
         "seq,p,kwargs,classes",
@@ -1245,7 +1300,8 @@ class TestLimitsAndCounting:
     )
     def test_multi_block_counts_exhaust(self, seq, p, kwargs, classes):
         spec = SearchSpec(seq=seq, vertex_count=p, budget_seconds=60, **kwargs)
-        assert count_nonisomorphic(spec) == classes
+        out = search_gems(spec)
+        assert out.stats.exhausted and len(out.solutions) == classes
 
     def test_deep_search_does_not_recurse(self):
         # 1200 edges per color: one Python frame per edge would overflow
